@@ -13,23 +13,35 @@ published reference designs are only reproduced without a lookahead on the
 (n1, n2) grid, where the interim adjustment already absorbs the worst of the
 oscillation.
 
+The grid is evaluated a column at a time: all interim sizes n1 of one final
+size n2 share one predictive vector at n2, so one vectorized erased-mass call
+per design prior gives the adjusted rates of the whole column, and the
+searches compare columns with numpy masks.  Stop probabilities, PCE and
+E[N|H0] depend on n1 alone and cost one partial sum each.
+
 The optimal design minimizes the expected sample size under the null design
 prior over the whole feasible rectangle.  Final sizes whose single-look power
 already misses the target cannot become feasible by adding an interim look
 (the adjustment only lowers power), so those columns are skipped wholesale.
+Once a feasible design is known, a later column can only win with a strictly
+smaller E[N|H0]; since E[N|H0] >= n1, only a short prefix of interim sizes
+below the incumbent's objective is evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .bayesfactor import AnalysisPrior, Hypotheses
+import numpy as np
+
+from .bayesfactor import AnalysisPrior, Hypotheses, critical_efficacy, critical_futility
 from .operating import (
     OperatingCharacteristics,
     TwoStageDesign,
+    checked_adjusted,
+    erased_mass_column,
     evaluate,
-    path_probabilities,
     prob_futility_stop,
     unadjusted_rate,
 )
@@ -90,11 +102,37 @@ class ScanRow:
     feasible: bool
 
 
-class DesignGrid:
-    """Memoized per-(n1, n2) rates for one calibration scenario.
+class GridColumn(NamedTuple):
+    """Rates of a set of interim sizes at one final size, one entry per n1."""
 
-    The heavy primitives (Bayes factor curves, predictive vectors) are cached
-    globally, so this only avoids re-walking the per-design sums.
+    n1: np.ndarray
+    power_adjusted: np.ndarray
+    type_i_adjusted: np.ndarray
+    pce: np.ndarray
+    e_n_h0: np.ndarray
+
+    def feasible(self, cons: CalibrationConstraints) -> np.ndarray:
+        """Mask of the interim sizes meeting every constraint."""
+        ok = (self.type_i_adjusted <= cons.alpha) & (
+            self.power_adjusted >= 1.0 - cons.beta
+        )
+        if cons.f is not None:
+            ok &= self.pce > cons.f
+        return ok
+
+
+class DesignGrid:
+    """Column-at-a-time rates for one calibration scenario.
+
+    A column is every interim size n1 = 1..n2-1 of one final size n2.  Its
+    adjusted rates come from one `erased_mass_column` call per design prior,
+    and its stop probabilities, PCE and critical counts depend on n1 alone,
+    so they are computed once per interim size and shared by all columns.
+    Whole columns are cached per n2; `rates` and `feasible` are lookups into
+    that cache.  `rows` evaluates any subset of a column without caching it;
+    the optimal search visits each column once and, under its expected-size
+    bound, only a prefix of it.  Every entry carries the same bits as
+    `evaluate` on that design.
     """
 
     def __init__(
@@ -112,37 +150,92 @@ class DesignGrid:
         self.ap = ap
         self.power_prior = power_prior
         self.null_prior = null_prior if null_prior is not None else PointMass(hyp.p0)
-        self._rates: dict[tuple[int, int], tuple[float, float, float, float]] = {}
-        self._nonseq_power: dict[int, float] = {}
+        self._columns: dict[int, GridColumn] = {}
+        self._nonseq: dict[int, tuple[float, float]] = {}
+        # per interim size n1 = 1, 2, ...: futility critical count, stop
+        # probability under the null design prior, PCE
+        self._y_fut: list[Optional[int]] = []
+        self._p_stop: list[float] = []
+        self._pce: list[float] = []
 
-    def rates(self, n1: int, n2: int) -> tuple[float, float, float, float]:
-        """(adjusted power, adjusted type-I, PCE, E[N|H0]) at one design."""
-        key = (n1, n2)
-        cached = self._rates.get(key)
-        if cached is not None:
-            return cached
-        design = TwoStageDesign(n1, n2, self.k, self.k_f)
-        h1 = path_probabilities(design, self.hyp, self.ap, self.power_prior)
-        h0 = path_probabilities(design, self.hyp, self.ap, self.null_prior)
-        pce = prob_futility_stop(n1, self.k_f, self.hyp, self.ap, PointMass(self.hyp.p0))
-        out = (h1.adjusted, h0.adjusted, pce, h0.expected_n)
-        self._rates[key] = out
-        return out
+    def _interim(self, n1_max: int) -> None:
+        point_null = PointMass(self.hyp.p0)
+        for n1 in range(len(self._y_fut) + 1, n1_max + 1):
+            self._y_fut.append(critical_futility(n1, self.k_f, self.hyp, self.ap))
+            self._p_stop.append(
+                prob_futility_stop(n1, self.k_f, self.hyp, self.ap, self.null_prior)
+            )
+            self._pce.append(
+                prob_futility_stop(n1, self.k_f, self.hyp, self.ap, point_null)
+            )
+
+    def _single_look(self, n2: int) -> tuple[float, float]:
+        """(power, type-I) at n2 without an interim look."""
+        cached = self._nonseq.get(n2)
+        if cached is None:
+            cached = (
+                unadjusted_rate(n2, self.k, self.hyp, self.ap, self.power_prior),
+                unadjusted_rate(n2, self.k, self.hyp, self.ap, self.null_prior),
+            )
+            self._nonseq[n2] = cached
+        return cached
 
     def nonsequential_power(self, n2: int) -> float:
         """Single-look power at n2, the upper bound for any interim split."""
-        cached = self._nonseq_power.get(n2)
+        return self._single_look(n2)[0]
+
+    def expected_n_h0(self, n2: int, n1: np.ndarray) -> np.ndarray:
+        """E[N|H0] of the designs (n1, n2), cheap: no erased mass needed."""
+        self._interim(int(n1.max(initial=0)))
+        p_stop = np.asarray(self._p_stop)[n1 - 1]
+        return n2 - (n2 - n1) * p_stop
+
+    def rows(self, n2: int, n1: np.ndarray) -> GridColumn:
+        """Rates of the designs (n1[i], n2), computed without caching."""
+        n1 = np.asarray(n1, dtype=np.int64)
+        self._interim(int(n1.max(initial=0)))
+        y_fut = [self._y_fut[i - 1] for i in n1]
+        y_eff = critical_efficacy(n2, self.k, self.hyp, self.ap)
+        power, type_i = self._single_look(n2)
+        return GridColumn(
+            n1=n1,
+            power_adjusted=checked_adjusted(
+                power, erased_mass_column(n1, y_fut, n2, y_eff, self.power_prior)
+            ),
+            type_i_adjusted=checked_adjusted(
+                type_i, erased_mass_column(n1, y_fut, n2, y_eff, self.null_prior)
+            ),
+            pce=np.asarray(self._pce)[n1 - 1],
+            e_n_h0=self.expected_n_h0(n2, n1),
+        )
+
+    def column(self, n2: int) -> GridColumn:
+        """Every interim size n1 = 1..n2-1 of final size n2 (cached)."""
+        cached = self._columns.get(n2)
         if cached is None:
-            cached = unadjusted_rate(n2, self.k, self.hyp, self.ap, self.power_prior)
-            self._nonseq_power[n2] = cached
+            cached = self.rows(n2, np.arange(1, n2))
+            self._columns[n2] = cached
         return cached
+
+    def _cached_column(self, n1: int, n2: int) -> GridColumn:
+        if not 1 <= n1 < n2:
+            raise ValueError(f"need 1 <= n1 < n2, got n1={n1}, n2={n2}")
+        return self.column(n2)
+
+    def rates(self, n1: int, n2: int) -> tuple[float, float, float, float]:
+        """(adjusted power, adjusted type-I, PCE, E[N|H0]) at one design."""
+        col = self._cached_column(n1, n2)
+        i = n1 - 1
+        return (
+            float(col.power_adjusted[i]),
+            float(col.type_i_adjusted[i]),
+            float(col.pce[i]),
+            float(col.e_n_h0[i]),
+        )
 
     def feasible(self, n1: int, n2: int, cons: CalibrationConstraints) -> bool:
         """Whether one design meets every constraint."""
-        power_adj, type_i_adj, pce, _ = self.rates(n1, n2)
-        if type_i_adj > cons.alpha or power_adj < 1.0 - cons.beta:
-            return False
-        return cons.f is None or pce > cons.f
+        return bool(self._cached_column(n1, n2).feasible(cons)[n1 - 1])
 
     def calibrated(self, n1: int, n2: int) -> CalibratedDesign:
         design = TwoStageDesign(n1, n2, self.k, self.k_f)
@@ -207,9 +300,10 @@ def calibrate(
     for n2 in range(cons.n_min + 1, cons.n_max + 1):
         if grid.nonsequential_power(n2) < 1.0 - cons.beta:
             continue
-        for n1 in range(cons.n_min, n2):
-            if grid.feasible(n1, n2, cons):
-                return grid.calibrated(n1, n2)
+        col = grid.column(n2)
+        hits = np.flatnonzero(col.feasible(cons)[cons.n_min - 1 :])
+        if hits.size:
+            return grid.calibrated(cons.n_min + int(hits[0]), n2)
     return None
 
 
@@ -225,23 +319,35 @@ def optimal_calibrate(
 ) -> Optional[CalibratedDesign]:
     """Feasible design minimizing the expected sample size under H0.
 
-    Ties go to the smaller n2, then the smaller n1.  With prune enabled,
-    final sizes whose single-look power misses the target are skipped without
-    an interim search; this cannot change the argmin because the interim
-    adjustment only ever lowers power.
+    Ties go to the smaller n2, then the smaller n1.  With prune enabled, two
+    bounds cut the work without changing the argmin:
+
+    - final sizes whose single-look power misses the target are skipped
+      without an interim search, because the interim adjustment only ever
+      lowers power;
+    - once a feasible design is known, a later (larger) n2 can only win with
+      a strictly smaller E[N|H0], so only its interim sizes below that
+      objective get their rates computed.  E[N|H0] >= n1, so that is a short
+      prefix of the column, found from the stop probabilities alone.
     """
     grid = DesignGrid(k, k_f, hyp, ap, power_prior, null_prior)
     best: Optional[tuple[float, int, int]] = None
     for n2 in range(cons.n_min + 1, cons.n_max + 1):
         if prune and grid.nonsequential_power(n2) < 1.0 - cons.beta:
             continue
-        for n1 in range(cons.n_min, n2):
-            if not grid.feasible(n1, n2, cons):
+        n1 = np.arange(cons.n_min, n2)
+        if prune and best is not None:
+            n1 = n1[grid.expected_n_h0(n2, n1) < best[0]]
+            if n1.size == 0:
                 continue
-            _, _, _, e_n_h0 = grid.rates(n1, n2)
-            key = (e_n_h0, n2, n1)
-            if best is None or key < best:
-                best = key
+        rows = grid.rows(n2, n1)
+        ok = np.flatnonzero(rows.feasible(cons))
+        if ok.size == 0:
+            continue
+        i = ok[np.argmin(rows.e_n_h0[ok])]
+        key = (float(rows.e_n_h0[i]), n2, int(rows.n1[i]))
+        if best is None or key < best:
+            best = key
     if best is None:
         return None
     return grid.calibrated(best[2], best[1])
@@ -267,17 +373,19 @@ def scan(
     grid = DesignGrid(k, k_f, hyp, ap, power_prior, null_prior)
     rows: list[ScanRow] = []
     for n2 in n2_values:
+        col = grid.column(n2)
+        feasible = col.feasible(cons)
         for n1 in range(cons.n_min, n2):
-            power_adj, type_i_adj, pce, e_n_h0 = grid.rates(n1, n2)
+            i = n1 - 1
             rows.append(
                 ScanRow(
                     n2=n2,
                     n1=n1,
-                    power_adjusted=power_adj,
-                    type_i_adjusted=type_i_adj,
-                    pce=pce,
-                    e_n_h0=e_n_h0,
-                    feasible=grid.feasible(n1, n2, cons),
+                    power_adjusted=float(col.power_adjusted[i]),
+                    type_i_adjusted=float(col.type_i_adjusted[i]),
+                    pce=float(col.pce[i]),
+                    e_n_h0=float(col.e_n_h0[i]),
+                    feasible=bool(feasible[i]),
                 )
             )
     return rows

@@ -20,6 +20,7 @@ Analysis prior shapes default to flat: a0 = b0 = a1 = b1 = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,13 +86,17 @@ def _parse_number(field_name: str, token: str) -> float:
         if len(parts) != 2:
             raise ConfigError(field_name, f"malformed fraction '{token}'")
         try:
-            return float(parts[0]) / float(parts[1])
+            value = float(parts[0]) / float(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(field_name, f"malformed fraction '{token}'") from exc
-    try:
-        return float(token)
-    except ValueError as exc:
-        raise ConfigError(field_name, f"not a number: '{token}'") from exc
+    else:
+        try:
+            value = float(token)
+        except ValueError as exc:
+            raise ConfigError(field_name, f"not a number: '{token}'") from exc
+    if not math.isfinite(value):
+        raise ConfigError(field_name, f"must be finite, got '{token}'")
+    return value
 
 
 def _parse_power_prior(token: str, p0: float) -> DesignPrior:

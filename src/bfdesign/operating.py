@@ -7,21 +7,30 @@ BF01 falls below the evidence threshold k.
 
 Computed without an interim look, the rejection probability at n2 counts
 sample paths that would in fact have been halted at n1.  The correction
-subtracts the joint probability of {stop for futility at n1} and {final BF
-below k had the trial continued}; that joint mass is a double sum of the
-two-batch predictive pmf over the rectangle of interim counts at or below the
-futility critical value and second-batch counts large enough to push the
-total past the efficacy critical value.  An exhaustive path enumeration over
-all (y1, y2) outcomes, classifying each cell by direct Bayes factor
-comparisons and never touching critical values, serves as an independent
-oracle for the same quantities.
+subtracts the erased mass: the joint probability of {stop for futility at
+n1} and {final BF below k had the trial continued}, that is of
+{Y1 <= y_fut(n1)} and {S >= y_eff(n2)} for the interim count Y1 and the pooled
+count S at n2.  Both batches share one latent success probability, so given
+S = s the interim count is hypergeometric (n2, s, n1) whatever the design
+prior, and
+
+    erased(n1) = sum_{s >= y_eff(n2)} P(S = s) * P(Y1 <= y_fut(n1) | S = s).
+
+One predictive vector at n2 and one log-factorial table therefore serve every
+interim size of a final size at once (`erased_mass_column`).  An exhaustive
+path enumeration over all (y1, y2) outcomes of the two-batch joint pmf,
+classifying each cell by direct Bayes factor comparisons and never touching
+critical values, serves as an independent oracle for the same quantities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
+from scipy.special import gammaln
 
 from .bayesfactor import (
     AnalysisPrior,
@@ -124,6 +133,56 @@ def unadjusted_rate(
     return float(predictive_vector(prior, n2)[y_eff:].sum())
 
 
+def erased_mass_column(
+    n1: Sequence[int],
+    y_fut: Sequence[Optional[int]],
+    n2: int,
+    y_eff: Optional[int],
+    prior: DesignPrior,
+) -> np.ndarray:
+    """Erased mass of every interim size n1[i] at one final size n2.
+
+    y_fut[i] is the futility critical count at n1[i] and y_eff the efficacy
+    critical count at n2; None marks an unreachable threshold, which erases
+    nothing.  The hypergeometric cdf of Y1 given the pooled count s is built
+    one y1 at a time in log space from a log-factorial table, as an
+    (interim size, s) array, and then weighted by the predictive pmf at n2.
+    Each entry depends only on its own n1, so a design gives the same bits
+    alone as inside its column.
+    """
+    n1 = np.asarray(n1, dtype=np.int64)
+    y_fut = np.array([-1 if y is None else y for y in y_fut], dtype=np.int64)
+    if np.any(n1 < 1) or np.any(n1 >= n2):
+        raise ValueError(f"need 1 <= n1 < n2 = {n2} for every interim size")
+    if y_eff is None or y_fut.size == 0 or y_fut.max() < 0:
+        return np.zeros(n1.shape)
+    log_fact = gammaln(np.arange(n2 + 1) + 1.0)
+    m = n2 - n1
+    m_max = int(m.max())
+    s = np.arange(y_eff, n2 + 1)
+    log_total = log_fact[n2] - log_fact[s] - log_fact[n2 - s]
+    log_n1 = log_fact[n1]
+    log_m = log_fact[m][:, None]
+    cdf = np.zeros((n1.size, s.size))
+    for y1 in range(int(y_fut.max()) + 1):
+        # pooled counts s with 0 <= s - y1 <= m for some interim size
+        lo = max(y1 - y_eff, 0)
+        hi = min(y1 + m_max - y_eff, s.size - 1)
+        if lo > hi:
+            continue
+        y2 = s[lo : hi + 1] - y1
+        live = (y_fut >= y1)[:, None] & (y2[None, :] <= m[:, None])
+        rest = np.maximum(m[:, None] - y2[None, :], 0)
+        interim = np.maximum(n1 - y1, 0)
+        log_pmf = (
+            (log_n1 - log_fact[y1] - log_fact[interim])[:, None]
+            + (log_m - log_fact[y2][None, :] - log_fact[rest])
+            - log_total[None, lo : hi + 1]
+        )
+        cdf[:, lo : hi + 1] += np.exp(np.where(live, log_pmf, -np.inf))
+    return (cdf * predictive_vector(prior, n2)[y_eff:]).sum(axis=1)
+
+
 def futility_erased(
     n1: int,
     n2: int,
@@ -137,23 +196,28 @@ def futility_erased(
 
     This is the rejection mass erased by allowing the futility stop: paths
     the single-look computation counts but the two-stage trial never walks.
-    Zero whenever either critical value is unreachable.
+    It is the one-n1 case of `erased_mass_column`, so a single design and a
+    whole column share one route.  Zero whenever either critical value is
+    unreachable.
     """
-    if not n1 < n2:
-        raise ValueError(f"need n1 < n2, got n1={n1}, n2={n2}")
     y_fut = critical_futility(n1, k_f, hyp, ap)
     y_eff = critical_efficacy(n2, k, hyp, ap)
-    if y_fut is None or y_eff is None:
-        return 0.0
-    m = n2 - n1
-    joint = joint_predictive_matrix(n1, m, prior)
-    total = 0.0
-    for y1 in range(y_fut + 1):
-        lo = max(y_eff - y1, 0)
-        if lo > m:
-            continue
-        total += float(joint[y1, lo:].sum())
-    return total
+    return float(erased_mass_column([n1], [y_fut], n2, y_eff, prior)[0])
+
+
+def checked_adjusted(unadjusted: float, erased: float | np.ndarray) -> np.ndarray:
+    """unadjusted - erased, clipped at zero after the negativity check.
+
+    Works elementwise on a whole column; a dip below zero larger than
+    rounding means inconsistent critical values and raises.
+    """
+    value = unadjusted - erased
+    if np.any(value < -_NEGATIVITY_TOL):
+        raise ArithmeticError(
+            f"adjusted rate {np.min(value)} is negative beyond tolerance; "
+            "critical values are inconsistent"
+        )
+    return np.maximum(value, 0.0)
 
 
 def adjusted_rate(
@@ -166,15 +230,12 @@ def adjusted_rate(
     prior: DesignPrior,
 ) -> float:
     """Final rejection probability corrected for the interim futility stop."""
-    value = unadjusted_rate(n2, k, hyp, ap, prior) - futility_erased(
-        n1, n2, k, k_f, hyp, ap, prior
-    )
-    if value < -_NEGATIVITY_TOL:
-        raise ArithmeticError(
-            f"adjusted rate {value} is negative beyond tolerance; "
-            "critical values are inconsistent"
+    return float(
+        checked_adjusted(
+            unadjusted_rate(n2, k, hyp, ap, prior),
+            futility_erased(n1, n2, k, k_f, hyp, ap, prior),
         )
-    return max(value, 0.0)
+    )
 
 
 def expected_n(
@@ -214,13 +275,7 @@ def path_probabilities(
     n1, n2, k, k_f = design.n1, design.n2, design.k, design.k_f
     unadj = unadjusted_rate(n2, k, hyp, ap, prior)
     erased = futility_erased(n1, n2, k, k_f, hyp, ap, prior)
-    adj = unadj - erased
-    if adj < -_NEGATIVITY_TOL:
-        raise ArithmeticError(
-            f"adjusted rate {adj} is negative beyond tolerance; "
-            "critical values are inconsistent"
-        )
-    adj = max(adj, 0.0)
+    adj = float(checked_adjusted(unadj, erased))
     branches = branch_probabilities(n1, k, k_f, hyp, ap, prior)
     p_stop = prob_futility_stop(n1, k_f, hyp, ap, prior)
     reject_split = _reject_by_branch(design, hyp, ap, prior)

@@ -100,38 +100,33 @@ def predictive_pmf(y_s: int, n: int, prior: DesignPrior) -> float:
     return float(predictive_vector(prior, n)[y_s])
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _joint_predictive_matrix(n1: int, m: int, prior: DesignPrior) -> np.ndarray:
-    if isinstance(prior, PointMass):
-        out = np.outer(
-            np.exp(log_binom_pmf_vector(n1, prior.p)),
-            np.exp(log_binom_pmf_vector(m, prior.p)),
-        )
-    else:
-        kernel = _log_pooled_kernel(prior, n1 + m)
-        pooled = np.add.outer(np.arange(n1 + 1), np.arange(m + 1))
-        log_mass = (
-            log_binom_coeff_vector(n1)[:, None]
-            + log_binom_coeff_vector(m)[None, :]
-            + kernel[pooled]
-            - _log_norm(prior)
-        )
-        out = np.exp(log_mass)
-    out.flags.writeable = False
-    return out
-
-
 def joint_predictive_matrix(n1: int, m: int, prior: DesignPrior) -> np.ndarray:
-    """Joint pmf of the two batch counts as a read-only (n1+1, m+1) array.
+    """Joint pmf of the two batch counts as an (n1+1, m+1) array.
 
     Entry [y1, y2] is the probability of y1 successes in the first batch of
     n1 trials and y2 in the second batch of m trials, with the success
     probability shared between batches.  Under a point mass the batches are
-    independent and the matrix is an outer product of binomial pmfs.
+    independent and the matrix is an outer product of binomial pmfs.  It is
+    not cached: only the path oracle and the reject-by-branch split of a
+    single design need it, and a cache of these matrices would hold far more
+    memory than the predictive vectors they are built from.
     """
     if n1 < 1 or m < 1:
         raise ValueError(f"batch sizes must be at least 1, got n1={n1}, m={m}")
-    return _joint_predictive_matrix(n1, m, prior)
+    if isinstance(prior, PointMass):
+        return np.outer(
+            np.exp(log_binom_pmf_vector(n1, prior.p)),
+            np.exp(log_binom_pmf_vector(m, prior.p)),
+        )
+    kernel = _log_pooled_kernel(prior, n1 + m)
+    pooled = np.add.outer(np.arange(n1 + 1), np.arange(m + 1))
+    log_mass = (
+        log_binom_coeff_vector(n1)[:, None]
+        + log_binom_coeff_vector(m)[None, :]
+        + kernel[pooled]
+        - _log_norm(prior)
+    )
+    return np.exp(log_mass)
 
 
 def joint_predictive_pmf(y1: int, y2: int, n1: int, m: int, prior: DesignPrior) -> float:

@@ -8,8 +8,10 @@ from bfdesign import (
     Hypotheses,
     PointMass,
     TruncatedBeta,
+    TwoStageDesign,
     base_sample_size,
     calibrate,
+    evaluate,
     optimal_calibrate,
     scan,
 )
@@ -190,6 +192,14 @@ def test_scan_rows_and_oscillation():
     assert by_n1[10].power_adjusted >= 0.8
     assert by_n1[9].feasible is False
     assert by_n1[10].feasible is True
+    # every row of the sweep carries exactly the numbers of evaluate
+    for r in rows:
+        design = TwoStageDesign(r.n1, 29, 1 / 3, 3.0)
+        oc = evaluate(design, EX1_HYP, EX1_AP, PointMass(0.3))
+        assert r.power_adjusted == oc.power_adjusted
+        assert r.type_i_adjusted == oc.type_i_adjusted
+        assert r.pce == oc.pce_p0
+        assert r.e_n_h0 == oc.e_n_h0
     # the optimal row of the sweep carries exactly the search's numbers
     result = optimal_calibrate(cons, 1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
     row = by_n1[result.design.n1]

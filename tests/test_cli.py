@@ -85,6 +85,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "alpha" in err
 
 
+def test_non_finite_config_value_exit_code(tmp_path, capsys):
+    # an infinite futility threshold used to exit 0 with a degenerate design
+    path = tmp_path / "inf.cfg"
+    path.write_text("p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\nk_f=inf\n")
+    assert main(["calibrate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "k_f" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_config_file(capsys):
     assert main(["calibrate", "--config", "/nonexistent/path.cfg"]) == 2
 

@@ -100,6 +100,20 @@ def test_invalid_values_carry_field_names():
     with pytest.raises(ConfigError) as err:
         parse_config("p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\nn_min=5.5\n")
     assert err.value.field_name == "n_min"
+    # non-finite numbers are rejected at parse time, naming the field
+    for line, field_name in [
+        ("a0 = nan", "a0"),
+        ("b1 = inf", "b1"),
+        ("n_max = inf", "n_max"),
+        ("k_f = inf", "k_f"),
+        ("k = -inf", "k"),
+        ("alpha = inf/2", "alpha"),
+        ("power_prior = beta nan 1", "power_prior"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            parse_config("p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\n" + line)
+        assert err.value.field_name == field_name
+        assert "finite" in str(err.value)
 
 
 def test_point_alternative_must_exceed_null():

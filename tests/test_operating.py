@@ -14,6 +14,8 @@ from bfdesign import (
     TwoStageDesign,
     adjusted_rate,
     branch_probabilities,
+    critical_efficacy,
+    critical_futility,
     enumerate_oracle,
     enumerate_paths,
     evaluate,
@@ -23,6 +25,7 @@ from bfdesign import (
     prob_futility_stop,
     unadjusted_rate,
 )
+from bfdesign.operating import erased_mass_column
 
 FLAT01 = TruncatedBeta(1, 1, 0.0, 1.0)
 
@@ -119,6 +122,54 @@ def test_unadjusted_rate_decomposes_over_interim_branches():
         paths = enumerate_paths(design, hyp, ap, power_prior)
         total = sum(paths.reject_by_branch)
         assert abs(total - unadjusted_rate(n2, k, hyp, ap, power_prior)) < 1e-12
+
+
+def test_reject_by_branch_futility_is_the_erased_mass():
+    # the joint-matrix split and the hypergeometric erased mass are two routes
+    # to the same number
+    for p0, n1, n2, k, k_f, power_prior, null_prior in random_scenarios(60):
+        design = TwoStageDesign(n1, n2, k, k_f)
+        hyp = Hypotheses(p0)
+        ap = AnalysisPrior.flat(p0)
+        for prior in (power_prior, null_prior):
+            side = path_probabilities(design, hyp, ap, prior)
+            assert abs(side.reject_by_branch.futility - side.futility_erased) < 1e-12
+            assert abs(sum(side.reject_by_branch) - side.unadjusted) < 1e-12
+
+
+def test_erased_mass_column_matches_enumeration():
+    # whole columns up to n2 = 300 against the path oracle on sampled rows,
+    # with unreachable futility (small n1, k_f = 10) and efficacy thresholds
+    rng = np.random.default_rng(31)
+    columns = [
+        (0.1, 300, 1 / 3, 3.0, PointMass(0.3)),
+        (0.2, 240, 1 / 10, 10.0, TruncatedBeta(10.33, 15.0, 0.2, 1.0)),
+        (0.5, 120, 1 / 3, 10.0, FLAT01),
+        (0.3, 60, 1 / 10, 3.0, TruncatedBeta(1.0, 1.0, 0.0, 0.3)),
+        (0.05, 150, 1 / 10, 10.0, PointMass(0.05)),
+        (0.5, 2, 1 / 10, 3.0, PointMass(0.7)),
+    ]
+    saw_no_futility = saw_no_efficacy = False
+    for p0, n2, k, k_f, prior in columns:
+        hyp = Hypotheses(p0)
+        ap = AnalysisPrior.flat(p0)
+        n1 = np.arange(1, n2)
+        y_fut = [critical_futility(int(i), k_f, hyp, ap) for i in n1]
+        y_eff = critical_efficacy(n2, k, hyp, ap)
+        saw_no_futility |= None in y_fut
+        saw_no_efficacy |= y_eff is None
+        column = erased_mass_column(n1, y_fut, n2, y_eff, prior)
+        assert column.shape == n1.shape
+        unreachable = np.array([y is None for y in y_fut]) | (y_eff is None)
+        assert not column[unreachable].any()
+        for i in sorted(rng.choice(n1.size, size=min(8, n1.size), replace=False)):
+            design = TwoStageDesign(int(n1[i]), n2, k, k_f)
+            oracle = enumerate_paths(design, hyp, ap, prior).futility_erased
+            assert abs(column[i] - oracle) < 1e-12
+            # one interim size alone gives the same bits as inside its column
+            alone = futility_erased(int(n1[i]), n2, k, k_f, hyp, ap, prior)
+            assert alone == column[i]
+    assert saw_no_futility and saw_no_efficacy
 
 
 def test_adjustment_only_lowers_rates_and_exactly_when_erased():
