@@ -8,13 +8,10 @@ expected sample size under the null, all without simulation.
 
 from .bayesfactor import (
     AnalysisPrior,
-    CriticalValues,
     Hypotheses,
     bf01,
     critical_efficacy,
     critical_futility,
-    critical_values,
-    marginal_likelihood,
 )
 from .calibration import (
     CalibratedDesign,
@@ -42,10 +39,8 @@ from .operating import (
     unadjusted_rate,
 )
 from .predictive import (
-    PredictivePmf,
     joint_predictive_matrix,
     joint_predictive_pmf,
-    predictive_distribution,
     predictive_pmf,
     predictive_vector,
 )
@@ -58,13 +53,11 @@ __all__ = [
     "BranchProbabilities",
     "CalibratedDesign",
     "CalibrationConstraints",
-    "CriticalValues",
     "DesignPrior",
     "Hypotheses",
     "OperatingCharacteristics",
     "PathProbabilities",
     "PointMass",
-    "PredictivePmf",
     "ScanRow",
     "SimonDesign",
     "TruncatedBeta",
@@ -76,7 +69,6 @@ __all__ = [
     "calibrate",
     "critical_efficacy",
     "critical_futility",
-    "critical_values",
     "enumerate_oracle",
     "enumerate_paths",
     "evaluate",
@@ -85,10 +77,8 @@ __all__ = [
     "joint_predictive_matrix",
     "joint_predictive_pmf",
     "log_beta",
-    "marginal_likelihood",
     "optimal_calibrate",
     "path_probabilities",
-    "predictive_distribution",
     "predictive_pmf",
     "predictive_vector",
     "prob_futility_stop",

@@ -2,8 +2,11 @@
 
 The test compares H0: p <= p0 against H1: p > p0.  Each hypothesis carries a
 Beta analysis prior truncated to its region, and the Bayes factor BF01 is the
-ratio of the two marginal likelihoods of the observed count.  Flat shapes
-(a = b = 1) on both regions are the default.
+ratio of the two marginal likelihoods of the observed count.  The marginal
+likelihood under a region prior is the truncated beta-binomial predictive
+pmf, so log BF01 is the difference of two log predictive pmfs from
+`predictive`, one per region.  Flat shapes (a = b = 1) on both regions are
+the default.
 
 Decision thresholds act on BF01 directly: values below k count as compelling
 evidence for H1 (efficacy), values above k_f as compelling evidence for H0
@@ -21,10 +24,9 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import betaln
 
+from .predictive import log_predictive_vector
 from .priors import TruncatedBeta
-from .special import log_binom_coeff_vector, log_trunc_beta_mass_vector
 
 _CACHE_SIZE = 4096
 
@@ -66,18 +68,6 @@ class AnalysisPrior:
         )
 
 
-@dataclass(frozen=True)
-class CriticalValues:
-    """Success-count thresholds realizing the Bayes factor cutoffs at size n.
-
-    efficacy: smallest count whose BF01 falls below k (None if unreachable).
-    futility: largest count whose BF01 exceeds k_f (None if unreachable).
-    """
-
-    efficacy: Optional[int]
-    futility: Optional[int]
-
-
 def _check_regions(hyp: Hypotheses, ap: AnalysisPrior) -> None:
     if ap.h0.l != 0.0 or ap.h0.u != hyp.p0:
         raise ValueError(
@@ -90,41 +80,8 @@ def _check_regions(hyp: Hypotheses, ap: AnalysisPrior) -> None:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _log_marginal_curve(region_prior: TruncatedBeta, n: int) -> np.ndarray:
-    """log marginal likelihood of y = 0..n successes under one region prior."""
-    y = np.arange(n + 1, dtype=float)
-    a_post = region_prior.a + y
-    b_post = region_prior.b + n - y
-    out = (
-        log_binom_coeff_vector(n)
-        + betaln(a_post, b_post)
-        + log_trunc_beta_mass_vector(a_post, b_post, region_prior.l, region_prior.u)
-        - betaln(region_prior.a, region_prior.b)
-        - log_trunc_beta_mass_vector(
-            np.array([region_prior.a]), np.array([region_prior.b]),
-            region_prior.l, region_prior.u,
-        )[0]
-    )
-    out.flags.writeable = False
-    return out
-
-
-def marginal_likelihood(y_s: int, n: int, region_prior: TruncatedBeta) -> float:
-    """Marginal probability of y_s successes in n trials under a region prior.
-
-    This integrates the binomial likelihood against the truncated Beta prior
-    over its truncation interval.
-    """
-    if n < 1:
-        raise ValueError(f"sample size must be at least 1, got n={n}")
-    if y_s < 0 or y_s > n:
-        raise ValueError(f"success count out of range: y_s={y_s}, n={n}")
-    return float(math.exp(_log_marginal_curve(region_prior, n)[y_s]))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def _log_bf01_curve(n: int, hyp: Hypotheses, ap: AnalysisPrior) -> np.ndarray:
-    out = _log_marginal_curve(ap.h0, n) - _log_marginal_curve(ap.h1, n)
+    out = log_predictive_vector(ap.h0, n) - log_predictive_vector(ap.h1, n)
     out.flags.writeable = False
     return out
 
@@ -169,13 +126,3 @@ def critical_futility(
         raise ValueError(f"futility threshold must satisfy k_f > 1, got k_f={k_f}")
     above = np.flatnonzero(log_bf01_curve(n, hyp, ap) > math.log(k_f))
     return int(above[-1]) if above.size else None
-
-
-def critical_values(
-    n: int, k: float, k_f: float, hyp: Hypotheses, ap: AnalysisPrior
-) -> CriticalValues:
-    """Both critical counts at one analysis size."""
-    return CriticalValues(
-        efficacy=critical_efficacy(n, k, hyp, ap),
-        futility=critical_futility(n, k_f, hyp, ap),
-    )

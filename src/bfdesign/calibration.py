@@ -128,11 +128,10 @@ class DesignGrid:
     adjusted rates come from one `erased_mass_column` call per design prior,
     and its stop probabilities, PCE and critical counts depend on n1 alone,
     so they are computed once per interim size and shared by all columns.
-    Whole columns are cached per n2; `rates` and `feasible` are lookups into
-    that cache.  `rows` evaluates any subset of a column without caching it;
-    the optimal search visits each column once and, under its expected-size
-    bound, only a prefix of it.  Every entry carries the same bits as
-    `evaluate` on that design.
+    Whole columns are cached per n2.  `rows` evaluates any subset of a
+    column without caching it; the optimal search visits each column once
+    and, under its expected-size bound, only a prefix of it.  Every entry
+    carries the same bits as `evaluate` on that design.
     """
 
     def __init__(
@@ -216,26 +215,6 @@ class DesignGrid:
             cached = self.rows(n2, np.arange(1, n2))
             self._columns[n2] = cached
         return cached
-
-    def _cached_column(self, n1: int, n2: int) -> GridColumn:
-        if not 1 <= n1 < n2:
-            raise ValueError(f"need 1 <= n1 < n2, got n1={n1}, n2={n2}")
-        return self.column(n2)
-
-    def rates(self, n1: int, n2: int) -> tuple[float, float, float, float]:
-        """(adjusted power, adjusted type-I, PCE, E[N|H0]) at one design."""
-        col = self._cached_column(n1, n2)
-        i = n1 - 1
-        return (
-            float(col.power_adjusted[i]),
-            float(col.type_i_adjusted[i]),
-            float(col.pce[i]),
-            float(col.e_n_h0[i]),
-        )
-
-    def feasible(self, n1: int, n2: int, cons: CalibrationConstraints) -> bool:
-        """Whether one design meets every constraint."""
-        return bool(self._cached_column(n1, n2).feasible(cons)[n1 - 1])
 
     def calibrated(self, n1: int, n2: int) -> CalibratedDesign:
         design = TwoStageDesign(n1, n2, self.k, self.k_f)

@@ -120,6 +120,12 @@ def cmd_oc(config: RunConfig, n1: int, n2: int, fmt: str) -> int:
 
 
 def cmd_scan(config: RunConfig, n2: int) -> int:
+    if n2 > config.n_max:
+        print(
+            f"usage error: need n2 <= n_max, got n2={n2}, n_max={config.n_max}",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
     if not config.n_min < n2:
         # empty sweep: header only
         print("n1,power_adj,typeI_adj,pce,en_h0,feasible")
@@ -191,14 +197,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, with_format: bool = True) -> None:
         p.add_argument("--config", required=True, help="path to a key = value config file")
-        p.add_argument(
-            "--format",
-            choices=("table", "csv"),
-            default=None,
-            help="output format (defaults to the config's output_format)",
-        )
+        if with_format:
+            p.add_argument(
+                "--format",
+                choices=("table", "csv"),
+                default=None,
+                help="output format (defaults to the config's output_format)",
+            )
 
     add_common(sub.add_parser("calibrate", help="search for the optimal two-stage design"))
 
@@ -208,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oc.add_argument("--n2", type=int, required=True, help="final sample size")
 
     scan_p = sub.add_parser("scan", help="sweep the interim size at a fixed final size (CSV)")
-    add_common(scan_p)
+    add_common(scan_p, with_format=False)
     scan_p.add_argument("--n2", type=int, required=True, help="final sample size")
 
     add_common(sub.add_parser("simon", help="classical optimal/minimax two-stage search"))
@@ -226,7 +233,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"config error: cannot read '{args.config}': {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    fmt = args.format if args.format is not None else config.output_format
+    fmt = getattr(args, "format", None) or config.output_format
 
     if args.command == "calibrate":
         return cmd_calibrate(config, fmt)

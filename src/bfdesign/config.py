@@ -61,7 +61,10 @@ class RunConfig:
         return Hypotheses(self.p0)
 
     def analysis_prior(self) -> AnalysisPrior:
-        return AnalysisPrior.from_shapes(self.p0, self.a0, self.b0, self.a1, self.b1)
+        return AnalysisPrior(
+            h0=_truncated_beta("a0/b0", self.a0, self.b0, 0.0, self.p0),
+            h1=_truncated_beta("a1/b1", self.a1, self.b1, self.p0, 1.0),
+        )
 
     def constraints(self) -> CalibrationConstraints:
         return CalibrationConstraints(
@@ -99,6 +102,16 @@ def _parse_number(field_name: str, token: str) -> float:
     return value
 
 
+def _truncated_beta(
+    field_name: str, a: float, b: float, l: float, u: float
+) -> TruncatedBeta:
+    """TruncatedBeta(a, b, l, u), its ValueError turned into a ConfigError."""
+    try:
+        return TruncatedBeta(a, b, l, u)
+    except ValueError as exc:
+        raise ConfigError(field_name, str(exc)) from exc
+
+
 def _parse_power_prior(token: str, p0: float) -> DesignPrior:
     parts = token.split()
     if len(parts) == 2 and parts[0] == "point":
@@ -111,9 +124,7 @@ def _parse_power_prior(token: str, p0: float) -> DesignPrior:
     if len(parts) == 3 and parts[0] == "beta":
         a = _parse_number("power_prior", parts[1])
         b = _parse_number("power_prior", parts[2])
-        if a <= 0 or b <= 0:
-            raise ConfigError("power_prior", f"beta shapes must be positive, got {a}, {b}")
-        return TruncatedBeta(a, b, p0, 1.0)
+        return _truncated_beta("power_prior", a, b, p0, 1.0)
     raise ConfigError(
         "power_prior", f"expected 'point <p1>' or 'beta <a> <b>', got '{token}'"
     )
@@ -172,6 +183,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         output_format=raw.get("output_format", "table"),
     )
     _validate(config)
+    config.analysis_prior()  # a degenerate region prior raises here
     return config
 
 

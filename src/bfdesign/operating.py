@@ -17,17 +17,18 @@ prior, and
     erased(n1) = sum_{s >= y_eff(n2)} P(S = s) * P(Y1 <= y_fut(n1) | S = s).
 
 One predictive vector at n2 and one log-factorial table therefore serve every
-interim size of a final size at once (`erased_mass_column`).  An exhaustive
-path enumeration over all (y1, y2) outcomes of the two-batch joint pmf,
-classifying each cell by direct Bayes factor comparisons and never touching
-critical values, serves as an independent oracle for the same quantities.
+interim size of a final size at once (`erased_mass_column`), and the closed
+form never builds the two-batch joint table.  That table is the oracle's
+alone: an exhaustive enumeration of all its (y1, y2) cells, classifying each
+by direct Bayes factor comparisons and never touching critical values,
+serves as an independent check of the same quantities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -77,8 +78,10 @@ class TwoStageDesign:
 class PathProbabilities:
     """Rates of one design under a single design prior.
 
-    reject_by_branch splits the unadjusted rejection mass by interim branch;
-    its futility component is exactly the futility-erased mass.
+    unadjusted is the single-look rejection mass at n2, futility_erased its
+    part on paths stopped at the interim, and adjusted what is left.
+    prob_stop is the interim stop mass (the futility branch of branches) and
+    expected_n the expected enrolled size it implies.
     """
 
     unadjusted: float
@@ -87,7 +90,6 @@ class PathProbabilities:
     prob_stop: float
     expected_n: float
     branches: BranchProbabilities
-    reject_by_branch: BranchProbabilities
 
 
 @dataclass(frozen=True)
@@ -278,7 +280,6 @@ def path_probabilities(
     adj = float(checked_adjusted(unadj, erased))
     branches = branch_probabilities(n1, k, k_f, hyp, ap, prior)
     p_stop = prob_futility_stop(n1, k_f, hyp, ap, prior)
-    reject_split = _reject_by_branch(design, hyp, ap, prior)
     return PathProbabilities(
         unadjusted=unadj,
         futility_erased=erased,
@@ -286,36 +287,42 @@ def path_probabilities(
         prob_stop=p_stop,
         expected_n=n2 - (n2 - n1) * p_stop,
         branches=branches,
-        reject_by_branch=reject_split,
     )
 
 
-def _reject_by_branch(
-    design: TwoStageDesign, hyp: Hypotheses, ap: AnalysisPrior, prior: DesignPrior
-) -> BranchProbabilities:
-    """Unadjusted rejection mass split by the interim branch of each path."""
-    n1, n2, k, k_f = design.n1, design.n2, design.k, design.k_f
-    m = n2 - n1
-    y_eff = critical_efficacy(n2, k, hyp, ap)
-    if y_eff is None:
-        return BranchProbabilities(0.0, 0.0, 0.0)
-    log_bf1 = log_bf01_curve(n1, hyp, ap)
-    joint = joint_predictive_matrix(n1, m, prior)
-    masses = {"efficacy": 0.0, "indecisive": 0.0, "futility": 0.0}
-    log_k, log_kf = math.log(k), math.log(k_f)
-    for y1 in range(n1 + 1):
-        lo = max(y_eff - y1, 0)
-        if lo > m:
-            continue
-        if log_bf1[y1] < log_k:
-            branch = "efficacy"
-        elif log_bf1[y1] > log_kf:
-            branch = "futility"
-        else:
-            branch = "indecisive"
-        masses[branch] += float(joint[y1, lo:].sum())
-    return BranchProbabilities(
-        masses["efficacy"], masses["indecisive"], masses["futility"]
+def _characteristics(
+    paths: Callable[..., PathProbabilities],
+    design: TwoStageDesign,
+    hyp: Hypotheses,
+    ap: AnalysisPrior,
+    power_prior: DesignPrior,
+    null_prior: Optional[DesignPrior],
+) -> OperatingCharacteristics:
+    """Operating characteristics from one route's rates under each prior.
+
+    paths is the closed form or the oracle.  The null design prior defaults
+    to a point mass at p0, whose stop probability is also the PCE.
+    """
+    point_null = PointMass(hyp.p0)
+    if null_prior is None:
+        null_prior = point_null
+    h0_side = paths(design, hyp, ap, null_prior)
+    h1_side = paths(design, hyp, ap, power_prior)
+    pce_side = h0_side
+    if null_prior != point_null:
+        pce_side = paths(design, hyp, ap, point_null)
+    return OperatingCharacteristics(
+        type_i_unadjusted=h0_side.unadjusted,
+        type_i_adjusted=h0_side.adjusted,
+        power_unadjusted=h1_side.unadjusted,
+        power_adjusted=h1_side.adjusted,
+        futility_erased_power=h1_side.futility_erased,
+        futility_erased_type_i=h0_side.futility_erased,
+        pce_p0=pce_side.prob_stop,
+        e_n_h0=h0_side.expected_n,
+        e_n_h1=h1_side.expected_n,
+        branch_h0=h0_side.branches,
+        branch_h1=h1_side.branches,
     )
 
 
@@ -331,24 +338,7 @@ def evaluate(
     The null design prior defaults to a point mass at p0, which makes the
     type-I side a plain frequentist error rate.
     """
-    if null_prior is None:
-        null_prior = PointMass(hyp.p0)
-    h0_side = path_probabilities(design, hyp, ap, null_prior)
-    h1_side = path_probabilities(design, hyp, ap, power_prior)
-    pce = prob_futility_stop(design.n1, design.k_f, hyp, ap, PointMass(hyp.p0))
-    return OperatingCharacteristics(
-        type_i_unadjusted=h0_side.unadjusted,
-        type_i_adjusted=h0_side.adjusted,
-        power_unadjusted=h1_side.unadjusted,
-        power_adjusted=h1_side.adjusted,
-        futility_erased_power=h1_side.futility_erased,
-        futility_erased_type_i=h0_side.futility_erased,
-        pce_p0=pce,
-        e_n_h0=h0_side.expected_n,
-        e_n_h1=h1_side.expected_n,
-        branch_h0=h0_side.branches,
-        branch_h1=h1_side.branches,
-    )
+    return _characteristics(path_probabilities, design, hyp, ap, power_prior, null_prior)
 
 
 def enumerate_paths(
@@ -373,7 +363,6 @@ def enumerate_paths(
     erased = 0.0
     p_stop = 0.0
     branch = {"efficacy": 0.0, "indecisive": 0.0, "futility": 0.0}
-    reject_split = {"efficacy": 0.0, "indecisive": 0.0, "futility": 0.0}
     for y1 in range(n1 + 1):
         if log_bf1[y1] < log_k:
             name = "efficacy"
@@ -390,7 +379,6 @@ def enumerate_paths(
             cell = float(joint[y1, y2])
             if log_bf2[y1 + y2] < log_k:
                 unadjusted += cell
-                reject_split[name] += cell
                 if stops:
                     erased += cell
                 else:
@@ -404,9 +392,6 @@ def enumerate_paths(
         branches=BranchProbabilities(
             branch["efficacy"], branch["indecisive"], branch["futility"]
         ),
-        reject_by_branch=BranchProbabilities(
-            reject_split["efficacy"], reject_split["indecisive"], reject_split["futility"]
-        ),
     )
 
 
@@ -418,21 +403,4 @@ def enumerate_oracle(
     null_prior: Optional[DesignPrior] = None,
 ) -> OperatingCharacteristics:
     """Full operating characteristics via path enumeration only."""
-    if null_prior is None:
-        null_prior = PointMass(hyp.p0)
-    h0_side = enumerate_paths(design, hyp, ap, null_prior)
-    h1_side = enumerate_paths(design, hyp, ap, power_prior)
-    pce = enumerate_paths(design, hyp, ap, PointMass(hyp.p0)).prob_stop
-    return OperatingCharacteristics(
-        type_i_unadjusted=h0_side.unadjusted,
-        type_i_adjusted=h0_side.adjusted,
-        power_unadjusted=h1_side.unadjusted,
-        power_adjusted=h1_side.adjusted,
-        futility_erased_power=h1_side.futility_erased,
-        futility_erased_type_i=h0_side.futility_erased,
-        pce_p0=pce,
-        e_n_h0=h0_side.expected_n,
-        e_n_h1=h1_side.expected_n,
-        branch_h0=h0_side.branches,
-        branch_h1=h1_side.branches,
-    )
+    return _characteristics(enumerate_paths, design, hyp, ap, power_prior, null_prior)

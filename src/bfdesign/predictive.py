@@ -7,9 +7,12 @@ incomplete-beta masses:
     P(Y = y) = C(n, y) * B(a+y, b+n-y) * M(a+y, b+n-y) / (B(a, b) * M(a, b))
 
 where M(p, q) is the Beta(p, q) probability mass on the truncation interval
-[l, u].  The same kernel, evaluated at the pooled success count, yields the
-joint law of the two batch counts of a split sample, because both batches
-share one latent success probability.
+[l, u].  The same kernel serves two further purposes.  Under a region prior
+of the analysis (a Beta truncated to [0, p0] or [p0, 1]) it is the marginal
+likelihood behind the Bayes factor, so BF01 is the difference of two log
+predictive pmfs.  Evaluated at the pooled success count, it yields the joint
+law of the two batch counts of a split sample, because both batches share
+one latent success probability.
 
 All evaluation is in log space with a single final exponentiation, so counts
 up to a thousand or so stay far from underflow.
@@ -17,7 +20,6 @@ up to a thousand or so stay far from underflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,17 +35,6 @@ from .special import (
 )
 
 _CACHE_SIZE = 4096
-
-
-@dataclass(frozen=True)
-class PredictivePmf:
-    """Predictive distribution of the success count of one batch.
-
-    mass[y] is the probability of exactly y successes out of n trials.
-    """
-
-    n: int
-    mass: tuple[float, ...]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -67,14 +58,19 @@ def _log_norm(prior: TruncatedBeta) -> float:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
+def log_predictive_vector(prior: TruncatedBeta, n: int) -> np.ndarray:
+    """Log predictive pmf over y = 0..n under a truncated Beta (read-only, cached)."""
+    out = log_binom_coeff_vector(n) + _log_pooled_kernel(prior, n) - _log_norm(prior)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _predictive_vector(prior: DesignPrior, n: int) -> np.ndarray:
     if isinstance(prior, PointMass):
         out = np.exp(log_binom_pmf_vector(n, prior.p))
     else:
-        log_mass = (
-            log_binom_coeff_vector(n) + _log_pooled_kernel(prior, n) - _log_norm(prior)
-        )
-        out = np.exp(log_mass)
+        out = np.exp(log_predictive_vector(prior, n))
     out.flags.writeable = False
     return out
 
@@ -84,11 +80,6 @@ def predictive_vector(prior: DesignPrior, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"batch size must be at least 1, got n={n}")
     return _predictive_vector(prior, n)
-
-
-def predictive_distribution(prior: DesignPrior, n: int) -> PredictivePmf:
-    """Predictive pmf of the success count of a batch of n trials."""
-    return PredictivePmf(n=n, mass=tuple(predictive_vector(prior, n)))
 
 
 def predictive_pmf(y_s: int, n: int, prior: DesignPrior) -> float:
@@ -107,9 +98,9 @@ def joint_predictive_matrix(n1: int, m: int, prior: DesignPrior) -> np.ndarray:
     n1 trials and y2 in the second batch of m trials, with the success
     probability shared between batches.  Under a point mass the batches are
     independent and the matrix is an outer product of binomial pmfs.  It is
-    not cached: only the path oracle and the reject-by-branch split of a
-    single design need it, and a cache of these matrices would hold far more
-    memory than the predictive vectors they are built from.
+    not cached: only the path oracle needs it, and a cache of these matrices
+    would hold far more memory than the predictive vectors they are built
+    from.
     """
     if n1 < 1 or m < 1:
         raise ValueError(f"batch sizes must be at least 1, got n1={n1}, m={m}")

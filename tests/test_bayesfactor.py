@@ -14,8 +14,7 @@ from bfdesign import (
     bf01,
     critical_efficacy,
     critical_futility,
-    critical_values,
-    marginal_likelihood,
+    predictive_pmf,
 )
 
 
@@ -38,13 +37,13 @@ def quadrature_marginal(y, n, prior):
 
 def test_marginal_likelihood_flat_single_trial():
     assert math.isclose(
-        marginal_likelihood(0, 1, TruncatedBeta(1, 1, 0.0, 1.0)), 0.5, rel_tol=1e-14
+        predictive_pmf(0, 1, TruncatedBeta(1, 1, 0.0, 1.0)), 0.5, rel_tol=1e-14
     )
 
 
 def test_marginal_likelihood_reflection_symmetry():
-    low = marginal_likelihood(1, 2, TruncatedBeta(1, 1, 0.0, 0.5))
-    high = marginal_likelihood(1, 2, TruncatedBeta(1, 1, 0.5, 1.0))
+    low = predictive_pmf(1, 2, TruncatedBeta(1, 1, 0.0, 0.5))
+    high = predictive_pmf(1, 2, TruncatedBeta(1, 1, 0.5, 1.0))
     assert math.isclose(low, high, rel_tol=1e-13)
 
 
@@ -52,7 +51,7 @@ def test_marginal_likelihood_against_quadrature():
     prior = TruncatedBeta(1, 1, 0.0, 0.2)
     oracle = quadrature_marginal(4, 10, prior)
     assert math.isclose(oracle, 0.02291344290909092, rel_tol=1e-10)
-    assert math.isclose(marginal_likelihood(4, 10, prior), oracle, rel_tol=1e-10)
+    assert math.isclose(predictive_pmf(4, 10, prior), oracle, rel_tol=1e-10)
 
 
 def test_bf01_symmetric_at_half():
@@ -100,9 +99,10 @@ def test_critical_values_match_brute_force_filter():
         above = [y for y in range(n + 1) if bf01(y, n, hyp, ap) > k_f]
         assert critical_efficacy(n, k, hyp, ap) == (min(below) if below else None)
         assert critical_futility(n, k_f, hyp, ap) == (max(above) if above else None)
-        cv = critical_values(n, k, k_f, hyp, ap)
-        if cv.efficacy is not None and cv.futility is not None:
-            assert cv.futility < cv.efficacy
+        efficacy = critical_efficacy(n, k, hyp, ap)
+        futility = critical_futility(n, k_f, hyp, ap)
+        if efficacy is not None and futility is not None:
+            assert futility < efficacy
 
 
 def test_critical_efficacy_absent_for_extreme_threshold():

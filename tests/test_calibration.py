@@ -145,7 +145,7 @@ def test_prune_is_sound():
         if grid.nonsequential_power(n2) >= 1 - cons.beta:
             continue
         for n1 in range(cons.n_min, n2):
-            assert not grid.feasible(n1, n2, cons)
+            assert not grid.column(n2).feasible(cons)[n1 - 1]
 
 
 def test_calibrate_returns_first_feasible_design():
@@ -159,7 +159,7 @@ def test_calibrate_returns_first_feasible_design():
         for n1 in range(cons.n_min, n2):
             if (n2, n1) == (result.design.n2, result.design.n1):
                 break
-            assert not grid.feasible(n1, n2, cons)
+            assert not grid.column(n2).feasible(cons)[n1 - 1]
         else:
             continue
         break

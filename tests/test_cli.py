@@ -1,8 +1,15 @@
 """Command line interface: subcommands, formats, exit codes."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from bfdesign.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = REPO_ROOT / "bench" / "goldens"
+GOLDENS = json.loads((GOLDEN_DIR / "shipped.json").read_text(encoding="utf-8"))
 
 EXAMPLE1 = """
 p0 = 0.1
@@ -92,6 +99,16 @@ def test_non_finite_config_value_exit_code(tmp_path, capsys):
     assert main(["calibrate", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert "k_f" in captured.err
+    assert captured.out == ""
+
+
+def test_degenerate_prior_exit_code(tmp_path, capsys):
+    # a beta power prior with no mass on [p0, 1] used to end in a traceback
+    path = tmp_path / "degenerate.cfg"
+    path.write_text("p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=beta 1e-300 1e300\n")
+    assert main(["calibrate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "power_prior" in captured.err
     assert captured.out == ""
 
 
@@ -186,6 +203,22 @@ def test_scan_empty_range_prints_header_only(tmp_path, capsys):
     assert out == "n1,power_adj,typeI_adj,pce,en_h0,feasible\n"
 
 
+def test_scan_rejects_format_option(example1, capsys):
+    # scan always writes CSV, so it offers no --format to ignore
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--config", example1, "--n2", "29", "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_scan_final_size_bounded_by_n_max(example1, capsys):
+    assert main(["scan", "--config", example1, "--n2", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert "n_max" in captured.err
+    assert captured.out == ""
+    assert main(["scan", "--config", example1, "--n2", "40"]) == 0
+
+
 def test_simon_rows(example1, capsys):
     assert main(["simon", "--config", example1]) == 0
     out = capsys.readouterr().out
@@ -223,3 +256,13 @@ def test_simon_rejects_p1_below_p0_at_parse_time(tmp_path, capsys):
     path = tmp_path / "flip.cfg"
     path.write_text("p0=0.4\nalpha=0.05\nbeta=0.2\npower_prior=point 0.2\n")
     assert main(["simon", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("golden", GOLDENS, ids=[g["name"] for g in GOLDENS])
+def test_golden_cli_bytes(golden, monkeypatch, capsys):
+    # the shipped commands print exactly the pinned bytes; paths in the
+    # argument lists are relative to the repository root
+    monkeypatch.chdir(REPO_ROOT)
+    assert main(golden["argv"]) == golden["exit_code"]
+    want = (GOLDEN_DIR / golden["stdout"]).read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == want

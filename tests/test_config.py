@@ -114,6 +114,16 @@ def test_invalid_values_carry_field_names():
             parse_config("p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\n" + line)
         assert err.value.field_name == field_name
         assert "finite" in str(err.value)
+    # a prior with no mass on its truncation interval names its fields
+    for lines, field_name in [
+        ("p0 = 0.01\npower_prior = point 0.3\na0 = 1000\nb0 = 0.001", "a0/b0"),
+        ("p0 = 0.1\npower_prior = point 0.3\na1 = 1e-300\nb1 = 1e300", "a1/b1"),
+        ("p0 = 0.1\npower_prior = beta 1e-300 1e300", "power_prior"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            parse_config("alpha=0.05\nbeta=0.2\n" + lines)
+        assert err.value.field_name == field_name
+        assert "degenerate truncation" in str(err.value)
 
 
 def test_point_alternative_must_exceed_null():

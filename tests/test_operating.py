@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bfdesign.operating
 from bfdesign import (
     AnalysisPrior,
+    CalibrationConstraints,
     Hypotheses,
     PointMass,
     TruncatedBeta,
@@ -21,6 +23,7 @@ from bfdesign import (
     evaluate,
     expected_n,
     futility_erased,
+    optimal_calibrate,
     path_probabilities,
     prob_futility_stop,
     unadjusted_rate,
@@ -114,27 +117,41 @@ def test_closed_form_matches_enumeration_on_random_grid():
                 assert abs(a - b) < 1e-12
 
 
+def test_closed_form_never_builds_a_joint_matrix(monkeypatch):
+    # the two-batch joint table is the oracle's alone
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the closed form built a joint predictive matrix")
+
+    designs = [
+        (TwoStageDesign(n1, n2, k, k_f), Hypotheses(p0), AnalysisPrior.flat(p0), power, null)
+        for p0, n1, n2, k, k_f, power, null in random_scenarios(20)
+    ]
+    example1 = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=40)
+    with monkeypatch.context() as patch:
+        patch.setattr(bfdesign.operating, "joint_predictive_matrix", refuse)
+        closed = [evaluate(*args) for args in designs]
+        best = optimal_calibrate(
+            example1, 1 / 3, 3.0, Hypotheses(0.1), AnalysisPrior.flat(0.1), PointMass(0.3)
+        )
+        with pytest.raises(RuntimeError):
+            enumerate_oracle(*designs[0])
+    assert (best.design.n1, best.design.n2) == (10, 29)
+    for oc, args in zip(closed, designs):
+        oracle = enumerate_oracle(*args)
+        assert abs(oc.power_adjusted - oracle.power_adjusted) < 1e-12
+        assert abs(oc.type_i_adjusted - oracle.type_i_adjusted) < 1e-12
+
+
 def test_unadjusted_rate_decomposes_over_interim_branches():
+    # the oracle's rejection paths split into those the trial walks and those
+    # its interim stop erases, and together they are the single-look rate
     for p0, n1, n2, k, k_f, power_prior, null_prior in random_scenarios(20, seed=5):
         design = TwoStageDesign(n1, n2, k, k_f)
         hyp = Hypotheses(p0)
         ap = AnalysisPrior.flat(p0)
         paths = enumerate_paths(design, hyp, ap, power_prior)
-        total = sum(paths.reject_by_branch)
+        total = paths.adjusted + paths.futility_erased
         assert abs(total - unadjusted_rate(n2, k, hyp, ap, power_prior)) < 1e-12
-
-
-def test_reject_by_branch_futility_is_the_erased_mass():
-    # the joint-matrix split and the hypergeometric erased mass are two routes
-    # to the same number
-    for p0, n1, n2, k, k_f, power_prior, null_prior in random_scenarios(60):
-        design = TwoStageDesign(n1, n2, k, k_f)
-        hyp = Hypotheses(p0)
-        ap = AnalysisPrior.flat(p0)
-        for prior in (power_prior, null_prior):
-            side = path_probabilities(design, hyp, ap, prior)
-            assert abs(side.reject_by_branch.futility - side.futility_erased) < 1e-12
-            assert abs(sum(side.reject_by_branch) - side.unadjusted) < 1e-12
 
 
 def test_erased_mass_column_matches_enumeration():

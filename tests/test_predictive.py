@@ -13,7 +13,6 @@ from bfdesign import (
     TruncatedBeta,
     joint_predictive_matrix,
     joint_predictive_pmf,
-    predictive_distribution,
     predictive_pmf,
     predictive_vector,
 )
@@ -71,14 +70,6 @@ def test_predictive_normalizes_for_all_sizes():
         for n in range(1, 201):
             total = float(predictive_vector(prior, n).sum())
             assert abs(total - 1.0) < 1e-12
-
-
-def test_predictive_distribution_wrapper():
-    dist = predictive_distribution(TruncatedBeta(3, 4, 0.2, 0.9), 12)
-    assert dist.n == 12
-    assert len(dist.mass) == 13
-    assert all(0.0 <= p <= 1.0 for p in dist.mass)
-    assert abs(sum(dist.mass) - 1.0) < 1e-12
 
 
 def test_predictive_domain_errors():
