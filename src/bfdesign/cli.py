@@ -15,6 +15,7 @@ import argparse
 import sys
 from typing import Optional
 
+from .bayesfactor import critical_futility
 from .calibration import CalibratedDesign, optimal_calibrate, scan
 from .config import ConfigError, RunConfig, load_config
 from .operating import OperatingCharacteristics, TwoStageDesign, evaluate
@@ -72,7 +73,9 @@ def cmd_calibrate(config: RunConfig, fmt: str) -> int:
     return EXIT_OK
 
 
-def _print_oc(design: TwoStageDesign, oc: OperatingCharacteristics, fmt: str) -> None:
+def _print_oc(
+    design: TwoStageDesign, oc: OperatingCharacteristics, stop_possible: bool, fmt: str
+) -> None:
     rows = [
         ("n1", str(design.n1)),
         ("n2", str(design.n2)),
@@ -92,7 +95,7 @@ def _print_oc(design: TwoStageDesign, oc: OperatingCharacteristics, fmt: str) ->
         ("branch_h1_indecisive", _prob(oc.branch_h1.indecisive, fmt)),
         ("branch_h1_futility", _prob(oc.branch_h1.futility, fmt)),
     ]
-    if oc.futility_erased_type_i == 0.0 and oc.futility_erased_power == 0.0:
+    if not stop_possible:
         rows.append(("interim_stop_possible", "false"))
     if fmt == "csv":
         print(",".join(name for name, _ in rows))
@@ -112,17 +115,18 @@ def cmd_oc(config: RunConfig, n1: int, n2: int, fmt: str) -> int:
         )
         return EXIT_CONFIG
     design = TwoStageDesign(n1, n2, config.k, config.k_f)
-    oc = evaluate(
-        design, config.hypotheses(), config.analysis_prior(), config.power_prior
-    )
-    _print_oc(design, oc, fmt)
+    hyp, ap = config.hypotheses(), config.analysis_prior()
+    oc = evaluate(design, hyp, ap, config.power_prior)
+    # without a futility count at n1 the interim look can never stop the trial
+    stop_possible = critical_futility(n1, config.k_f, hyp, ap) is not None
+    _print_oc(design, oc, stop_possible, fmt)
     return EXIT_OK
 
 
 def cmd_scan(config: RunConfig, n2: int) -> int:
-    if n2 > config.n_max:
+    if not 1 <= n2 <= config.n_max:
         print(
-            f"usage error: need n2 <= n_max, got n2={n2}, n_max={config.n_max}",
+            f"usage error: need 1 <= n2 <= n_max, got n2={n2}, n_max={config.n_max}",
             file=sys.stderr,
         )
         return EXIT_CONFIG

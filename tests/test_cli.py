@@ -149,6 +149,8 @@ def test_oc_toy_design_matches_enumeration(tmp_path, capsys):
     # rejection needs a total of 3, unreachable after a stop at (2, 4)
     assert report["power_unadjusted"] == report["power_adjusted"]
     assert report["futility_erased_power"] == "0.0000"
+    # nothing is erased, yet the interim does stop
+    assert "interim_stop_possible" not in report
 
 
 def test_oc_unreachable_futility_flagged(tmp_path, capsys):
@@ -217,6 +219,14 @@ def test_scan_final_size_bounded_by_n_max(example1, capsys):
     assert "n_max" in captured.err
     assert captured.out == ""
     assert main(["scan", "--config", example1, "--n2", "40"]) == 0
+
+
+def test_scan_final_size_below_one_is_usage_error(example1, capsys):
+    for n2 in (0, -3):
+        assert main(["scan", "--config", example1, "--n2", str(n2)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n2" in captured.err
 
 
 def test_simon_rows(example1, capsys):

@@ -1,12 +1,18 @@
 """Classical two-stage design search: enumeration identities and references."""
 
 import math
+import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+import bfdesign
 from bfdesign import simon_oc, simon_search
+from bfdesign.simon import SimonDesign, _binomial_table
 
 
 def brute_force_oc(r1, n1, r, n2, p):
@@ -25,6 +31,142 @@ def brute_force_oc(r1, n1, r, n2, p):
     return reject, pet, n1 + (1 - pet) * m
 
 
+def _reference_reject_matrix(n1, n2, p):
+    """reject[r1, r] = P(X1 > r1, X1 + X2 > r), from scipy.stats per pair."""
+    m = n2 - n1
+    pmf1 = binom.pmf(np.arange(n1 + 1), n1, p)
+    sf2 = binom.sf(np.arange(-1, m + 1), m, p)
+    idx = np.clip(np.arange(n2 + 1)[None, :] - np.arange(n1 + 1)[:, None], -1, m)
+    tail = np.cumsum((pmf1[:, None] * sf2[idx + 1])[::-1, :], axis=0)[::-1, :]
+    reject = np.zeros((n1 + 1, n2 + 1))
+    reject[:n1, :] = tail[1:, :]
+    return reject
+
+
+def reference_search(p0, p1, alpha, beta, n_max):
+    """Every (n1, n2) pair with its own scipy.stats binomial vectors, no bound."""
+    best_optimal = best_minimax = None
+    for n2 in range(2, n_max + 1):
+        for n1 in range(1, n2):
+            reject_p0 = _reference_reject_matrix(n1, n2, p0)
+            reject_p1 = _reference_reject_matrix(n1, n2, p1)
+            valid = np.arange(n2 + 1)[None, :] >= np.arange(n1 + 1)[:, None]
+            feasible = (reject_p0 <= alpha) & (reject_p1 >= 1.0 - beta) & valid
+            if not feasible.any():
+                continue
+            pet = binom.cdf(np.arange(n1 + 1), n1, p0)
+            r1_candidates = np.flatnonzero(feasible.any(axis=1))
+            r1 = int(r1_candidates[np.argmax(pet[r1_candidates])])
+            r = int(np.flatnonzero(feasible[r1, :])[0])
+            design = SimonDesign(
+                r1=r1,
+                n1=n1,
+                r=r,
+                n2=n2,
+                alpha_attained=float(reject_p0[r1, r]),
+                power_attained=float(reject_p1[r1, r]),
+                pet_p0=float(pet[r1]),
+                e_n_h0=n1 + (1.0 - float(pet[r1])) * (n2 - n1),
+            )
+            if best_optimal is None or design.e_n_h0 < best_optimal.e_n_h0:
+                best_optimal = design
+            if best_minimax is None or (design.n2, design.e_n_h0) < (
+                best_minimax.n2,
+                best_minimax.e_n_h0,
+            ):
+                best_minimax = design
+    if best_optimal is None:
+        return None
+    return best_optimal, best_minimax
+
+
+def _reference_settings():
+    """Seeded (p0, p1, alpha, beta, n_max), the last one without a design."""
+    rng = np.random.default_rng(20)
+    settings = []
+    for _ in range(19):
+        p0 = float(rng.uniform(0.05, 0.6))
+        p1 = min(p0 + float(rng.uniform(0.2, 0.35)), 0.95)
+        alpha = float(rng.choice([0.05, 0.1]))
+        beta = float(rng.choice([0.1, 0.2]))
+        settings.append((p0, p1, alpha, beta, int(rng.integers(30, 41))))
+    settings.append((0.2, 0.25, 0.05, 0.1, 15))
+    return settings
+
+
+@pytest.mark.parametrize("setting", _reference_settings())
+def test_search_matches_scipy_reference(setting):
+    p0, p1, alpha, beta, n_max = setting
+    got = simon_search(p0, p1, alpha, beta, n_max)
+    expected = reference_search(p0, p1, alpha, beta, n_max)
+    if expected is None:
+        assert got is None
+        return
+    for design, want in zip(got, expected):
+        bounds = (design.r1, design.n1, design.r, design.n2)
+        assert bounds == (want.r1, want.n1, want.r, want.n2)
+        for field in ("alpha_attained", "power_attained", "pet_p0", "e_n_h0"):
+            assert math.isclose(
+                getattr(design, field), getattr(want, field), rel_tol=1e-12, abs_tol=1e-12
+            ), field
+        # one design, the same bits alone as in the search
+        reject0, pet, e_n = simon_oc(*bounds, p0)
+        reject1, _, _ = simon_oc(*bounds, p1)
+        assert (reject0, reject1, pet, e_n) == (
+            design.alpha_attained,
+            design.power_attained,
+            design.pet_p0,
+            design.e_n_h0,
+        )
+
+
+def _exact_tables(p, n_max):
+    """(n, pmf, tail) of Bin(n, p) for n = 0..n_max, by Pascal's rule in 40 digits."""
+    with mpmath.workdps(40):
+        success = mpmath.mpf(p)
+        failure = 1 - success
+        pmf = [mpmath.mpf(1)]
+        for n in range(n_max + 1):
+            tail = [mpmath.mpf(0)]
+            for mass in reversed(pmf):
+                tail.append(tail[-1] + mass)
+            yield n, np.array([float(v) for v in pmf]), np.array([float(v) for v in tail[::-1]])
+            pmf = [failure * a + success * b for a, b in zip(pmf + [0], [0] + pmf)]
+
+
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.99])
+def test_binomial_tables(p):
+    # scipy.stats.binom.sf is no reference in the far tail: for Bin(193, 0.01)
+    # it reads 1.148e-283 for P(X > 159), whose exact value is 1.204e-283,
+    # and 0 for P(X > 161), about 5e-289; so the tail is checked against
+    # 40-digit arithmetic and the pmf against scipy as well
+    for n, exact_pmf, exact_tail in _exact_tables(p, 200):
+        pmf, tail = _binomial_table(n, p)
+        assert abs(pmf.sum() - 1.0) < 1e-12
+        for got, want in (
+            (pmf, binom.pmf(np.arange(n + 1), n, p)),
+            (pmf, exact_pmf),
+            (tail, exact_tail),
+        ):
+            shown = want > 1e-300
+            assert np.allclose(got[shown], want[shown], rtol=1e-12, atol=0.0), n
+        assert tail[-1] == 0.0
+
+
+def test_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(bfdesign.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, bfdesign; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
+
+
 def test_simon_oc_matches_brute_force():
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -41,10 +183,11 @@ def test_simon_oc_matches_brute_force():
 
 
 def test_simon_oc_always_stops_when_bound_is_full():
-    reject, pet, e_n = simon_oc(8, 8, 10, 20, 0.3)
-    assert pet == 1.0
-    assert reject == 0.0
-    assert e_n == 8
+    for n1, p in [(8, 0.3), (2, 0.05), (3, 0.2), (40, 0.45)]:
+        reject, pet, e_n = simon_oc(n1, n1, n1 + 2, n1 + 12, p)
+        assert pet == 1.0
+        assert reject == 0.0
+        assert e_n == n1
 
 
 def test_simon_oc_reference_design():
