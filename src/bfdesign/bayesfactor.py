@@ -95,10 +95,18 @@ def log_bf01_curve(n: int, hyp: Hypotheses, ap: AnalysisPrior) -> np.ndarray:
 
 
 def bf01(y_s: int, n: int, hyp: Hypotheses, ap: AnalysisPrior) -> float:
-    """Bayes factor BF01 of y_s successes in n trials (H0 over H1)."""
+    """Bayes factor BF01 of y_s successes in n trials (H0 over H1).
+
+    math.inf when log BF01 lies beyond the double range (about 709.8), as
+    for no successes in thousands of trials at p0 = 0.5; `log_bf01_curve`
+    keeps the finite log.
+    """
     if y_s < 0 or y_s > n:
         raise ValueError(f"success count out of range: y_s={y_s}, n={n}")
-    return float(math.exp(log_bf01_curve(n, hyp, ap)[y_s]))
+    try:
+        return math.exp(log_bf01_curve(n, hyp, ap)[y_s])
+    except OverflowError:
+        return math.inf
 
 
 def critical_efficacy(

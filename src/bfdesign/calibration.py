@@ -13,19 +13,22 @@ published reference designs are only reproduced without a lookahead on the
 (n1, n2) grid, where the interim adjustment already absorbs the worst of the
 oscillation.
 
-The grid is evaluated a column at a time: all interim sizes n1 of one final
-size n2 share one predictive vector at n2, so one vectorized erased-mass call
-per design prior gives the adjusted rates of the whole column, and the
-searches compare columns with numpy masks.  Stop probabilities, PCE and
-E[N|H0] depend on n1 alone and cost one partial sum each.
+Each search builds one `DesignGrid`, which tables everything that depends
+on a single size n <= n_max: the futility critical count, stop probability
+and PCE of n as an interim size, and the single-look power and type-I of n
+as a final size.  The only per-design work left is the erased mass: all
+interim sizes n1 of one final size n2 share one predictive vector at n2, so
+one vectorized call per design prior gives the adjusted rates of a whole
+set of n1, and the searches compare them with numpy masks.
 
 The optimal design minimizes the expected sample size under the null design
-prior over the whole feasible rectangle.  Final sizes whose single-look power
-already misses the target cannot become feasible by adding an interim look
-(the adjustment only lowers power), so those columns are skipped wholesale.
-Once a feasible design is known, a later column can only win with a strictly
-smaller E[N|H0]; since E[N|H0] >= n1, only a short prefix of interim sizes
-below the incumbent's objective is evaluated.
+prior over the whole feasible rectangle.  Two bounds cut the work without
+changing the argmin.  Final sizes whose single-look power already misses
+the target cannot become feasible by adding an interim look (the adjustment
+only lowers power), so those final sizes are skipped wholesale.  Once a
+feasible design is known, a later final size can only win with a strictly
+smaller E[N|H0], which the table gives without any erased mass; since
+E[N|H0] >= n1, only a short prefix of interim sizes is evaluated.
 """
 
 from __future__ import annotations
@@ -121,21 +124,31 @@ class GridColumn(NamedTuple):
         return ok
 
 
-class DesignGrid:
-    """Column-at-a-time rates for one calibration scenario.
+def _single_look(
+    n_max: int, k: float, hyp: Hypotheses, ap: AnalysisPrior, prior: DesignPrior
+) -> np.ndarray:
+    """Rejection probability without an interim look at n = 1..n_max (entry n - 1)."""
+    return np.array(
+        [unadjusted_rate(n, k, hyp, ap, prior) for n in range(1, n_max + 1)]
+    )
 
-    A column is every interim size n1 = 1..n2-1 of one final size n2.  Its
-    adjusted rates come from one `erased_mass_column` call per design prior,
-    and its stop probabilities, PCE and critical counts depend on n1 alone,
-    so they are computed once per interim size and shared by all columns.
-    Whole columns are cached per n2.  `rows` evaluates any subset of a
-    column without caching it; the optimal search visits each column once
-    and, under its expected-size bound, only a prefix of it.  Every entry
-    carries the same bits as `evaluate` on that design.
+
+class DesignGrid:
+    """Every design (n1, n2) with n1 < n2 <= n_max of one calibration scenario.
+
+    The constructor tables, for each size n = 1..n_max (entry n - 1), what
+    depends on that size alone: as an interim size its futility critical
+    count `y_fut` (None when k_f is out of reach), its stop probability under
+    the null design prior `p_stop` and its `pce`; as a final size its
+    single-look `power` and `type_i`.  `rows` adds the erased mass of a set
+    of interim sizes at one final size, one `erased_mass_column` call per
+    design prior, and keeps nothing.  Every entry carries the same bits as
+    `evaluate` on that design.
     """
 
     def __init__(
         self,
+        n_max: int,
         k: float,
         k_f: float,
         hyp: Hypotheses,
@@ -149,72 +162,36 @@ class DesignGrid:
         self.ap = ap
         self.power_prior = power_prior
         self.null_prior = null_prior if null_prior is not None else PointMass(hyp.p0)
-        self._columns: dict[int, GridColumn] = {}
-        self._nonseq: dict[int, tuple[float, float]] = {}
-        # per interim size n1 = 1, 2, ...: futility critical count, stop
-        # probability under the null design prior, PCE
-        self._y_fut: list[Optional[int]] = []
-        self._p_stop: list[float] = []
-        self._pce: list[float] = []
-
-    def _interim(self, n1_max: int) -> None:
-        point_null = PointMass(self.hyp.p0)
-        for n1 in range(len(self._y_fut) + 1, n1_max + 1):
-            self._y_fut.append(critical_futility(n1, self.k_f, self.hyp, self.ap))
-            self._p_stop.append(
-                prob_futility_stop(n1, self.k_f, self.hyp, self.ap, self.null_prior)
-            )
-            self._pce.append(
-                prob_futility_stop(n1, self.k_f, self.hyp, self.ap, point_null)
-            )
-
-    def _single_look(self, n2: int) -> tuple[float, float]:
-        """(power, type-I) at n2 without an interim look."""
-        cached = self._nonseq.get(n2)
-        if cached is None:
-            cached = (
-                unadjusted_rate(n2, self.k, self.hyp, self.ap, self.power_prior),
-                unadjusted_rate(n2, self.k, self.hyp, self.ap, self.null_prior),
-            )
-            self._nonseq[n2] = cached
-        return cached
-
-    def nonsequential_power(self, n2: int) -> float:
-        """Single-look power at n2, the upper bound for any interim split."""
-        return self._single_look(n2)[0]
-
-    def expected_n_h0(self, n2: int, n1: np.ndarray) -> np.ndarray:
-        """E[N|H0] of the designs (n1, n2), cheap: no erased mass needed."""
-        self._interim(int(n1.max(initial=0)))
-        p_stop = np.asarray(self._p_stop)[n1 - 1]
-        return n2 - (n2 - n1) * p_stop
+        sizes = range(1, n_max + 1)
+        self.y_fut = [critical_futility(n, k_f, hyp, ap) for n in sizes]
+        self.p_stop = np.array(
+            [prob_futility_stop(n, k_f, hyp, ap, self.null_prior) for n in sizes]
+        )
+        point_null = PointMass(hyp.p0)
+        self.pce = np.array(
+            [prob_futility_stop(n, k_f, hyp, ap, point_null) for n in sizes]
+        )
+        self.power = _single_look(n_max, k, hyp, ap, power_prior)
+        self.type_i = _single_look(n_max, k, hyp, ap, self.null_prior)
 
     def rows(self, n2: int, n1: np.ndarray) -> GridColumn:
-        """Rates of the designs (n1[i], n2), computed without caching."""
+        """Rates of the designs (n1[i], n2)."""
         n1 = np.asarray(n1, dtype=np.int64)
-        self._interim(int(n1.max(initial=0)))
-        y_fut = [self._y_fut[i - 1] for i in n1]
+        y_fut = [self.y_fut[i - 1] for i in n1]
         y_eff = critical_efficacy(n2, self.k, self.hyp, self.ap)
-        power, type_i = self._single_look(n2)
         return GridColumn(
             n1=n1,
             power_adjusted=checked_adjusted(
-                power, erased_mass_column(n1, y_fut, n2, y_eff, self.power_prior)
+                self.power[n2 - 1],
+                erased_mass_column(n1, y_fut, n2, y_eff, self.power_prior),
             ),
             type_i_adjusted=checked_adjusted(
-                type_i, erased_mass_column(n1, y_fut, n2, y_eff, self.null_prior)
+                self.type_i[n2 - 1],
+                erased_mass_column(n1, y_fut, n2, y_eff, self.null_prior),
             ),
-            pce=np.asarray(self._pce)[n1 - 1],
-            e_n_h0=self.expected_n_h0(n2, n1),
+            pce=self.pce[n1 - 1],
+            e_n_h0=n2 - (n2 - n1) * self.p_stop[n1 - 1],
         )
-
-    def column(self, n2: int) -> GridColumn:
-        """Every interim size n1 = 1..n2-1 of final size n2 (cached)."""
-        cached = self._columns.get(n2)
-        if cached is None:
-            cached = self.rows(n2, np.arange(1, n2))
-            self._columns[n2] = cached
-        return cached
 
     def calibrated(self, n1: int, n2: int) -> CalibratedDesign:
         design = TwoStageDesign(n1, n2, self.k, self.k_f)
@@ -241,19 +218,13 @@ def base_sample_size(
     """
     if null_prior is None:
         null_prior = PointMass(hyp.p0)
-    power_ok: dict[int, bool] = {}
-
-    def power_holds(n: int) -> bool:
-        cached = power_ok.get(n)
-        if cached is None:
-            cached = unadjusted_rate(n, k, hyp, ap, power_prior) >= 1.0 - cons.beta
-            power_ok[n] = cached
-        return cached
-
+    power_ok = (
+        _single_look(cons.n_max + cons.window, k, hyp, ap, power_prior)
+        >= 1.0 - cons.beta
+    )
+    type_i = _single_look(cons.n_max, k, hyp, ap, null_prior)
     for n in range(1, cons.n_max + 1):
-        if not all(power_holds(n + w) for w in range(cons.window + 1)):
-            continue
-        if unadjusted_rate(n, k, hyp, ap, null_prior) <= cons.alpha:
+        if power_ok[n - 1 : n + cons.window].all() and type_i[n - 1] <= cons.alpha:
             return n
     return None
 
@@ -272,17 +243,19 @@ def calibrate(
     Walks n1 upward within each n2 and bumps n2 once the interim sizes are
     exhausted.  Final sizes whose single-look power misses the target are
     skipped outright, since no interim split can repair power.  None when no
-    design with n2 <= n_max qualifies, including the case of a futility
-    threshold no interim size can realize.
+    design with n2 <= n_max qualifies, and when no interim size in
+    [n_min, n_max - 1] can stop for futility at k_f.
     """
-    grid = DesignGrid(k, k_f, hyp, ap, power_prior, null_prior)
+    grid = DesignGrid(cons.n_max, k, k_f, hyp, ap, power_prior, null_prior)
+    if all(y is None for y in grid.y_fut[cons.n_min - 1 : -1]):
+        return None  # no interim size can stop: no two-stage design exists
     for n2 in range(cons.n_min + 1, cons.n_max + 1):
-        if grid.nonsequential_power(n2) < 1.0 - cons.beta:
+        if grid.power[n2 - 1] < 1.0 - cons.beta:
             continue
-        col = grid.column(n2)
-        hits = np.flatnonzero(col.feasible(cons)[cons.n_min - 1 :])
+        rows = grid.rows(n2, np.arange(cons.n_min, n2))
+        hits = np.flatnonzero(rows.feasible(cons))
         if hits.size:
-            return grid.calibrated(cons.n_min + int(hits[0]), n2)
+            return grid.calibrated(int(rows.n1[hits[0]]), n2)
     return None
 
 
@@ -294,12 +267,13 @@ def optimal_calibrate(
     ap: AnalysisPrior,
     power_prior: DesignPrior,
     null_prior: Optional[DesignPrior] = None,
-    prune: bool = True,
 ) -> Optional[CalibratedDesign]:
     """Feasible design minimizing the expected sample size under H0.
 
-    Ties go to the smaller n2, then the smaller n1.  With prune enabled, two
-    bounds cut the work without changing the argmin:
+    Ties go to the smaller n2, then the smaller n1.  None when no design
+    with n2 <= n_max is feasible, and when no interim size in
+    [n_min, n_max - 1] can stop for futility at k_f.  Two bounds always cut
+    the work without changing the argmin:
 
     - final sizes whose single-look power misses the target are skipped
       without an interim search, because the interim adjustment only ever
@@ -307,16 +281,18 @@ def optimal_calibrate(
     - once a feasible design is known, a later (larger) n2 can only win with
       a strictly smaller E[N|H0], so only its interim sizes below that
       objective get their rates computed.  E[N|H0] >= n1, so that is a short
-      prefix of the column, found from the stop probabilities alone.
+      prefix of the interim sizes, found from the tabled stop probabilities.
     """
-    grid = DesignGrid(k, k_f, hyp, ap, power_prior, null_prior)
+    grid = DesignGrid(cons.n_max, k, k_f, hyp, ap, power_prior, null_prior)
+    if all(y is None for y in grid.y_fut[cons.n_min - 1 : -1]):
+        return None  # no interim size can stop: no two-stage design exists
     best: Optional[tuple[float, int, int]] = None
     for n2 in range(cons.n_min + 1, cons.n_max + 1):
-        if prune and grid.nonsequential_power(n2) < 1.0 - cons.beta:
+        if grid.power[n2 - 1] < 1.0 - cons.beta:
             continue
         n1 = np.arange(cons.n_min, n2)
-        if prune and best is not None:
-            n1 = n1[grid.expected_n_h0(n2, n1) < best[0]]
+        if best is not None:
+            n1 = n1[n2 - (n2 - n1) * grid.p_stop[n1 - 1] < best[0]]
             if n1.size == 0:
                 continue
         rows = grid.rows(n2, n1)
@@ -344,18 +320,21 @@ def scan(
 ) -> list[ScanRow]:
     """Characteristics of every interim size below each requested n2.
 
-    One row per n1 in [n_min, n2 - 1], in deterministic ascending order;
-    exposes the error-rate oscillations in the interim size.
+    One row per n1 in [n_min, n2 - 1], in deterministic ascending order, so
+    a final size n2 <= n_min gives none; exposes the error-rate oscillations
+    in the interim size.
     """
     if isinstance(n2_values, int):
         n2_values = [n2_values]
-    grid = DesignGrid(k, k_f, hyp, ap, power_prior, null_prior)
+    sizes = [n2 for n2 in n2_values if n2 > cons.n_min]
+    if not sizes:
+        return []
+    grid = DesignGrid(max(sizes), k, k_f, hyp, ap, power_prior, null_prior)
     rows: list[ScanRow] = []
-    for n2 in n2_values:
-        col = grid.column(n2)
+    for n2 in sizes:
+        col = grid.rows(n2, np.arange(cons.n_min, n2))
         feasible = col.feasible(cons)
-        for n1 in range(cons.n_min, n2):
-            i = n1 - 1
+        for i, n1 in enumerate(range(cons.n_min, n2)):
             rows.append(
                 ScanRow(
                     n2=n2,

@@ -65,7 +65,7 @@ def cmd_calibrate(config: RunConfig, fmt: str) -> int:
     if result is None:
         print(
             "no feasible design: the constraints cannot be calibrated for "
-            f"this choice of thresholds with n2 <= {config.n_max}",
+            f"this choice of thresholds (k, k_f) with n2 <= {config.n_max}",
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
@@ -130,10 +130,6 @@ def cmd_scan(config: RunConfig, n2: int) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    if not config.n_min < n2:
-        # empty sweep: header only
-        print("n1,power_adj,typeI_adj,pce,en_h0,feasible")
-        return EXIT_OK
     rows = scan(
         n2,
         config.constraints(),

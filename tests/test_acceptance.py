@@ -27,6 +27,7 @@ from bfdesign import (
     optimal_calibrate,
     predictive_vector,
     prob_futility_stop,
+    scan,
     simon_search,
 )
 from bfdesign.bayesfactor import log_bf01_curve
@@ -183,7 +184,7 @@ def test_criterion_4_closed_form_equals_enumeration():
 
 
 def test_criterion_5_adjustment_inequality_and_prune():
-    """Adjusted <= unadjusted with equality iff nothing is erased; prune inert."""
+    """Adjusted <= unadjusted with equality iff nothing is erased; bounds inert."""
     for p0, n1, n2, k, k_f, power_prior, null_prior in random_scenarios(216):
         design = TwoStageDesign(n1, n2, k, k_f)
         hyp = Hypotheses(p0)
@@ -210,13 +211,17 @@ def test_criterion_5_adjustment_inequality_and_prune():
         cons = CalibrationConstraints(alpha=alpha, beta=beta, f=f, n_min=n_min, n_max=n_max)
         hyp = Hypotheses(p0)
         ap = AnalysisPrior.flat(p0)
-        pruned = optimal_calibrate(cons, k, k_f, hyp, ap, prior, prune=True)
-        brute = optimal_calibrate(cons, k, k_f, hyp, ap, prior, prune=False)
-        if pruned is None:
-            assert brute is None
+        result = optimal_calibrate(cons, k, k_f, hyp, ap, prior)
+        # exhaustive reference: the argmin over every row of every final size
+        rows = scan(range(n_min + 1, n_max + 1), cons, k, k_f, hyp, ap, prior)
+        feasible = [(r.e_n_h0, r.n2, r.n1) for r in rows if r.feasible]
+        if result is None:
+            assert not feasible
         else:
-            assert pruned.design == brute.design
-    _passed(5, "adjustment inequality holds on the grid and the prune is inert")
+            e_n_h0, n2, n1 = min(feasible)
+            assert (result.design.n1, result.design.n2) == (n1, n2)
+            assert result.objective == e_n_h0
+    _passed(5, "adjustment inequality holds on the grid and the search bounds are inert")
 
 
 def test_criterion_6_single_look_baselines():

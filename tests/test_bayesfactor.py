@@ -86,6 +86,19 @@ def test_bf01_strictly_decreasing_in_successes():
             assert np.all(np.diff(curve) < 0.0)
 
 
+def test_bf01_beyond_double_range_is_infinite():
+    # no successes in 3000 trials at p0 = 0.5: log BF01 is about 2080, past
+    # the largest double, so BF01 is inf while the log stays finite
+    from bfdesign.bayesfactor import log_bf01_curve
+
+    hyp = Hypotheses(0.5)
+    ap = AnalysisPrior.flat(0.5)
+    log_bf = log_bf01_curve(3000, hyp, ap)[0]
+    assert math.isfinite(log_bf) and log_bf > math.log(np.finfo(float).max)
+    assert bf01(0, 3000, hyp, ap) == math.inf
+    assert bf01(3000, 3000, hyp, ap) == 0.0
+
+
 def test_critical_values_match_brute_force_filter():
     rng = np.random.default_rng(11)
     for _ in range(40):

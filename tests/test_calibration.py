@@ -1,5 +1,6 @@
 """Calibration searches: baselines, first-feasible, optimal, scan."""
 
+import numpy as np
 import pytest
 
 from bfdesign import (
@@ -127,25 +128,27 @@ def test_prune_never_changes_the_argmin():
         ),
     ]
     for cons, k, k_f, hyp, ap, prior in settings:
-        pruned = optimal_calibrate(cons, k, k_f, hyp, ap, prior, prune=True)
-        brute = optimal_calibrate(cons, k, k_f, hyp, ap, prior, prune=False)
-        if pruned is None:
-            assert brute is None
+        result = optimal_calibrate(cons, k, k_f, hyp, ap, prior)
+        # exhaustive reference: the argmin over every row of every final size
+        rows = scan(range(cons.n_min + 1, cons.n_max + 1), cons, k, k_f, hyp, ap, prior)
+        feasible = [(r.e_n_h0, r.n2, r.n1) for r in rows if r.feasible]
+        if result is None:
+            assert not feasible
         else:
-            assert pruned.design == brute.design
-            assert pruned.objective == brute.objective
+            e_n_h0, n2, n1 = min(feasible)
+            assert (result.design.n1, result.design.n2) == (n1, n2)
+            assert result.objective == e_n_h0
 
 
 def test_prune_is_sound():
     # every skipped final size has single-look power below target, and no
     # interim split of it is feasible
     cons = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=40)
-    grid = DesignGrid(1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
+    grid = DesignGrid(cons.n_max, 1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
     for n2 in range(cons.n_min + 1, cons.n_max + 1):
-        if grid.nonsequential_power(n2) >= 1 - cons.beta:
+        if grid.power[n2 - 1] >= 1 - cons.beta:
             continue
-        for n1 in range(cons.n_min, n2):
-            assert not grid.column(n2).feasible(cons)[n1 - 1]
+        assert not grid.rows(n2, np.arange(cons.n_min, n2)).feasible(cons).any()
 
 
 def test_calibrate_returns_first_feasible_design():
@@ -153,16 +156,14 @@ def test_calibrate_returns_first_feasible_design():
     result = calibrate(cons, 1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
     assert result is not None
     assert result.design.n2 <= 29
-    grid = DesignGrid(1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
+    grid = DesignGrid(cons.n_max, 1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
     # nothing earlier in the iteration order is feasible
     for n2 in range(cons.n_min + 1, result.design.n2 + 1):
-        for n1 in range(cons.n_min, n2):
-            if (n2, n1) == (result.design.n2, result.design.n1):
-                break
-            assert not grid.column(n2).feasible(cons)[n1 - 1]
-        else:
-            continue
-        break
+        feasible = grid.rows(n2, np.arange(cons.n_min, n2)).feasible(cons)
+        if n2 < result.design.n2:
+            assert not feasible.any()
+    # within the result's final size it is the first feasible interim size
+    assert np.flatnonzero(feasible)[0] == result.design.n1 - cons.n_min
 
 
 def test_calibrate_vacuous_constraints():
@@ -178,6 +179,18 @@ def test_calibrate_infeasible_reports_none():
     result = calibrate(cons, 1 / 3, 80.0, EX2_HYP, EX2_AP, PointMass(0.4))
     assert result is None
     assert optimal_calibrate(cons, 1 / 3, 80.0, EX2_HYP, EX2_AP, PointMass(0.4)) is None
+
+
+def test_searches_need_an_interim_size_that_can_stop():
+    # k_f = 1e300 has no futility count at any n1 <= 39: both searches say
+    # so with None instead of a design whose interim look never stops
+    cons = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=40)
+    args = (1 / 3, 1e300, EX1_HYP, EX1_AP, PointMass(0.3))
+    assert calibrate(cons, *args) is None
+    assert optimal_calibrate(cons, *args) is None
+    # rows still report the single-look rates of such designs
+    row = scan(25, cons, *args)[0]
+    assert (row.n1, row.pce, row.e_n_h0) == (5, 0.0, 25.0)
 
 
 def test_scan_rows_and_oscillation():

@@ -84,6 +84,20 @@ def test_calibrate_infeasible_exit_code(tmp_path, capsys):
     assert "cannot be calibrated" in err
 
 
+def test_calibrate_unreachable_futility_threshold_exit_code(tmp_path, capsys):
+    # a huge finite k_f is never reached at any interim size, so every
+    # two-stage design would be a single look: no design, not 5/25 with pce 0
+    path = tmp_path / "huge_kf.cfg"
+    path.write_text(
+        "p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\nk_f=1e300\nn_max=40\n"
+    )
+    assert main(["calibrate", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot be calibrated" in captured.err
+    assert "k_f" in captured.err
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("p0=0.1\nalpha=0\nbeta=0.2\npower_prior=point 0.3\n")
