@@ -40,13 +40,11 @@ from .operating import (
 )
 from .predictive import (
     joint_predictive_matrix,
-    joint_predictive_pmf,
     predictive_pmf,
     predictive_vector,
 )
 from .priors import DesignPrior, PointMass, TruncatedBeta
 from .simon import SimonDesign, simon_oc, simon_search
-from .special import log_beta, reg_inc_beta
 
 __all__ = [
     "AnalysisPrior",
@@ -75,14 +73,11 @@ __all__ = [
     "expected_n",
     "futility_erased",
     "joint_predictive_matrix",
-    "joint_predictive_pmf",
-    "log_beta",
     "optimal_calibrate",
     "path_probabilities",
     "predictive_pmf",
     "predictive_vector",
     "prob_futility_stop",
-    "reg_inc_beta",
     "scan",
     "simon_oc",
     "simon_search",

@@ -130,7 +130,7 @@ def critical_futility(
     None means even zero successes out of n cannot carry evidence for H0
     past k_f, so a futility stop is impossible at this size.
     """
-    if k_f <= 1.0:
+    if not k_f > 1.0:
         raise ValueError(f"futility threshold must satisfy k_f > 1, got k_f={k_f}")
     above = np.flatnonzero(log_bf01_curve(n, hyp, ap) > math.log(k_f))
     return int(above[-1]) if above.size else None

@@ -70,7 +70,7 @@ class TwoStageDesign:
             raise ValueError(f"need 1 <= n1 < n2, got n1={self.n1}, n2={self.n2}")
         if not 0.0 < self.k < 1.0:
             raise ValueError(f"evidence threshold must satisfy 0 < k < 1, got {self.k}")
-        if self.k_f <= 1.0:
+        if not self.k_f > 1.0:
             raise ValueError(f"futility threshold must satisfy k_f > 1, got {self.k_f}")
 
 
@@ -257,7 +257,7 @@ def branch_probabilities(
     """
     if not 0.0 < k < 1.0:
         raise ValueError(f"evidence threshold must satisfy 0 < k < 1, got {k}")
-    if k_f <= 1.0:
+    if not k_f > 1.0:
         raise ValueError(f"futility threshold must satisfy k_f > 1, got {k_f}")
     log_bf = log_bf01_curve(n1, hyp, ap)
     pmf = predictive_vector(prior, n1)

@@ -14,8 +14,10 @@ predictive pmfs.  Evaluated at the pooled success count, it yields the joint
 law of the two batch counts of a split sample, because both batches share
 one latent success probability.
 
-All evaluation is in log space with a single final exponentiation, so counts
-up to a thousand or so stay far from underflow.
+All evaluation is in log space with a single final exponentiation.  The
+incomplete-beta masses M that underflow a double come from the log-space
+continued fraction in `special`, so the kernel stays finite and accurate
+for counts in the thousands.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ import numpy as np
 from scipy.special import betaln
 
 from .priors import DesignPrior, PointMass, TruncatedBeta
-from .special import (
-    log_beta,
-    log_binom_coeff_vector,
-    log_binom_pmf_vector,
-    log_trunc_beta_mass,
-    log_trunc_beta_mass_vector,
-)
+from .special import log_binom_coeff_vector, log_binom_pmf_vector, log_trunc_beta_mass
 
 _CACHE_SIZE = 4096
 
@@ -43,17 +39,15 @@ def _log_pooled_kernel(prior: TruncatedBeta, n: int) -> np.ndarray:
     s = np.arange(n + 1, dtype=float)
     a_post = prior.a + s
     b_post = prior.b + n - s
-    out = betaln(a_post, b_post) + log_trunc_beta_mass_vector(
-        a_post, b_post, prior.l, prior.u
-    )
+    out = betaln(a_post, b_post) + log_trunc_beta_mass(a_post, b_post, prior.l, prior.u)
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _log_norm(prior: TruncatedBeta) -> float:
-    return log_beta(prior.a, prior.b) + log_trunc_beta_mass(
-        prior.a, prior.b, prior.l, prior.u
+    return float(
+        betaln(prior.a, prior.b) + log_trunc_beta_mass(prior.a, prior.b, prior.l, prior.u)
     )
 
 
@@ -118,12 +112,3 @@ def joint_predictive_matrix(n1: int, m: int, prior: DesignPrior) -> np.ndarray:
         - _log_norm(prior)
     )
     return np.exp(log_mass)
-
-
-def joint_predictive_pmf(y1: int, y2: int, n1: int, m: int, prior: DesignPrior) -> float:
-    """Joint predictive probability of batch success counts (y1, y2)."""
-    if y1 < 0 or y1 > n1:
-        raise ValueError(f"first-batch count out of range: y1={y1}, n1={n1}")
-    if y2 < 0 or y2 > m:
-        raise ValueError(f"second-batch count out of range: y2={y2}, m={m}")
-    return float(joint_predictive_matrix(n1, m, prior)[y1, y2])

@@ -17,7 +17,9 @@ from .special import trunc_beta_mass
 class TruncatedBeta:
     """Beta(a, b) distribution restricted to [l, u] and renormalized.
 
-    The untruncated law (l, u) = (0, 1) is the common special case.
+    The untruncated law (l, u) = (0, 1) is the common special case.  The
+    shapes must be positive numbers (NaN is rejected), and the Beta(a, b)
+    mass on [l, u] must be above zero in double precision.
     """
 
     a: float
@@ -26,11 +28,12 @@ class TruncatedBeta:
     u: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.b <= 0:
+        if not (self.a > 0 and self.b > 0):
             raise ValueError(f"shape parameters must be positive, got a={self.a}, b={self.b}")
         if not (0.0 <= self.l < self.u <= 1.0):
             raise ValueError(f"truncation must satisfy 0 <= l < u <= 1, got l={self.l}, u={self.u}")
-        if trunc_beta_mass(self.a, self.b, self.l, self.u) <= 0.0:
+        mass = trunc_beta_mass(self.a, self.b, self.l, self.u)
+        if not mass > 0.0:
             raise ValueError(
                 f"degenerate truncation: Beta({self.a}, {self.b}) has no mass on [{self.l}, {self.u}]"
             )

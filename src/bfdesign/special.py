@@ -1,51 +1,28 @@
 """Log-domain special functions for beta-binomial computations.
 
 Everything downstream (predictive masses, Bayes factors) is assembled from
-log beta functions and regularized incomplete beta functions.  The double
-precision path uses scipy's cephes routines; extreme tails that underflow a
-double are recomputed in arbitrary precision via mpmath so that log-scale
-quantities stay finite and accurate.
+log binomial coefficients, log beta functions and the Beta mass of a
+truncation interval.  The double precision path uses scipy's cephes
+routines.  Masses that underflow a double are recomputed in log space from
+the continued fraction of the incomplete beta function, so log-scale
+quantities stay finite and accurate far into the tails.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 from scipy.special import betainc, betaincc, betaln, gammaln
 
-# Below this, a regularized incomplete beta value computed in doubles is
-# re-evaluated in arbitrary precision before taking the log.
+# Below this, a mass computed in doubles is recomputed in log space.
 _UNDERFLOW = 1e-290
 
-_MP_DPS = 40
-
-
-def log_beta(a: float, b: float) -> float:
-    """Natural log of the complete beta function B(a, b)."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"beta function requires positive shapes, got a={a}, b={b}")
-    return float(betaln(a, b))
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    This is the cdf at x of a Beta(a, b) random variable.
-    """
-    if a <= 0 or b <= 0:
-        raise ValueError(f"reg_inc_beta requires positive shapes, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"reg_inc_beta requires x in [0, 1], got x={x}")
-    return float(betainc(a, b, x))
-
-
-def log_binom_coeff(n: int, y: int) -> float:
-    """log C(n, y) via log-gamma."""
-    if y < 0 or y > n:
-        raise ValueError(f"binomial coefficient index out of range: n={n}, y={y}")
-    return float(gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1))
+# Modified Lentz iteration: floor for vanishing denominators, the
+# convergence tolerance on each step's factor, and the iteration cap.
+_TINY = 1e-300
+_EPS = np.finfo(float).eps
+_MAX_ITER = 10_000
 
 
 def log_binom_coeff_vector(n: int) -> np.ndarray:
@@ -54,82 +31,102 @@ def log_binom_coeff_vector(n: int) -> np.ndarray:
     return gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
 
 
-def trunc_beta_mass(a: float, b: float, l: float, u: float) -> float:
-    """I_u(a, b) - I_l(a, b), evaluated from the numerically smaller tail.
-
-    When both cdf values sit near 1 the direct difference cancels, so the
-    complemented form (survival functions) is used instead.
-    """
-    if l == 0.0 and u == 1.0:
-        return 1.0
-    if l == 0.0:
-        return float(betainc(a, b, u))
-    if u == 1.0:
-        return float(betaincc(a, b, l))
-    lo = float(betainc(a, b, l))
-    if lo > 0.5:
-        return float(betaincc(a, b, l) - betaincc(a, b, u))
-    return float(betainc(a, b, u)) - lo
-
-
-def _log_trunc_beta_mass_mp(a: float, b: float, l: float, u: float) -> float:
-    # lower tails are direct; the upper tail uses I_x(a,b) = 1 - I_{1-x}(b,a)
-    # so that no fixed working precision has to resolve 1 - (1 - tiny)
-    if l == 0.0:
-        with mpmath.workdps(_MP_DPS):
-            mass = mpmath.betainc(a, b, x1=0, x2=u, regularized=True)
-            return float(mpmath.log(mass)) if mass > 0 else float("-inf")
-    if u == 1.0:
-        with mpmath.workdps(_MP_DPS):
-            mass = mpmath.betainc(b, a, x1=0, x2=1.0 - l, regularized=True)
-            return float(mpmath.log(mass)) if mass > 0 else float("-inf")
-    for dps in (_MP_DPS, 200, 1000):
-        with mpmath.workdps(dps):
-            upper = mpmath.betainc(a, b, x1=0, x2=u, regularized=True)
-            mass = upper - mpmath.betainc(a, b, x1=0, x2=l, regularized=True)
-            # accept once the difference clearly survives the cancellation
-            if mass > 0 and (upper == 0 or mass / upper > mpmath.mpf(10) ** (15 - dps)):
-                return float(mpmath.log(mass))
-    return float("-inf")
-
-
-def log_trunc_beta_mass(a: float, b: float, l: float, u: float) -> float:
-    """log of the Beta(a, b) probability mass on [l, u]."""
-    m = trunc_beta_mass(a, b, l, u)
-    if m > _UNDERFLOW:
-        return math.log(m)
-    return _log_trunc_beta_mass_mp(a, b, l, u)
-
-
-def log_trunc_beta_mass_vector(
-    a: np.ndarray, b: np.ndarray, l: float, u: float
+def trunc_beta_mass(
+    a: np.ndarray | float, b: np.ndarray | float, l: float, u: float
 ) -> np.ndarray:
-    """Vectorized log_trunc_beta_mass over paired shape arrays.
+    """Beta(a, b) probability mass on [l, u], elementwise over a and b.
 
-    Entries whose double-precision mass underflows are recomputed with mpmath,
-    which keeps far-tail log masses accurate instead of -inf.
+    An interior interval is I_u - I_l, taken from the complemented cdfs
+    (survival functions) when I_l > 1/2, where the direct difference would
+    cancel.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if l == 0.0 and u == 1.0:
-        return np.zeros_like(a)
     if l == 0.0:
-        mass = betainc(a, b, u)
-    elif u == 1.0:
-        mass = betaincc(a, b, l)
+        return betainc(a, b, u)
+    if u == 1.0:
+        return betaincc(a, b, l)
+    lo = betainc(a, b, l)
+    return np.where(lo > 0.5, betaincc(a, b, l) - betaincc(a, b, u), betainc(a, b, u) - lo)
+
+
+def _floor(v: np.ndarray) -> np.ndarray:
+    """Lentz's guard: replace near-zero denominators by a tiny number."""
+    return np.where(np.abs(v) < _TINY, _TINY, v)
+
+
+def _log_lower_tail(a: np.ndarray, b: np.ndarray, x: np.ndarray | float) -> np.ndarray:
+    """log I_x(a, b) from the incomplete beta continued fraction.
+
+    I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) * cf, with cf evaluated by the
+    modified Lentz method (Numerical Recipes, section 6.4) on every entry at
+    once; the prefactor is summed in logs, so it never underflows.  The
+    fraction converges fast only for x < (a + 1) / (a + b + 2); outside that
+    regime, or without convergence, this raises ArithmeticError rather than
+    return a value it cannot vouch for.
+    """
+    a, b, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, x)))
+    if not np.all(x < (a + 1.0) / (a + b + 2.0)):
+        raise ArithmeticError("continued fraction asked outside x < (a+1)/(a+b+2)")
+    cf = np.empty(a.shape)
+    live = np.arange(a.size)
+    p, q, t = a.ravel(), b.ravel(), x.ravel()
+    c = np.ones(a.size)
+    d = 1.0 / _floor(1.0 - (p + q) * t / (p + 1.0))
+    h = d.copy()
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2 * m
+        even = m * (q - m) * t / ((p + m2 - 1.0) * (p + m2))
+        d = 1.0 / _floor(1.0 + even * d)
+        c = _floor(1.0 + even / c)
+        h *= d * c
+        odd = -(p + m) * (p + q + m) * t / ((p + m2) * (p + m2 + 1.0))
+        d = 1.0 / _floor(1.0 + odd * d)
+        c = _floor(1.0 + odd / c)
+        step = d * c
+        h *= step
+        done = np.abs(step - 1.0) < _EPS
+        cf.flat[live[done]] = h[done]
+        if done.all():
+            break
+        keep = ~done
+        live, p, q, t, c, d, h = (v[keep] for v in (live, p, q, t, c, d, h))
     else:
-        lo = betainc(a, b, l)
-        mass = np.where(
-            lo > 0.5,
-            betaincc(a, b, l) - betaincc(a, b, u),
-            betainc(a, b, u) - lo,
-        )
-    mass = np.asarray(mass, dtype=float)
+        raise ArithmeticError(f"continued fraction unconverged after {_MAX_ITER} steps")
+    return a * np.log(x) + b * np.log1p(-x) - np.log(a) - betaln(a, b) + np.log(cf)
+
+
+def log_trunc_beta_mass(
+    a: np.ndarray | float, b: np.ndarray | float, l: float, u: float
+) -> np.ndarray:
+    """log of the Beta(a, b) probability mass on [l, u], elementwise over a and b.
+
+    a and b are scalars or arrays of one shape.
+
+    Entries whose double-precision mass underflows are recomputed by the
+    log-space continued fraction: a lower tail [0, u] directly, an upper tail
+    [l, 1] as the lower tail of Beta(b, a) at 1 - l, and an interior interval
+    as the log-difference of its two tails on the side of (a+1)/(a+b+2) where
+    it lies.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    mass = np.asarray(trunc_beta_mass(a, b, l, u), dtype=float)
     out = np.full(mass.shape, -np.inf)
     ok = mass > _UNDERFLOW
     out[ok] = np.log(mass[ok])
-    for idx in np.flatnonzero(~ok):
-        out[idx] = _log_trunc_beta_mass_mp(float(a[idx]), float(b[idx]), l, u)
+    low = ~ok
+    if not low.any():
+        return out
+    a, b = a[low], b[low]
+    if l == 0.0:
+        out[low] = _log_lower_tail(a, b, u)
+    elif u == 1.0:
+        out[low] = _log_lower_tail(b, a, 1.0 - l)
+    else:
+        flip = l > (a + 1.0) / (a + b + 2.0)
+        p, q = np.where(flip, b, a), np.where(flip, a, b)
+        outer = _log_lower_tail(p, q, np.where(flip, 1.0 - l, u))
+        inner = _log_lower_tail(p, q, np.where(flip, 1.0 - u, l))
+        with np.errstate(divide="ignore"):
+            out[low] = outer + np.log(-np.expm1(inner - outer))
     return out
 
 

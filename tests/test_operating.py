@@ -66,6 +66,19 @@ def test_two_stage_design_validation():
         TwoStageDesign(2, 5, 1 / 3, 0.5)
 
 
+def test_nan_futility_threshold_rejected():
+    # a NaN k_f fails every comparison: the checks must not let it through
+    nan = float("nan")
+    hyp = Hypotheses(1 / 3)
+    ap = AnalysisPrior.flat(1 / 3)
+    with pytest.raises(ValueError):
+        TwoStageDesign(10, 29, 1 / 3, nan)
+    with pytest.raises(ValueError):
+        critical_futility(10, nan, hyp, ap)
+    with pytest.raises(ValueError):
+        branch_probabilities(10, 1 / 3, nan, hyp, ap, PointMass(0.5))
+
+
 def test_reference_design_operating_characteristics():
     # the expected-size-optimal design of the first worked setting
     design = TwoStageDesign(10, 29, 1 / 3, 3.0)

@@ -12,7 +12,6 @@ from bfdesign import (
     PointMass,
     TruncatedBeta,
     joint_predictive_matrix,
-    joint_predictive_pmf,
     predictive_pmf,
     predictive_vector,
 )
@@ -84,7 +83,7 @@ def test_predictive_domain_errors():
 def test_joint_flat_hand_value():
     # C(2,1) C(2,1) B(3,3) / B(1,1) = 4/30
     assert math.isclose(
-        joint_predictive_pmf(1, 1, 2, 2, FLAT), 4.0 / 30.0, rel_tol=1e-14
+        joint_predictive_matrix(2, 2, FLAT)[1, 1], 4.0 / 30.0, rel_tol=1e-14
     )
 
 
@@ -93,7 +92,7 @@ def test_joint_point_mass_factorizes():
     for y1, y2, n1, m in [(0, 0, 3, 4), (2, 1, 3, 4), (3, 4, 3, 4)]:
         expected = binom.pmf(y1, n1, 0.3) * binom.pmf(y2, m, 0.3)
         assert math.isclose(
-            joint_predictive_pmf(y1, y2, n1, m, prior), expected, rel_tol=1e-12
+            joint_predictive_matrix(n1, m, prior)[y1, y2], expected, rel_tol=1e-12
         )
 
 
@@ -110,7 +109,7 @@ def test_joint_against_quadrature():
         0.8,
     )
     assert math.isclose(
-        joint_predictive_pmf(y1, y2, n1, m, prior), oracle, rel_tol=1e-10
+        joint_predictive_matrix(n1, m, prior)[y1, y2], oracle, rel_tol=1e-10
     )
 
 
@@ -135,9 +134,11 @@ def test_joint_normalizes_and_marginalizes():
 
 def test_joint_domain_errors():
     with pytest.raises(ValueError):
-        joint_predictive_pmf(3, 0, 2, 2, FLAT)
+        joint_predictive_matrix(0, 2, FLAT)
     with pytest.raises(ValueError):
-        joint_predictive_pmf(0, 3, 2, 2, FLAT)
+        joint_predictive_matrix(2, 0, FLAT)
+    with pytest.raises(ValueError):
+        joint_predictive_matrix(2, -1, PointMass(0.3))
 
 
 def test_truncated_beta_validation():
@@ -149,6 +150,10 @@ def test_truncated_beta_validation():
         TruncatedBeta(1.0, 1.0, 0.5, 0.5)
     with pytest.raises(ValueError):
         PointMass(1.5)
+    nan = float("nan")
+    for args in [(nan, 1.0), (1.0, nan), (nan, 1.0, 0.1, 1.0), (1.0, 1.0, nan, 0.5)]:
+        with pytest.raises(ValueError):
+            TruncatedBeta(*args)
 
 
 def test_degenerate_truncation_rejected():
