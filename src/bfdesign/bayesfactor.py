@@ -31,6 +31,23 @@ from .priors import TruncatedBeta
 _CACHE_SIZE = 4096
 
 
+class ParameterError(ValueError):
+    """A design parameter outside its valid range, carrying the parameter's name."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(f"{name} {message}")
+        self.name = name
+        self.message = message
+
+
+def check_thresholds(k: Optional[float] = None, k_f: Optional[float] = None) -> None:
+    """Require 0 < k < 1 and k_f > 1 (NaN fails both); None skips a threshold."""
+    if k is not None and not 0.0 < k < 1.0:
+        raise ParameterError("k", f"must lie in (0, 1), got {k}")
+    if k_f is not None and not k_f > 1.0:
+        raise ParameterError("k_f", f"must exceed 1, got {k_f}")
+
+
 @dataclass(frozen=True)
 class Hypotheses:
     """One-sided hypotheses H0: p <= p0 versus H1: p > p0."""
@@ -39,7 +56,7 @@ class Hypotheses:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p0 < 1.0:
-            raise ValueError(f"p0 must lie strictly inside (0, 1), got {self.p0}")
+            raise ParameterError("p0", f"must lie strictly inside (0, 1), got {self.p0}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +133,7 @@ def critical_efficacy(
 
     None means no count up to n can produce evidence for H1 past k.
     """
-    if not 0.0 < k < 1.0:
-        raise ValueError(f"efficacy threshold must satisfy 0 < k < 1, got k={k}")
+    check_thresholds(k=k)
     below = np.flatnonzero(log_bf01_curve(n, hyp, ap) < math.log(k))
     return int(below[0]) if below.size else None
 
@@ -130,7 +146,6 @@ def critical_futility(
     None means even zero successes out of n cannot carry evidence for H0
     past k_f, so a futility stop is impossible at this size.
     """
-    if not k_f > 1.0:
-        raise ValueError(f"futility threshold must satisfy k_f > 1, got k_f={k_f}")
+    check_thresholds(k_f=k_f)
     above = np.flatnonzero(log_bf01_curve(n, hyp, ap) > math.log(k_f))
     return int(above[-1]) if above.size else None

@@ -38,13 +38,20 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .bayesfactor import AnalysisPrior, Hypotheses, critical_efficacy, critical_futility
+from .bayesfactor import (
+    AnalysisPrior,
+    Hypotheses,
+    ParameterError,
+    critical_efficacy,
+    critical_futility,
+)
 from .operating import (
     OperatingCharacteristics,
     TwoStageDesign,
     checked_adjusted,
     erased_mass_column,
     evaluate,
+    expected_size,
     prob_futility_stop,
     unadjusted_rate,
 )
@@ -69,17 +76,17 @@ class CalibrationConstraints:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise ParameterError("alpha", f"must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+            raise ParameterError("beta", f"must lie in (0, 1), got {self.beta}")
         if self.f is not None and not 0.0 < self.f < 1.0:
-            raise ValueError(f"f must lie in (0, 1) when given, got {self.f}")
+            raise ParameterError("f", f"must lie in (0, 1) when given, got {self.f}")
         if not 1 <= self.n_min < self.n_max:
-            raise ValueError(
-                f"need 1 <= n_min < n_max, got n_min={self.n_min}, n_max={self.n_max}"
+            raise ParameterError(
+                "n_min", f"needs 1 <= n_min < n_max, got {self.n_min}, {self.n_max}"
             )
-        if self.window < 0:
-            raise ValueError(f"window must be nonnegative, got {self.window}")
+        if not self.window >= 0:
+            raise ParameterError("window", f"must be nonnegative, got {self.window}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,6 @@ class CalibratedDesign:
 
     design: TwoStageDesign
     oc: OperatingCharacteristics
-    feasible: bool
     objective: float
 
 
@@ -190,15 +196,13 @@ class DesignGrid:
                 erased_mass_column(n1, y_fut, n2, y_eff, self.null_prior),
             ),
             pce=self.pce[n1 - 1],
-            e_n_h0=n2 - (n2 - n1) * self.p_stop[n1 - 1],
+            e_n_h0=expected_size(n1, n2, self.p_stop[n1 - 1]),
         )
 
     def calibrated(self, n1: int, n2: int) -> CalibratedDesign:
         design = TwoStageDesign(n1, n2, self.k, self.k_f)
         oc = evaluate(design, self.hyp, self.ap, self.power_prior, self.null_prior)
-        return CalibratedDesign(
-            design=design, oc=oc, feasible=True, objective=oc.e_n_h0
-        )
+        return CalibratedDesign(design=design, oc=oc, objective=oc.e_n_h0)
 
 
 def base_sample_size(
@@ -292,7 +296,7 @@ def optimal_calibrate(
             continue
         n1 = np.arange(cons.n_min, n2)
         if best is not None:
-            n1 = n1[n2 - (n2 - n1) * grid.p_stop[n1 - 1] < best[0]]
+            n1 = n1[expected_size(n1, n2, grid.p_stop[n1 - 1]) < best[0]]
             if n1.size == 0:
                 continue
         rows = grid.rows(n2, n1)

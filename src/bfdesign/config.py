@@ -21,10 +21,10 @@ Analysis prior shapes default to flat: a0 = b0 = a1 = b1 = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
-from .bayesfactor import AnalysisPrior, Hypotheses
+from .bayesfactor import AnalysisPrior, Hypotheses, ParameterError, check_thresholds
 from .calibration import CalibrationConstraints
 from .priors import DesignPrior, PointMass, TruncatedBeta
 
@@ -67,14 +67,8 @@ class RunConfig:
         )
 
     def constraints(self) -> CalibrationConstraints:
-        return CalibrationConstraints(
-            alpha=self.alpha,
-            beta=self.beta,
-            f=self.f,
-            n_min=self.n_min,
-            n_max=self.n_max,
-            window=self.window,
-        )
+        names = [field.name for field in fields(CalibrationConstraints)]
+        return CalibrationConstraints(**{name: getattr(self, name) for name in names})
 
 
 _FLOAT_KEYS = {"p0", "alpha", "beta", "a0", "b0", "a1", "b1", "k", "k_f", "f"}
@@ -131,8 +125,13 @@ def _parse_power_prior(token: str, p0: float) -> DesignPrior:
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse and validate a flat key = value configuration document."""
+    """Parse and validate a flat key = value configuration document.
+
+    Keys are the library's parameter names, so the range checks of the
+    library types name the config field as they stand.
+    """
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -144,13 +143,19 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _ALL_KEYS:
             raise ConfigError(key, f"{source}:{lineno}: unknown key")
+        if key in raw:
+            raise ConfigError(
+                key,
+                f"{source}:{lineno}: duplicate key (first set on line {first_line[key]})",
+            )
         raw[key] = value
+        first_line[key] = lineno
 
     for required in ("p0", "alpha", "beta", "power_prior"):
         if required not in raw:
             raise ConfigError(required, f"{source}: required key missing")
 
-    values: dict[str, object] = {}
+    values: dict[str, object] = dict(raw)
     for key, token in raw.items():
         if key in _FLOAT_KEYS:
             values[key] = _parse_number(key, token)
@@ -160,57 +165,20 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
                 raise ConfigError(key, f"must be an integer, got '{token}'")
             values[key] = int(number)
 
-    p0 = float(values["p0"])
-    if not 0.0 < p0 < 1.0:
-        raise ConfigError("p0", f"must lie strictly inside (0, 1), got {p0}")
-    power_prior = _parse_power_prior(raw["power_prior"], p0)
-
-    config = RunConfig(
-        p0=p0,
-        alpha=float(values["alpha"]),
-        beta=float(values["beta"]),
-        power_prior=power_prior,
-        a0=float(values.get("a0", 1.0)),
-        b0=float(values.get("b0", 1.0)),
-        a1=float(values.get("a1", 1.0)),
-        b1=float(values.get("b1", 1.0)),
-        k=float(values.get("k", 1.0 / 3.0)),
-        k_f=float(values.get("k_f", 3.0)),
-        f=float(values["f"]) if "f" in values else None,
-        n_min=int(values.get("n_min", 5)),
-        n_max=int(values.get("n_max", 60)),
-        window=int(values.get("window", 10)),
-        output_format=raw.get("output_format", "table"),
-    )
-    _validate(config)
+    try:
+        p0 = Hypotheses(values["p0"]).p0
+        values["power_prior"] = _parse_power_prior(raw["power_prior"], p0)
+        config = RunConfig(**values)
+        config.constraints()
+        check_thresholds(config.k, config.k_f)
+    except ParameterError as exc:
+        raise ConfigError(exc.name, exc.message) from exc
     config.analysis_prior()  # a degenerate region prior raises here
-    return config
-
-
-def _validate(config: RunConfig) -> None:
-    if not 0.0 < config.alpha < 1.0:
-        raise ConfigError("alpha", f"must lie in (0, 1), got {config.alpha}")
-    if not 0.0 < config.beta < 1.0:
-        raise ConfigError("beta", f"must lie in (0, 1), got {config.beta}")
-    if not 0.0 < config.k < 1.0:
-        raise ConfigError("k", f"must lie in (0, 1), got {config.k}")
-    if config.k_f <= 1.0:
-        raise ConfigError("k_f", f"must exceed 1, got {config.k_f}")
-    if config.f is not None and not 0.0 < config.f < 1.0:
-        raise ConfigError("f", f"must lie in (0, 1) when given, got {config.f}")
-    for name in ("a0", "b0", "a1", "b1"):
-        if getattr(config, name) <= 0:
-            raise ConfigError(name, f"must be positive, got {getattr(config, name)}")
-    if not 1 <= config.n_min < config.n_max:
-        raise ConfigError(
-            "n_min", f"need 1 <= n_min < n_max, got {config.n_min}, {config.n_max}"
-        )
-    if config.window < 0:
-        raise ConfigError("window", f"must be nonnegative, got {config.window}")
     if config.output_format not in ("table", "csv"):
         raise ConfigError(
             "output_format", f"must be 'table' or 'csv', got '{config.output_format}'"
         )
+    return config
 
 
 def load_config(path: str) -> RunConfig:

@@ -31,17 +31,18 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bayesfactor import (
     AnalysisPrior,
     Hypotheses,
+    check_thresholds,
     critical_efficacy,
     critical_futility,
     log_bf01_curve,
 )
 from .predictive import joint_predictive_matrix, predictive_vector
 from .priors import DesignPrior, PointMass
+from .special import log_factorials
 
 # Adjusted rates may dip this far below zero from rounding; anything worse
 # indicates inconsistent critical values and raises.
@@ -68,10 +69,7 @@ class TwoStageDesign:
     def __post_init__(self) -> None:
         if not 1 <= self.n1 < self.n2:
             raise ValueError(f"need 1 <= n1 < n2, got n1={self.n1}, n2={self.n2}")
-        if not 0.0 < self.k < 1.0:
-            raise ValueError(f"evidence threshold must satisfy 0 < k < 1, got {self.k}")
-        if not self.k_f > 1.0:
-            raise ValueError(f"futility threshold must satisfy k_f > 1, got {self.k_f}")
+        check_thresholds(self.k, self.k_f)
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,7 @@ def erased_mass_column(
         raise ValueError(f"need 1 <= n1 < n2 = {n2} for every interim size")
     if y_eff is None or y_fut.size == 0 or y_fut.max() < 0:
         return np.zeros(n1.shape)
-    log_fact = gammaln(np.arange(n2 + 1) + 1.0)
+    log_fact = log_factorials(n2)
     m = n2 - n1
     m_max = int(m.max())
     s = np.arange(y_eff, n2 + 1)
@@ -240,12 +238,16 @@ def adjusted_rate(
     )
 
 
+def expected_size(n1, n2, p_stop):
+    """Expected enrolled size given the interim stop probability, elementwise."""
+    return n2 - (n2 - n1) * p_stop
+
+
 def expected_n(
     n1: int, n2: int, k_f: float, hyp: Hypotheses, ap: AnalysisPrior, prior: DesignPrior
 ) -> float:
     """Expected enrolled sample size: n1 on a stop, n2 otherwise."""
-    p_stop = prob_futility_stop(n1, k_f, hyp, ap, prior)
-    return n2 - (n2 - n1) * p_stop
+    return expected_size(n1, n2, prob_futility_stop(n1, k_f, hyp, ap, prior))
 
 
 def branch_probabilities(
@@ -255,10 +257,7 @@ def branch_probabilities(
 
     efficacy: BF01 < k.  indecisive: k <= BF01 <= k_f.  futility: BF01 > k_f.
     """
-    if not 0.0 < k < 1.0:
-        raise ValueError(f"evidence threshold must satisfy 0 < k < 1, got {k}")
-    if not k_f > 1.0:
-        raise ValueError(f"futility threshold must satisfy k_f > 1, got {k_f}")
+    check_thresholds(k, k_f)
     log_bf = log_bf01_curve(n1, hyp, ap)
     pmf = predictive_vector(prior, n1)
     eff = log_bf < math.log(k)
@@ -285,7 +284,7 @@ def path_probabilities(
         futility_erased=erased,
         adjusted=adj,
         prob_stop=p_stop,
-        expected_n=n2 - (n2 - n1) * p_stop,
+        expected_n=expected_size(n1, n2, p_stop),
         branches=branches,
     )
 
@@ -388,7 +387,7 @@ def enumerate_paths(
         futility_erased=erased,
         adjusted=adjusted,
         prob_stop=p_stop,
-        expected_n=n2 - (n2 - n1) * p_stop,
+        expected_n=expected_size(n1, n2, p_stop),
         branches=BranchProbabilities(
             branch["efficacy"], branch["indecisive"], branch["futility"]
         ),

@@ -25,10 +25,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln
 
 from .priors import DesignPrior, PointMass, TruncatedBeta
-from .special import log_binom_coeff_vector, log_binom_pmf_vector, log_trunc_beta_mass
+from .special import (
+    betaln,
+    log_binom_coeff_vector,
+    log_binom_pmf_vector,
+    log_trunc_beta_mass,
+)
 
 _CACHE_SIZE = 4096
 
@@ -78,8 +82,6 @@ def predictive_vector(prior: DesignPrior, n: int) -> np.ndarray:
 
 def predictive_pmf(y_s: int, n: int, prior: DesignPrior) -> float:
     """Predictive probability of exactly y_s successes in n trials."""
-    if n < 1:
-        raise ValueError(f"batch size must be at least 1, got n={n}")
     if y_s < 0 or y_s > n:
         raise ValueError(f"success count out of range: y_s={y_s}, n={n}")
     return float(predictive_vector(prior, n)[y_s])

@@ -19,7 +19,8 @@ class TruncatedBeta:
 
     The untruncated law (l, u) = (0, 1) is the common special case.  The
     shapes must be positive numbers (NaN is rejected), and the Beta(a, b)
-    mass on [l, u] must be above zero in double precision.
+    mass on [l, u] must be above zero in double precision.  A narrow interior
+    [l, u] loses precision: see `special.log_trunc_beta_mass`.
     """
 
     a: float

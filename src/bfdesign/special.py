@@ -1,11 +1,12 @@
 """Log-domain special functions for beta-binomial computations.
 
 Everything downstream (predictive masses, Bayes factors) is assembled from
-log binomial coefficients, log beta functions and the Beta mass of a
-truncation interval.  The double precision path uses scipy's cephes
-routines.  Masses that underflow a double are recomputed in log space from
-the continued fraction of the incomplete beta function, so log-scale
-quantities stay finite and accurate far into the tails.
+log factorials, log beta functions and the Beta mass of a truncation
+interval, all taken from here: this is the one module that imports scipy,
+whose cephes routines are the double precision path.  Masses that underflow
+a double are recomputed in log space from the continued fraction of the
+incomplete beta function, so log-scale quantities stay finite and accurate
+far into the tails.
 """
 
 from __future__ import annotations
@@ -25,10 +26,15 @@ _EPS = np.finfo(float).eps
 _MAX_ITER = 10_000
 
 
+def log_factorials(n: int) -> np.ndarray:
+    """log y! for y = 0..n."""
+    return gammaln(np.arange(n + 1) + 1.0)
+
+
 def log_binom_coeff_vector(n: int) -> np.ndarray:
     """log C(n, y) for y = 0..n."""
-    y = np.arange(n + 1)
-    return gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
+    log_fact = log_factorials(n)
+    return log_fact[n] - log_fact - log_fact[::-1]
 
 
 def trunc_beta_mass(
@@ -106,6 +112,12 @@ def log_trunc_beta_mass(
     [l, 1] as the lower tail of Beta(b, a) at 1 - l, and an interior interval
     as the log-difference of its two tails on the side of (a+1)/(a+b+2) where
     it lies.
+
+    A narrow interior interval cancels: its mass carries a relative error of
+    about 1e-16 / (1 - I_l / I_u) or more.  For a = 1600, b = 160 on
+    [0.5 - 1e-13, 0.5] the result is off by 4.5e-7 in the log (3e-4 in the
+    mass) against 60-digit mpmath.  A config builds only the tails [0, p0]
+    and [p0, 1], which do not cancel.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     mass = np.asarray(trunc_beta_mass(a, b, l, u), dtype=float)
@@ -132,13 +144,9 @@ def log_trunc_beta_mass(
 
 def log_binom_pmf_vector(n: int, p: float) -> np.ndarray:
     """log Bin(y; n, p) for y = 0..n, with exact handling of p in {0, 1}."""
+    if p in (0.0, 1.0):
+        out = np.full(n + 1, -np.inf)
+        out[0 if p == 0.0 else n] = 0.0
+        return out
     y = np.arange(n + 1)
-    if p == 0.0:
-        out = np.full(n + 1, -np.inf)
-        out[0] = 0.0
-        return out
-    if p == 1.0:
-        out = np.full(n + 1, -np.inf)
-        out[n] = 0.0
-        return out
     return log_binom_coeff_vector(n) + y * math.log(p) + (n - y) * math.log1p(-p)

@@ -116,6 +116,19 @@ def test_non_finite_config_value_exit_code(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_duplicate_key_exit_code(tmp_path, capsys):
+    # a repeated key used to run silently at its last value
+    path = tmp_path / "dup.cfg"
+    path.write_text(
+        "p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\nk_f=3\nk_f=80\n"
+    )
+    assert main(["calibrate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "k_f" in captured.err
+    assert "duplicate key" in captured.err
+    assert captured.out == ""
+
+
 def test_degenerate_prior_exit_code(tmp_path, capsys):
     # a beta power prior with no mass on [p0, 1] used to end in a traceback
     path = tmp_path / "degenerate.cfg"

@@ -81,6 +81,16 @@ def test_unknown_key_reports_line():
     assert "test.cfg:2" in str(err.value)
 
 
+BASE = "p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\n"
+
+
+def with_line(line):
+    """BASE with `line` in place of BASE's assignment to the same key, if any."""
+    key = line.split("=")[0].strip()
+    kept = [entry for entry in BASE.splitlines() if entry.split("=")[0] != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 def test_invalid_values_carry_field_names():
     base = "p0=0.1\nalpha={alpha}\nbeta=0.2\npower_prior=point 0.3\n"
     with pytest.raises(ConfigError) as err:
@@ -100,6 +110,19 @@ def test_invalid_values_carry_field_names():
     with pytest.raises(ConfigError) as err:
         parse_config("p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\nn_min=5.5\n")
     assert err.value.field_name == "n_min"
+    # each range rule names the field it checks
+    for line, field_name in [
+        ("beta = 1", "beta"),
+        ("f = 0", "f"),
+        ("window = -1", "window"),
+        ("n_max = 3", "n_min"),
+        ("k_f = 1", "k_f"),
+        ("p0 = 1", "p0"),
+        ("a1 = 0", "a1/b1"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_line(line))
+        assert err.value.field_name == field_name
     # non-finite numbers are rejected at parse time, naming the field
     for line, field_name in [
         ("a0 = nan", "a0"),
@@ -111,7 +134,7 @@ def test_invalid_values_carry_field_names():
         ("power_prior = beta nan 1", "power_prior"),
     ]:
         with pytest.raises(ConfigError) as err:
-            parse_config("p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\n" + line)
+            parse_config(with_line(line))
         assert err.value.field_name == field_name
         assert "finite" in str(err.value)
     # a prior with no mass on its truncation interval names its fields
@@ -124,6 +147,14 @@ def test_invalid_values_carry_field_names():
             parse_config("alpha=0.05\nbeta=0.2\n" + lines)
         assert err.value.field_name == field_name
         assert "degenerate truncation" in str(err.value)
+
+
+def test_duplicate_key_rejected():
+    # the last assignment used to win silently
+    with pytest.raises(ConfigError) as err:
+        parse_config(EXAMPLE1 + "k_f = 80\n", source="test.cfg")
+    assert err.value.field_name == "k_f"
+    assert "test.cfg:12: duplicate key (first set on line 8)" in str(err.value)
 
 
 def test_point_alternative_must_exceed_null():

@@ -5,6 +5,7 @@ A regularized incomplete beta value I_x(a, b) is the mass of Beta(a, b) on
 the tests reach both through the functions that compute them.
 """
 
+import ast
 import math
 import os
 import subprocess
@@ -150,3 +151,23 @@ def test_import_does_not_load_mpmath():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_only_special_imports_scipy():
+    package = os.path.dirname(bfdesign.__file__)
+    importers = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                importers.add(name)
+    assert importers == {"special.py"}
