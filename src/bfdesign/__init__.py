@@ -27,16 +27,12 @@ from .operating import (
     OperatingCharacteristics,
     PathProbabilities,
     TwoStageDesign,
-    adjusted_rate,
     branch_probabilities,
     enumerate_oracle,
     enumerate_paths,
     evaluate,
-    expected_n,
     futility_erased,
     path_probabilities,
-    prob_futility_stop,
-    unadjusted_rate,
 )
 from .predictive import (
     joint_predictive_matrix,
@@ -60,7 +56,6 @@ __all__ = [
     "SimonDesign",
     "TruncatedBeta",
     "TwoStageDesign",
-    "adjusted_rate",
     "base_sample_size",
     "bf01",
     "branch_probabilities",
@@ -70,18 +65,15 @@ __all__ = [
     "enumerate_oracle",
     "enumerate_paths",
     "evaluate",
-    "expected_n",
     "futility_erased",
     "joint_predictive_matrix",
     "optimal_calibrate",
     "path_probabilities",
     "predictive_pmf",
     "predictive_vector",
-    "prob_futility_stop",
     "scan",
     "simon_oc",
     "simon_search",
-    "unadjusted_rate",
 ]
 
 __version__ = "0.1.0"

@@ -14,12 +14,14 @@ published reference designs are only reproduced without a lookahead on the
 oscillation.
 
 Each search builds one `DesignGrid`, which tables everything that depends
-on a single size n <= n_max: the futility critical count, stop probability
-and PCE of n as an interim size, and the single-look power and type-I of n
-as a final size.  The only per-design work left is the erased mass: all
-interim sizes n1 of one final size n2 share one predictive vector at n2, so
-one vectorized call per design prior gives the adjusted rates of a whole
-set of n1, and the searches compare them with numpy masks.
+on a single size n <= n_max.  It finds the two critical counts of n once and
+cuts each design prior's predictive pmf at them into the three branch masses
+of `operating.split_branches`: the futility mass gives the stop probability
+and PCE of n as an interim size, the efficacy mass the single-look power and
+type-I of n as a final size.  The only per-design work left is the erased
+mass: all interim sizes n1 of one final size n2 share one predictive vector
+at n2, so one vectorized call per design prior gives the adjusted rates of
+a whole set of n1, and the searches compare them with numpy masks.
 
 The optimal design minimizes the expected sample size under the null design
 prior over the whole feasible rectangle.  Two bounds cut the work without
@@ -52,9 +54,9 @@ from .operating import (
     erased_mass_column,
     evaluate,
     expected_size,
-    prob_futility_stop,
-    unadjusted_rate,
+    split_branches,
 )
+from .predictive import predictive_vector
 from .priors import DesignPrior, PointMass
 
 
@@ -130,26 +132,33 @@ class GridColumn(NamedTuple):
         return ok
 
 
-def _single_look(
-    n_max: int, k: float, hyp: Hypotheses, ap: AnalysisPrior, prior: DesignPrior
+def _branch_table(
+    prior: DesignPrior, y_eff: list[Optional[int]], y_fut: list[Optional[int]]
 ) -> np.ndarray:
-    """Rejection probability without an interim look at n = 1..n_max (entry n - 1)."""
+    """Branch masses of prior at n = 1, 2, ... (row n - 1) cut at tabled counts.
+
+    Columns are the efficacy, indecisive and futility masses.
+    """
     return np.array(
-        [unadjusted_rate(n, k, hyp, ap, prior) for n in range(1, n_max + 1)]
+        [
+            split_branches(predictive_vector(prior, n), e, f)
+            for n, (e, f) in enumerate(zip(y_eff, y_fut), start=1)
+        ]
     )
 
 
 class DesignGrid:
     """Every design (n1, n2) with n1 < n2 <= n_max of one calibration scenario.
 
-    The constructor tables, for each size n = 1..n_max (entry n - 1), what
-    depends on that size alone: as an interim size its futility critical
-    count `y_fut` (None when k_f is out of reach), its stop probability under
-    the null design prior `p_stop` and its `pce`; as a final size its
-    single-look `power` and `type_i`.  `rows` adds the erased mass of a set
-    of interim sizes at one final size, one `erased_mass_column` call per
-    design prior, and keeps nothing.  Every entry carries the same bits as
-    `evaluate` on that design.
+    The constructor tables, for each size n = 1..n_max (entry n - 1), its
+    critical counts `y_eff` and `y_fut` (None when k or k_f is out of reach),
+    and cuts each design prior's pmf at n there once: the futility mass is
+    the stop probability `p_stop` under the null design prior and the `pce`
+    under a point prior at p0 (the same table when the null prior is that
+    point), the efficacy mass the single-look `power` and `type_i`.  `rows`
+    adds the erased mass of a set of interim sizes at one final size, one
+    `erased_mass_column` call per design prior, and keeps nothing.  Every
+    entry carries the same bits as `evaluate` on that design.
     """
 
     def __init__(
@@ -169,22 +178,22 @@ class DesignGrid:
         self.power_prior = power_prior
         self.null_prior = null_prior if null_prior is not None else PointMass(hyp.p0)
         sizes = range(1, n_max + 1)
+        self.y_eff = [critical_efficacy(n, k, hyp, ap) for n in sizes]
         self.y_fut = [critical_futility(n, k_f, hyp, ap) for n in sizes]
-        self.p_stop = np.array(
-            [prob_futility_stop(n, k_f, hyp, ap, self.null_prior) for n in sizes]
-        )
+        self.power = _branch_table(power_prior, self.y_eff, self.y_fut)[:, 0]
+        self.type_i, _, self.p_stop = _branch_table(
+            self.null_prior, self.y_eff, self.y_fut
+        ).T
+        self.pce = self.p_stop
         point_null = PointMass(hyp.p0)
-        self.pce = np.array(
-            [prob_futility_stop(n, k_f, hyp, ap, point_null) for n in sizes]
-        )
-        self.power = _single_look(n_max, k, hyp, ap, power_prior)
-        self.type_i = _single_look(n_max, k, hyp, ap, self.null_prior)
+        if self.null_prior != point_null:
+            self.pce = _branch_table(point_null, self.y_eff, self.y_fut)[:, 2]
 
     def rows(self, n2: int, n1: np.ndarray) -> GridColumn:
         """Rates of the designs (n1[i], n2)."""
         n1 = np.asarray(n1, dtype=np.int64)
         y_fut = [self.y_fut[i - 1] for i in n1]
-        y_eff = critical_efficacy(n2, self.k, self.hyp, self.ap)
+        y_eff = self.y_eff[n2 - 1]
         return GridColumn(
             n1=n1,
             power_adjusted=checked_adjusted(
@@ -222,11 +231,11 @@ def base_sample_size(
     """
     if null_prior is None:
         null_prior = PointMass(hyp.p0)
-    power_ok = (
-        _single_look(cons.n_max + cons.window, k, hyp, ap, power_prior)
-        >= 1.0 - cons.beta
-    )
-    type_i = _single_look(cons.n_max, k, hyp, ap, null_prior)
+    sizes = range(1, cons.n_max + cons.window + 1)
+    y_eff = [critical_efficacy(n, k, hyp, ap) for n in sizes]
+    no_cut = [None] * len(y_eff)
+    power_ok = _branch_table(power_prior, y_eff, no_cut)[:, 0] >= 1.0 - cons.beta
+    type_i = _branch_table(null_prior, y_eff[: cons.n_max], no_cut)[:, 0]
     for n in range(1, cons.n_max + 1):
         if power_ok[n - 1 : n + cons.window].all() and type_i[n - 1] <= cons.alpha:
             return n

@@ -5,6 +5,13 @@ interim the trial stops when BF01 exceeds the futility threshold k_f; it is
 never stopped early for efficacy.  At the final analysis H0 is rejected when
 BF01 falls below the evidence threshold k.
 
+Each look branches three ways: efficacy (BF01 < k), indecisive and futility
+(BF01 > k_f).  BF01 decreases in the success count, so each branch is a
+slice of the predictive pmf at the look's size, cut at the critical counts
+y_eff and y_fut; `split_branches` is the one place that cuts.  The efficacy
+mass at n2 is the single-look rejection rate, and the futility mass at n1 is
+the stop probability (the PCE under a point prior at p0).
+
 Computed without an interim look, the rejection probability at n2 counts
 sample paths that would in fact have been halted at n1.  The correction
 subtracts the erased mass: the joint probability of {stop for futility at
@@ -78,14 +85,13 @@ class PathProbabilities:
 
     unadjusted is the single-look rejection mass at n2, futility_erased its
     part on paths stopped at the interim, and adjusted what is left.
-    prob_stop is the interim stop mass (the futility branch of branches) and
-    expected_n the expected enrolled size it implies.
+    branches are the interim outcome masses; their futility branch is the
+    stop probability behind expected_n, the expected enrolled size.
     """
 
     unadjusted: float
     futility_erased: float
     adjusted: float
-    prob_stop: float
     expected_n: float
     branches: BranchProbabilities
 
@@ -111,26 +117,6 @@ class OperatingCharacteristics:
     e_n_h1: float
     branch_h0: BranchProbabilities
     branch_h1: BranchProbabilities
-
-
-def prob_futility_stop(
-    n1: int, k_f: float, hyp: Hypotheses, ap: AnalysisPrior, prior: DesignPrior
-) -> float:
-    """Probability of stopping for futility at the interim analysis."""
-    y_fut = critical_futility(n1, k_f, hyp, ap)
-    if y_fut is None:
-        return 0.0
-    return float(predictive_vector(prior, n1)[: y_fut + 1].sum())
-
-
-def unadjusted_rate(
-    n2: int, k: float, hyp: Hypotheses, ap: AnalysisPrior, prior: DesignPrior
-) -> float:
-    """Probability that BF01 at the final size falls below k, ignoring the interim."""
-    y_eff = critical_efficacy(n2, k, hyp, ap)
-    if y_eff is None:
-        return 0.0
-    return float(predictive_vector(prior, n2)[y_eff:].sum())
 
 
 def erased_mass_column(
@@ -220,52 +206,41 @@ def checked_adjusted(unadjusted: float, erased: float | np.ndarray) -> np.ndarra
     return np.maximum(value, 0.0)
 
 
-def adjusted_rate(
-    n1: int,
-    n2: int,
-    k: float,
-    k_f: float,
-    hyp: Hypotheses,
-    ap: AnalysisPrior,
-    prior: DesignPrior,
-) -> float:
-    """Final rejection probability corrected for the interim futility stop."""
-    return float(
-        checked_adjusted(
-            unadjusted_rate(n2, k, hyp, ap, prior),
-            futility_erased(n1, n2, k, k_f, hyp, ap, prior),
-        )
-    )
-
-
 def expected_size(n1, n2, p_stop):
     """Expected enrolled size given the interim stop probability, elementwise."""
     return n2 - (n2 - n1) * p_stop
 
 
-def expected_n(
-    n1: int, n2: int, k_f: float, hyp: Hypotheses, ap: AnalysisPrior, prior: DesignPrior
-) -> float:
-    """Expected enrolled sample size: n1 on a stop, n2 otherwise."""
-    return expected_size(n1, n2, prob_futility_stop(n1, k_f, hyp, ap, prior))
+def split_branches(
+    pmf: np.ndarray, y_eff: Optional[int], y_fut: Optional[int]
+) -> BranchProbabilities:
+    """Cut a predictive pmf at its critical counts into the three branch masses.
+
+    Efficacy is pmf[y_eff:], futility pmf[:y_fut + 1] and indecisive what
+    lies between; None for a critical count leaves that branch empty.
+    """
+    hi = pmf.size if y_eff is None else y_eff
+    lo = 0 if y_fut is None else y_fut + 1
+    return BranchProbabilities(
+        efficacy=float(pmf[hi:].sum()),
+        indecisive=float(pmf[lo:hi].sum()),
+        futility=float(pmf[:lo].sum()),
+    )
 
 
 def branch_probabilities(
-    n1: int, k: float, k_f: float, hyp: Hypotheses, ap: AnalysisPrior, prior: DesignPrior
+    n: int, k: float, k_f: float, hyp: Hypotheses, ap: AnalysisPrior, prior: DesignPrior
 ) -> BranchProbabilities:
-    """Predictive mass of the three interim outcomes.
+    """Predictive mass of the three outcomes of a look after n outcomes.
 
     efficacy: BF01 < k.  indecisive: k <= BF01 <= k_f.  futility: BF01 > k_f.
+    The efficacy mass at the final size is the single-look rejection rate,
+    the futility mass at the interim size the stop probability.
     """
-    check_thresholds(k, k_f)
-    log_bf = log_bf01_curve(n1, hyp, ap)
-    pmf = predictive_vector(prior, n1)
-    eff = log_bf < math.log(k)
-    fut = log_bf > math.log(k_f)
-    return BranchProbabilities(
-        efficacy=float(pmf[eff].sum()),
-        indecisive=float(pmf[~eff & ~fut].sum()),
-        futility=float(pmf[fut].sum()),
+    return split_branches(
+        predictive_vector(prior, n),
+        critical_efficacy(n, k, hyp, ap),
+        critical_futility(n, k_f, hyp, ap),
     )
 
 
@@ -274,17 +249,14 @@ def path_probabilities(
 ) -> PathProbabilities:
     """All rates of one design under one design prior via the closed form."""
     n1, n2, k, k_f = design.n1, design.n2, design.k, design.k_f
-    unadj = unadjusted_rate(n2, k, hyp, ap, prior)
-    erased = futility_erased(n1, n2, k, k_f, hyp, ap, prior)
-    adj = float(checked_adjusted(unadj, erased))
     branches = branch_probabilities(n1, k, k_f, hyp, ap, prior)
-    p_stop = prob_futility_stop(n1, k_f, hyp, ap, prior)
+    unadj = branch_probabilities(n2, k, k_f, hyp, ap, prior).efficacy
+    erased = futility_erased(n1, n2, k, k_f, hyp, ap, prior)
     return PathProbabilities(
         unadjusted=unadj,
         futility_erased=erased,
-        adjusted=adj,
-        prob_stop=p_stop,
-        expected_n=expected_size(n1, n2, p_stop),
+        adjusted=float(checked_adjusted(unadj, erased)),
+        expected_n=expected_size(n1, n2, branches.futility),
         branches=branches,
     )
 
@@ -300,7 +272,7 @@ def _characteristics(
     """Operating characteristics from one route's rates under each prior.
 
     paths is the closed form or the oracle.  The null design prior defaults
-    to a point mass at p0, whose stop probability is also the PCE.
+    to a point mass at p0, whose interim futility mass is also the PCE.
     """
     point_null = PointMass(hyp.p0)
     if null_prior is None:
@@ -317,7 +289,7 @@ def _characteristics(
         power_adjusted=h1_side.adjusted,
         futility_erased_power=h1_side.futility_erased,
         futility_erased_type_i=h0_side.futility_erased,
-        pce_p0=pce_side.prob_stop,
+        pce_p0=pce_side.branches.futility,
         e_n_h0=h0_side.expected_n,
         e_n_h1=h1_side.expected_n,
         branch_h0=h0_side.branches,
@@ -360,7 +332,6 @@ def enumerate_paths(
     unadjusted = 0.0
     adjusted = 0.0
     erased = 0.0
-    p_stop = 0.0
     branch = {"efficacy": 0.0, "indecisive": 0.0, "futility": 0.0}
     for y1 in range(n1 + 1):
         if log_bf1[y1] < log_k:
@@ -370,10 +341,7 @@ def enumerate_paths(
         else:
             name = "indecisive"
         stops = name == "futility"
-        row_mass = float(joint[y1, :].sum())
-        branch[name] += row_mass
-        if stops:
-            p_stop += row_mass
+        branch[name] += float(joint[y1, :].sum())
         for y2 in range(m + 1):
             cell = float(joint[y1, y2])
             if log_bf2[y1 + y2] < log_k:
@@ -386,8 +354,7 @@ def enumerate_paths(
         unadjusted=unadjusted,
         futility_erased=erased,
         adjusted=adjusted,
-        prob_stop=p_stop,
-        expected_n=expected_size(n1, n2, p_stop),
+        expected_n=expected_size(n1, n2, branch["futility"]),
         branches=BranchProbabilities(
             branch["efficacy"], branch["indecisive"], branch["futility"]
         ),

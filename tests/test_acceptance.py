@@ -20,13 +20,13 @@ from bfdesign import (
     TruncatedBeta,
     TwoStageDesign,
     base_sample_size,
+    branch_probabilities,
     enumerate_oracle,
     evaluate,
-    expected_n,
     joint_predictive_matrix,
     optimal_calibrate,
+    path_probabilities,
     predictive_vector,
-    prob_futility_stop,
     scan,
     simon_search,
 )
@@ -265,8 +265,10 @@ def test_criterion_7_normalization_and_identity_suite():
     hyp = Hypotheses(0.2)
     ap = AnalysisPrior.flat(0.2)
     for n1, n2 in [(5, 12), (10, 29), (30, 36)]:
-        p_stop = prob_futility_stop(n1, 3.0, hyp, ap, PointMass(0.2))
-        assert expected_n(n1, n2, 3.0, hyp, ap, PointMass(0.2)) == n2 - (n2 - n1) * p_stop
+        p_stop = branch_probabilities(n1, 1 / 3, 3.0, hyp, ap, PointMass(0.2)).futility
+        design = TwoStageDesign(n1, n2, 1 / 3, 3.0)
+        e_n = path_probabilities(design, hyp, ap, PointMass(0.2)).expected_n
+        assert e_n == n2 - (n2 - n1) * p_stop
 
     for p0, n1, n2, k, k_f, power_prior, null_prior in random_scenarios(40, seed=123):
         oc = evaluate(
@@ -294,5 +296,5 @@ def test_criterion_1_anchor_stop_probability():
     """The anchor design's stop probability is the exact binomial mass."""
     hyp = Hypotheses(0.1)
     ap = AnalysisPrior.flat(0.1)
-    pce = prob_futility_stop(10, 3.0, hyp, ap, PointMass(0.1))
+    pce = branch_probabilities(10, 1 / 3, 3.0, hyp, ap, PointMass(0.1)).futility
     assert math.isclose(pce, float(binom.cdf(1, 10, 0.1)), rel_tol=1e-14)

@@ -14,20 +14,18 @@ from bfdesign import (
     PointMass,
     TruncatedBeta,
     TwoStageDesign,
-    adjusted_rate,
     branch_probabilities,
     critical_efficacy,
     critical_futility,
     enumerate_oracle,
     enumerate_paths,
     evaluate,
-    expected_n,
     futility_erased,
     optimal_calibrate,
     path_probabilities,
-    prob_futility_stop,
-    unadjusted_rate,
+    predictive_vector,
 )
+from bfdesign.bayesfactor import log_bf01_curve
 from bfdesign.operating import erased_mass_column
 
 FLAT01 = TruncatedBeta(1, 1, 0.0, 1.0)
@@ -164,7 +162,8 @@ def test_unadjusted_rate_decomposes_over_interim_branches():
         ap = AnalysisPrior.flat(p0)
         paths = enumerate_paths(design, hyp, ap, power_prior)
         total = paths.adjusted + paths.futility_erased
-        assert abs(total - unadjusted_rate(n2, k, hyp, ap, power_prior)) < 1e-12
+        single_look = branch_probabilities(n2, k, k_f, hyp, ap, power_prior).efficacy
+        assert abs(total - single_look) < 1e-12
 
 
 def test_erased_mass_column_matches_enumeration():
@@ -221,8 +220,9 @@ def test_expected_n_identity_is_exact():
     ap = AnalysisPrior.flat(0.2)
     for prior in (PointMass(0.2), TruncatedBeta(2, 5, 0.0, 0.2)):
         for n1, n2 in [(5, 12), (10, 29), (30, 36)]:
-            p_stop = prob_futility_stop(n1, 3.0, hyp, ap, prior)
-            value = expected_n(n1, n2, 3.0, hyp, ap, prior)
+            p_stop = branch_probabilities(n1, 1 / 3, 3.0, hyp, ap, prior).futility
+            design = TwoStageDesign(n1, n2, 1 / 3, 3.0)
+            value = path_probabilities(design, hyp, ap, prior).expected_n
             assert value == n2 - (n2 - n1) * p_stop
             assert abs(value - (n1 * p_stop + n2 * (1.0 - p_stop))) < 1e-12
             assert n1 <= value <= n2
@@ -231,19 +231,25 @@ def test_expected_n_identity_is_exact():
 def test_expected_n_reference_values():
     hyp1 = Hypotheses(0.1)
     ap1 = AnalysisPrior.flat(0.1)
-    assert round(expected_n(10, 29, 3.0, hyp1, ap1, PointMass(0.1)), 2) == 15.01
+    design1 = TwoStageDesign(10, 29, 1 / 3, 3.0)
+    value1 = path_probabilities(design1, hyp1, ap1, PointMass(0.1)).expected_n
+    assert round(value1, 2) == 15.01
     hyp2 = Hypotheses(0.2)
     ap2 = AnalysisPrior.flat(0.2)
-    assert round(expected_n(30, 36, 3.0, hyp2, ap2, PointMass(0.2)), 2) == 32.36
+    design2 = TwoStageDesign(30, 36, 1 / 3, 3.0)
+    value2 = path_probabilities(design2, hyp2, ap2, PointMass(0.2)).expected_n
+    assert round(value2, 2) == 32.36
 
 
 def test_prob_futility_stop_reference_values():
     hyp1 = Hypotheses(0.1)
     ap1 = AnalysisPrior.flat(0.1)
-    assert round(prob_futility_stop(10, 3.0, hyp1, ap1, PointMass(0.1)), 4) == 0.7361
+    stop1 = branch_probabilities(10, 1 / 3, 3.0, hyp1, ap1, PointMass(0.1)).futility
+    assert round(stop1, 4) == 0.7361
     hyp2 = Hypotheses(0.2)
     ap2 = AnalysisPrior.flat(0.2)
-    assert round(prob_futility_stop(30, 3.0, hyp2, ap2, PointMass(0.2)), 4) == 0.6070
+    stop2 = branch_probabilities(30, 1 / 3, 3.0, hyp2, ap2, PointMass(0.2)).futility
+    assert round(stop2, 4) == 0.6070
 
 
 def test_pce_is_stop_probability_under_point_null():
@@ -251,7 +257,8 @@ def test_pce_is_stop_probability_under_point_null():
     hyp = Hypotheses(0.1)
     ap = AnalysisPrior.flat(0.1)
     oc = evaluate(design, hyp, ap, PointMass(0.3))
-    assert oc.pce_p0 == prob_futility_stop(10, 3.0, hyp, ap, PointMass(0.1))
+    stop = branch_probabilities(10, 1 / 3, 3.0, hyp, ap, PointMass(0.1)).futility
+    assert oc.pce_p0 == stop
 
 
 def test_unfulfillable_futility_threshold_degenerates_to_single_stage():
@@ -261,7 +268,7 @@ def test_unfulfillable_futility_threshold_degenerates_to_single_stage():
     ap = AnalysisPrior.flat(0.3)
     design = TwoStageDesign(1, 12, 1 / 3, 100.0)
     prior = PointMass(0.3)
-    assert prob_futility_stop(1, 100.0, hyp, ap, prior) == 0.0
+    assert branch_probabilities(1, 1 / 3, 100.0, hyp, ap, prior).futility == 0.0
     assert futility_erased(1, 12, 1 / 3, 100.0, hyp, ap, prior) == 0.0
     oc = evaluate(design, hyp, ap, PointMass(0.5))
     assert oc.type_i_adjusted == oc.type_i_unadjusted
@@ -280,6 +287,24 @@ def test_branch_probabilities_sum_to_one():
         triple = branch_probabilities(n1, k, k_f, hyp, ap, power_prior)
         assert abs(sum(triple) - 1.0) < 1e-10
         assert all(0.0 <= value <= 1.0 for value in triple)
+
+
+def test_slice_cut_equals_bayes_factor_classification():
+    # branch_probabilities slices the pmf at the critical counts, which
+    # assumes BF01 is monotone in the success count; classifying every count
+    # by its own Bayes factor must give the same three sums, bit for bit
+    for p0, n1, n2, k, k_f, power_prior, null_prior in random_scenarios(200, seed=3):
+        hyp = Hypotheses(p0)
+        ap = AnalysisPrior.flat(p0)
+        for n in (n1, n2):
+            log_bf = log_bf01_curve(n, hyp, ap)
+            eff = log_bf < math.log(k)
+            fut = log_bf > math.log(k_f)
+            for prior in (power_prior, null_prior):
+                pmf = predictive_vector(prior, n)
+                masks = (pmf[eff].sum(), pmf[~eff & ~fut].sum(), pmf[fut].sum())
+                triple = branch_probabilities(n, k, k_f, hyp, ap, prior)
+                assert tuple(triple) == tuple(float(mass) for mass in masks)
 
 
 def test_point_mass_branches_are_binomial_masses():
@@ -307,7 +332,7 @@ def test_hand_enumerated_toy_design():
     design = TwoStageDesign(2, 4, 1 / 3, 3.0)
     paths = path_probabilities(design, hyp, ap, FLAT01)
     third = float(Fraction(1, 3))
-    assert math.isclose(paths.prob_stop, third, rel_tol=1e-13)
+    assert math.isclose(paths.branches.futility, third, rel_tol=1e-13)
     assert math.isclose(paths.unadjusted, 0.4, rel_tol=1e-13)
     assert paths.futility_erased == 0.0
     assert math.isclose(paths.adjusted, 0.4, rel_tol=1e-13)
@@ -316,7 +341,7 @@ def test_hand_enumerated_toy_design():
         assert math.isclose(value, expected, rel_tol=1e-12)
     oracle = enumerate_paths(design, hyp, ap, FLAT01)
     assert abs(oracle.unadjusted - paths.unadjusted) < 1e-14
-    assert abs(oracle.prob_stop - paths.prob_stop) < 1e-14
+    assert abs(oracle.branches.futility - paths.branches.futility) < 1e-14
 
 
 def test_hand_computed_erased_mass():
@@ -333,9 +358,8 @@ def test_adjusted_rate_free_function_consistency():
     hyp = Hypotheses(0.1)
     ap = AnalysisPrior.flat(0.1)
     prior = PointMass(0.1)
-    direct = adjusted_rate(10, 29, 1 / 3, 3.0, hyp, ap, prior)
-    via_paths = path_probabilities(
-        TwoStageDesign(10, 29, 1 / 3, 3.0), hyp, ap, prior
-    ).adjusted
-    assert direct == via_paths
+    design = TwoStageDesign(10, 29, 1 / 3, 3.0)
+    direct = path_probabilities(design, hyp, ap, prior).adjusted
+    via_evaluate = evaluate(design, hyp, ap, PointMass(0.3)).type_i_adjusted
+    assert direct == via_evaluate
     assert round(direct, 4) == 0.0471
