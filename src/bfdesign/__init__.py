@@ -27,12 +27,9 @@ from .operating import (
     OperatingCharacteristics,
     PathProbabilities,
     TwoStageDesign,
-    branch_probabilities,
     enumerate_oracle,
     enumerate_paths,
     evaluate,
-    futility_erased,
-    path_probabilities,
 )
 from .predictive import (
     joint_predictive_matrix,
@@ -58,17 +55,14 @@ __all__ = [
     "TwoStageDesign",
     "base_sample_size",
     "bf01",
-    "branch_probabilities",
     "calibrate",
     "critical_efficacy",
     "critical_futility",
     "enumerate_oracle",
     "enumerate_paths",
     "evaluate",
-    "futility_erased",
     "joint_predictive_matrix",
     "optimal_calibrate",
-    "path_probabilities",
     "predictive_pmf",
     "predictive_vector",
     "scan",

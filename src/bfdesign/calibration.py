@@ -13,15 +13,17 @@ published reference designs are only reproduced without a lookahead on the
 (n1, n2) grid, where the interim adjustment already absorbs the worst of the
 oscillation.
 
-Each search builds one `DesignGrid`, which tables everything that depends
-on a single size n <= n_max.  It finds the two critical counts of n once and
-cuts each design prior's predictive pmf at them into the three branch masses
-of `operating.split_branches`: the futility mass gives the stop probability
-and PCE of n as an interim size, the efficacy mass the single-look power and
-type-I of n as a final size.  The only per-design work left is the erased
-mass: all interim sizes n1 of one final size n2 share one predictive vector
-at n2, so one vectorized call per design prior gives the adjusted rates of
-a whole set of n1, and the searches compare them with numpy masks.
+Each search builds one `operating.DesignGrid` over the sizes it searches.
+The grid finds the two critical counts of each size n once and cuts each
+design prior's predictive pmf at them into the three branch masses: the
+futility mass gives the stop probability and PCE of n as an interim size,
+the efficacy mass the single-look power and type-I of n as a final size.
+The only per-design work left is the erased mass: all interim sizes n1 of
+one final size n2 share one predictive vector at n2, so one vectorized call
+per design prior gives the adjusted rates of a whole set of n1, and the
+searches compare them with numpy masks.  The winner's operating
+characteristics are read off the same grid, which is what `evaluate` does
+on a grid of the design's two sizes.
 
 The optimal design minimizes the expected sample size under the null design
 prior over the whole feasible rectangle.  Two bounds cut the work without
@@ -36,23 +38,15 @@ E[N|H0] >= n1, only a short prefix of interim sizes is evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .bayesfactor import (
-    AnalysisPrior,
-    Hypotheses,
-    ParameterError,
-    critical_efficacy,
-    critical_futility,
-)
+from .bayesfactor import AnalysisPrior, Hypotheses, ParameterError, critical_efficacy
 from .operating import (
+    DesignGrid,
     OperatingCharacteristics,
     TwoStageDesign,
-    checked_adjusted,
-    erased_mass_column,
-    evaluate,
     expected_size,
     split_branches,
 )
@@ -113,105 +107,10 @@ class ScanRow:
     feasible: bool
 
 
-class GridColumn(NamedTuple):
-    """Rates of a set of interim sizes at one final size, one entry per n1."""
-
-    n1: np.ndarray
-    power_adjusted: np.ndarray
-    type_i_adjusted: np.ndarray
-    pce: np.ndarray
-    e_n_h0: np.ndarray
-
-    def feasible(self, cons: CalibrationConstraints) -> np.ndarray:
-        """Mask of the interim sizes meeting every constraint."""
-        ok = (self.type_i_adjusted <= cons.alpha) & (
-            self.power_adjusted >= 1.0 - cons.beta
-        )
-        if cons.f is not None:
-            ok &= self.pce > cons.f
-        return ok
-
-
-def _branch_table(
-    prior: DesignPrior, y_eff: list[Optional[int]], y_fut: list[Optional[int]]
-) -> np.ndarray:
-    """Branch masses of prior at n = 1, 2, ... (row n - 1) cut at tabled counts.
-
-    Columns are the efficacy, indecisive and futility masses.
-    """
-    return np.array(
-        [
-            split_branches(predictive_vector(prior, n), e, f)
-            for n, (e, f) in enumerate(zip(y_eff, y_fut), start=1)
-        ]
-    )
-
-
-class DesignGrid:
-    """Every design (n1, n2) with n1 < n2 <= n_max of one calibration scenario.
-
-    The constructor tables, for each size n = 1..n_max (entry n - 1), its
-    critical counts `y_eff` and `y_fut` (None when k or k_f is out of reach),
-    and cuts each design prior's pmf at n there once: the futility mass is
-    the stop probability `p_stop` under the null design prior and the `pce`
-    under a point prior at p0 (the same table when the null prior is that
-    point), the efficacy mass the single-look `power` and `type_i`.  `rows`
-    adds the erased mass of a set of interim sizes at one final size, one
-    `erased_mass_column` call per design prior, and keeps nothing.  Every
-    entry carries the same bits as `evaluate` on that design.
-    """
-
-    def __init__(
-        self,
-        n_max: int,
-        k: float,
-        k_f: float,
-        hyp: Hypotheses,
-        ap: AnalysisPrior,
-        power_prior: DesignPrior,
-        null_prior: Optional[DesignPrior] = None,
-    ) -> None:
-        self.k = k
-        self.k_f = k_f
-        self.hyp = hyp
-        self.ap = ap
-        self.power_prior = power_prior
-        self.null_prior = null_prior if null_prior is not None else PointMass(hyp.p0)
-        sizes = range(1, n_max + 1)
-        self.y_eff = [critical_efficacy(n, k, hyp, ap) for n in sizes]
-        self.y_fut = [critical_futility(n, k_f, hyp, ap) for n in sizes]
-        self.power = _branch_table(power_prior, self.y_eff, self.y_fut)[:, 0]
-        self.type_i, _, self.p_stop = _branch_table(
-            self.null_prior, self.y_eff, self.y_fut
-        ).T
-        self.pce = self.p_stop
-        point_null = PointMass(hyp.p0)
-        if self.null_prior != point_null:
-            self.pce = _branch_table(point_null, self.y_eff, self.y_fut)[:, 2]
-
-    def rows(self, n2: int, n1: np.ndarray) -> GridColumn:
-        """Rates of the designs (n1[i], n2)."""
-        n1 = np.asarray(n1, dtype=np.int64)
-        y_fut = [self.y_fut[i - 1] for i in n1]
-        y_eff = self.y_eff[n2 - 1]
-        return GridColumn(
-            n1=n1,
-            power_adjusted=checked_adjusted(
-                self.power[n2 - 1],
-                erased_mass_column(n1, y_fut, n2, y_eff, self.power_prior),
-            ),
-            type_i_adjusted=checked_adjusted(
-                self.type_i[n2 - 1],
-                erased_mass_column(n1, y_fut, n2, y_eff, self.null_prior),
-            ),
-            pce=self.pce[n1 - 1],
-            e_n_h0=expected_size(n1, n2, self.p_stop[n1 - 1]),
-        )
-
-    def calibrated(self, n1: int, n2: int) -> CalibratedDesign:
-        design = TwoStageDesign(n1, n2, self.k, self.k_f)
-        oc = evaluate(design, self.hyp, self.ap, self.power_prior, self.null_prior)
-        return CalibratedDesign(design=design, oc=oc, objective=oc.e_n_h0)
+def _winner(grid: DesignGrid, n1: int, n2: int, k: float, k_f: float) -> CalibratedDesign:
+    """The searched design (n1, n2) with its characteristics read off the grid."""
+    oc = grid.oc(n1, n2)
+    return CalibratedDesign(TwoStageDesign(n1, n2, k, k_f), oc, oc.e_n_h0)
 
 
 def base_sample_size(
@@ -232,12 +131,15 @@ def base_sample_size(
     if null_prior is None:
         null_prior = PointMass(hyp.p0)
     sizes = range(1, cons.n_max + cons.window + 1)
-    y_eff = [critical_efficacy(n, k, hyp, ap) for n in sizes]
-    no_cut = [None] * len(y_eff)
-    power_ok = _branch_table(power_prior, y_eff, no_cut)[:, 0] >= 1.0 - cons.beta
-    type_i = _branch_table(null_prior, y_eff[: cons.n_max], no_cut)[:, 0]
+    y_eff = {n: critical_efficacy(n, k, hyp, ap) for n in sizes}
+
+    def single_look(prior: DesignPrior, n: int) -> float:
+        return split_branches(predictive_vector(prior, n), y_eff[n], None).efficacy
+
+    power_ok = {n: single_look(power_prior, n) >= 1.0 - cons.beta for n in sizes}
     for n in range(1, cons.n_max + 1):
-        if power_ok[n - 1 : n + cons.window].all() and type_i[n - 1] <= cons.alpha:
+        stable = all(power_ok[m] for m in range(n, n + cons.window + 1))
+        if stable and single_look(null_prior, n) <= cons.alpha:
             return n
     return None
 
@@ -259,16 +161,18 @@ def calibrate(
     design with n2 <= n_max qualifies, and when no interim size in
     [n_min, n_max - 1] can stop for futility at k_f.
     """
-    grid = DesignGrid(cons.n_max, k, k_f, hyp, ap, power_prior, null_prior)
-    if all(y is None for y in grid.y_fut[cons.n_min - 1 : -1]):
+    grid = DesignGrid(
+        range(cons.n_min, cons.n_max + 1), k, k_f, hyp, ap, power_prior, null_prior
+    )
+    if all(grid.y_fut[n] is None for n in range(cons.n_min, cons.n_max)):
         return None  # no interim size can stop: no two-stage design exists
     for n2 in range(cons.n_min + 1, cons.n_max + 1):
-        if grid.power[n2 - 1] < 1.0 - cons.beta:
+        if grid.power[n2] < 1.0 - cons.beta:
             continue
         rows = grid.rows(n2, np.arange(cons.n_min, n2))
         hits = np.flatnonzero(rows.feasible(cons))
         if hits.size:
-            return grid.calibrated(int(rows.n1[hits[0]]), n2)
+            return _winner(grid, int(rows.n1[hits[0]]), n2, k, k_f)
     return None
 
 
@@ -296,16 +200,18 @@ def optimal_calibrate(
       objective get their rates computed.  E[N|H0] >= n1, so that is a short
       prefix of the interim sizes, found from the tabled stop probabilities.
     """
-    grid = DesignGrid(cons.n_max, k, k_f, hyp, ap, power_prior, null_prior)
-    if all(y is None for y in grid.y_fut[cons.n_min - 1 : -1]):
+    grid = DesignGrid(
+        range(cons.n_min, cons.n_max + 1), k, k_f, hyp, ap, power_prior, null_prior
+    )
+    if all(grid.y_fut[n] is None for n in range(cons.n_min, cons.n_max)):
         return None  # no interim size can stop: no two-stage design exists
     best: Optional[tuple[float, int, int]] = None
     for n2 in range(cons.n_min + 1, cons.n_max + 1):
-        if grid.power[n2 - 1] < 1.0 - cons.beta:
+        if grid.power[n2] < 1.0 - cons.beta:
             continue
         n1 = np.arange(cons.n_min, n2)
         if best is not None:
-            n1 = n1[expected_size(n1, n2, grid.p_stop[n1 - 1]) < best[0]]
+            n1 = n1[expected_size(n1, n2, grid.p_stop[n1]) < best[0]]
             if n1.size == 0:
                 continue
         rows = grid.rows(n2, n1)
@@ -318,7 +224,7 @@ def optimal_calibrate(
             best = key
     if best is None:
         return None
-    return grid.calibrated(best[2], best[1])
+    return _winner(grid, best[2], best[1], k, k_f)
 
 
 def scan(
@@ -342,7 +248,9 @@ def scan(
     sizes = [n2 for n2 in n2_values if n2 > cons.n_min]
     if not sizes:
         return []
-    grid = DesignGrid(max(sizes), k, k_f, hyp, ap, power_prior, null_prior)
+    grid = DesignGrid(
+        range(cons.n_min, max(sizes) + 1), k, k_f, hyp, ap, power_prior, null_prior
+    )
     rows: list[ScanRow] = []
     for n2 in sizes:
         col = grid.rows(n2, np.arange(cons.n_min, n2))

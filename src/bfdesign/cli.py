@@ -15,10 +15,9 @@ import argparse
 import sys
 from typing import Optional
 
-from .bayesfactor import critical_futility
 from .calibration import CalibratedDesign, optimal_calibrate, scan
 from .config import ConfigError, RunConfig, load_config
-from .operating import OperatingCharacteristics, TwoStageDesign, evaluate
+from .operating import DesignGrid, OperatingCharacteristics, TwoStageDesign
 from .priors import PointMass
 from .simon import SimonDesign, simon_search
 
@@ -115,11 +114,17 @@ def cmd_oc(config: RunConfig, n1: int, n2: int, fmt: str) -> int:
         )
         return EXIT_CONFIG
     design = TwoStageDesign(n1, n2, config.k, config.k_f)
-    hyp, ap = config.hypotheses(), config.analysis_prior()
-    oc = evaluate(design, hyp, ap, config.power_prior)
+    grid = DesignGrid(
+        (n1, n2),
+        config.k,
+        config.k_f,
+        config.hypotheses(),
+        config.analysis_prior(),
+        config.power_prior,
+    )
     # without a futility count at n1 the interim look can never stop the trial
-    stop_possible = critical_futility(n1, config.k_f, hyp, ap) is not None
-    _print_oc(design, oc, stop_possible, fmt)
+    stop_possible = grid.y_fut[n1] is not None
+    _print_oc(design, grid.oc(n1, n2), stop_possible, fmt)
     return EXIT_OK
 
 

@@ -25,17 +25,25 @@ prior, and
 
 One predictive vector at n2 and one log-factorial table therefore serve every
 interim size of a final size at once (`erased_mass_column`), and the closed
-form never builds the two-batch joint table.  That table is the oracle's
-alone: an exhaustive enumeration of all its (y1, y2) cells, classifying each
-by direct Bayes factor comparisons and never touching critical values,
-serves as an independent check of the same quantities.
+form never builds the two-batch joint table.
+
+`DesignGrid` is the one closed-form route from a design to its operating
+characteristics.  It tables the critical counts and branch masses of a set
+of sizes once and adds the erased masses one final size at a time.  The
+searches build it over every size they search; `evaluate` builds it over a
+design's two sizes and reads it at (n1, n2).
+
+The two-batch joint table is the oracle's alone: an exhaustive enumeration
+of all its (y1, y2) cells, classifying each by direct Bayes factor
+comparisons and never touching critical values, serves as an independent
+check of the same quantities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -169,28 +177,6 @@ def erased_mass_column(
     return (cdf * predictive_vector(prior, n2)[y_eff:]).sum(axis=1)
 
 
-def futility_erased(
-    n1: int,
-    n2: int,
-    k: float,
-    k_f: float,
-    hyp: Hypotheses,
-    ap: AnalysisPrior,
-    prior: DesignPrior,
-) -> float:
-    """Joint probability of an interim futility stop and a final BF below k.
-
-    This is the rejection mass erased by allowing the futility stop: paths
-    the single-look computation counts but the two-stage trial never walks.
-    It is the one-n1 case of `erased_mass_column`, so a single design and a
-    whole column share one route.  Zero whenever either critical value is
-    unreachable.
-    """
-    y_fut = critical_futility(n1, k_f, hyp, ap)
-    y_eff = critical_efficacy(n2, k, hyp, ap)
-    return float(erased_mass_column([n1], [y_fut], n2, y_eff, prior)[0])
-
-
 def checked_adjusted(unadjusted: float, erased: float | np.ndarray) -> np.ndarray:
     """unadjusted - erased, clipped at zero after the negativity check.
 
@@ -228,73 +214,109 @@ def split_branches(
     )
 
 
-def branch_probabilities(
-    n: int, k: float, k_f: float, hyp: Hypotheses, ap: AnalysisPrior, prior: DesignPrior
-) -> BranchProbabilities:
-    """Predictive mass of the three outcomes of a look after n outcomes.
+class GridColumn(NamedTuple):
+    """Rates of a set of interim sizes at one final size, one entry per n1."""
 
-    efficacy: BF01 < k.  indecisive: k <= BF01 <= k_f.  futility: BF01 > k_f.
-    The efficacy mass at the final size is the single-look rejection rate,
-    the futility mass at the interim size the stop probability.
+    n1: np.ndarray
+    power_adjusted: np.ndarray
+    type_i_adjusted: np.ndarray
+    erased_power: np.ndarray
+    erased_type_i: np.ndarray
+    pce: np.ndarray
+    e_n_h0: np.ndarray
+
+    def feasible(self, cons) -> np.ndarray:
+        """Mask of the interim sizes meeting every `CalibrationConstraints` target."""
+        ok = (self.type_i_adjusted <= cons.alpha) & (
+            self.power_adjusted >= 1.0 - cons.beta
+        )
+        if cons.f is not None:
+            ok &= self.pce > cons.f
+        return ok
+
+
+class DesignGrid:
+    """Every design (n1, n2) with n1 < n2 drawn from a given set of sizes.
+
+    The constructor tables, for each size n of `sizes`, its critical counts
+    `y_eff[n]` and `y_fut[n]` (None when k or k_f is out of reach), and cuts
+    each design prior's pmf at n there once: `h1[n]` holds the three branch
+    masses under the power prior and `h0[n]` under the null prior.  Their
+    efficacy columns are the single-look `power` and `type_i`, the null
+    futility column the stop probability `p_stop`, and `pce` the futility
+    mass under a point prior at p0 (`p_stop` itself when the null prior is
+    that point).  Tables are indexed by n itself.  The counts are looked up
+    by size, so reading a size the grid did not table raises KeyError.
+
+    `rows` adds the erased mass of a set of interim sizes at one final size,
+    one `erased_mass_column` call per design prior, and keeps nothing; `oc`
+    reads one design's full characteristics off the tables and one row.
     """
-    return split_branches(
-        predictive_vector(prior, n),
-        critical_efficacy(n, k, hyp, ap),
-        critical_futility(n, k_f, hyp, ap),
-    )
 
+    def __init__(
+        self,
+        sizes: Iterable[int],
+        k: float,
+        k_f: float,
+        hyp: Hypotheses,
+        ap: AnalysisPrior,
+        power_prior: DesignPrior,
+        null_prior: Optional[DesignPrior] = None,
+    ) -> None:
+        self.power_prior = power_prior
+        self.null_prior = null_prior if null_prior is not None else PointMass(hyp.p0)
+        self.y_eff = {n: critical_efficacy(n, k, hyp, ap) for n in sizes}
+        self.y_fut = {n: critical_futility(n, k_f, hyp, ap) for n in self.y_eff}
+        self.h1 = self._branches(power_prior)
+        self.h0 = self._branches(self.null_prior)
+        self.power = self.h1[:, 0]
+        self.type_i = self.h0[:, 0]
+        self.p_stop = self.pce = self.h0[:, 2]
+        point_null = PointMass(hyp.p0)
+        if self.null_prior != point_null:
+            self.pce = self._branches(point_null)[:, 2]
 
-def path_probabilities(
-    design: TwoStageDesign, hyp: Hypotheses, ap: AnalysisPrior, prior: DesignPrior
-) -> PathProbabilities:
-    """All rates of one design under one design prior via the closed form."""
-    n1, n2, k, k_f = design.n1, design.n2, design.k, design.k_f
-    branches = branch_probabilities(n1, k, k_f, hyp, ap, prior)
-    unadj = branch_probabilities(n2, k, k_f, hyp, ap, prior).efficacy
-    erased = futility_erased(n1, n2, k, k_f, hyp, ap, prior)
-    return PathProbabilities(
-        unadjusted=unadj,
-        futility_erased=erased,
-        adjusted=float(checked_adjusted(unadj, erased)),
-        expected_n=expected_size(n1, n2, branches.futility),
-        branches=branches,
-    )
+    def _branches(self, prior: DesignPrior) -> np.ndarray:
+        """Branch masses of prior in row n for every tabled size, NaN elsewhere."""
+        table = np.full((max(self.y_eff) + 1, 3), np.nan)
+        for n, y_eff in self.y_eff.items():
+            table[n] = split_branches(predictive_vector(prior, n), y_eff, self.y_fut[n])
+        return table
 
+    def rows(self, n2: int, n1: Sequence[int]) -> GridColumn:
+        """Rates of the designs (n1[i], n2)."""
+        n1 = np.asarray(n1, dtype=np.int64)
+        y_fut = [self.y_fut[i] for i in n1]
+        y_eff = self.y_eff[n2]
+        erased_power = erased_mass_column(n1, y_fut, n2, y_eff, self.power_prior)
+        erased_type_i = erased_mass_column(n1, y_fut, n2, y_eff, self.null_prior)
+        return GridColumn(
+            n1=n1,
+            power_adjusted=checked_adjusted(self.power[n2], erased_power),
+            type_i_adjusted=checked_adjusted(self.type_i[n2], erased_type_i),
+            erased_power=erased_power,
+            erased_type_i=erased_type_i,
+            pce=self.pce[n1],
+            e_n_h0=expected_size(n1, n2, self.p_stop[n1]),
+        )
 
-def _characteristics(
-    paths: Callable[..., PathProbabilities],
-    design: TwoStageDesign,
-    hyp: Hypotheses,
-    ap: AnalysisPrior,
-    power_prior: DesignPrior,
-    null_prior: Optional[DesignPrior],
-) -> OperatingCharacteristics:
-    """Operating characteristics from one route's rates under each prior.
-
-    paths is the closed form or the oracle.  The null design prior defaults
-    to a point mass at p0, whose interim futility mass is also the PCE.
-    """
-    point_null = PointMass(hyp.p0)
-    if null_prior is None:
-        null_prior = point_null
-    h0_side = paths(design, hyp, ap, null_prior)
-    h1_side = paths(design, hyp, ap, power_prior)
-    pce_side = h0_side
-    if null_prior != point_null:
-        pce_side = paths(design, hyp, ap, point_null)
-    return OperatingCharacteristics(
-        type_i_unadjusted=h0_side.unadjusted,
-        type_i_adjusted=h0_side.adjusted,
-        power_unadjusted=h1_side.unadjusted,
-        power_adjusted=h1_side.adjusted,
-        futility_erased_power=h1_side.futility_erased,
-        futility_erased_type_i=h0_side.futility_erased,
-        pce_p0=pce_side.branches.futility,
-        e_n_h0=h0_side.expected_n,
-        e_n_h1=h1_side.expected_n,
-        branch_h0=h0_side.branches,
-        branch_h1=h1_side.branches,
-    )
+    def oc(self, n1: int, n2: int) -> OperatingCharacteristics:
+        """Operating characteristics of the design (n1, n2)."""
+        row = self.rows(n2, [n1])
+        branch_h1 = BranchProbabilities(*map(float, self.h1[n1]))
+        return OperatingCharacteristics(
+            type_i_unadjusted=float(self.type_i[n2]),
+            type_i_adjusted=float(row.type_i_adjusted[0]),
+            power_unadjusted=float(self.power[n2]),
+            power_adjusted=float(row.power_adjusted[0]),
+            futility_erased_power=float(row.erased_power[0]),
+            futility_erased_type_i=float(row.erased_type_i[0]),
+            pce_p0=float(row.pce[0]),
+            e_n_h0=float(row.e_n_h0[0]),
+            e_n_h1=expected_size(n1, n2, branch_h1.futility),
+            branch_h0=BranchProbabilities(*map(float, self.h0[n1])),
+            branch_h1=branch_h1,
+        )
 
 
 def evaluate(
@@ -304,12 +326,15 @@ def evaluate(
     power_prior: DesignPrior,
     null_prior: Optional[DesignPrior] = None,
 ) -> OperatingCharacteristics:
-    """Full operating characteristics via the closed-form path.
+    """Full operating characteristics via the closed form.
 
-    The null design prior defaults to a point mass at p0, which makes the
-    type-I side a plain frequentist error rate.
+    The design grid of the two sizes n1 and n2, read at (n1, n2).  The null
+    design prior defaults to a point mass at p0, which makes the type-I side
+    a plain frequentist error rate.
     """
-    return _characteristics(path_probabilities, design, hyp, ap, power_prior, null_prior)
+    n1, n2 = design.n1, design.n2
+    grid = DesignGrid((n1, n2), design.k, design.k_f, hyp, ap, power_prior, null_prior)
+    return grid.oc(n1, n2)
 
 
 def enumerate_paths(
@@ -368,5 +393,29 @@ def enumerate_oracle(
     power_prior: DesignPrior,
     null_prior: Optional[DesignPrior] = None,
 ) -> OperatingCharacteristics:
-    """Full operating characteristics via path enumeration only."""
-    return _characteristics(enumerate_paths, design, hyp, ap, power_prior, null_prior)
+    """Full operating characteristics via path enumeration only.
+
+    The null design prior defaults to a point mass at p0, whose interim
+    futility mass is also the PCE.
+    """
+    point_null = PointMass(hyp.p0)
+    if null_prior is None:
+        null_prior = point_null
+    h0_side = enumerate_paths(design, hyp, ap, null_prior)
+    h1_side = enumerate_paths(design, hyp, ap, power_prior)
+    pce_side = h0_side
+    if null_prior != point_null:
+        pce_side = enumerate_paths(design, hyp, ap, point_null)
+    return OperatingCharacteristics(
+        type_i_unadjusted=h0_side.unadjusted,
+        type_i_adjusted=h0_side.adjusted,
+        power_unadjusted=h1_side.unadjusted,
+        power_adjusted=h1_side.adjusted,
+        futility_erased_power=h1_side.futility_erased,
+        futility_erased_type_i=h0_side.futility_erased,
+        pce_p0=pce_side.branches.futility,
+        e_n_h0=h0_side.expected_n,
+        e_n_h1=h1_side.expected_n,
+        branch_h0=h0_side.branches,
+        branch_h1=h1_side.branches,
+    )

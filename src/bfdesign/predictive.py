@@ -37,15 +37,12 @@ from .special import (
 _CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _log_pooled_kernel(prior: TruncatedBeta, n: int) -> np.ndarray:
     """log[B(a+s, b+n-s) * M(a+s, b+n-s)] for pooled success counts s = 0..n."""
     s = np.arange(n + 1, dtype=float)
     a_post = prior.a + s
     b_post = prior.b + n - s
-    out = betaln(a_post, b_post) + log_trunc_beta_mass(a_post, b_post, prior.l, prior.u)
-    out.flags.writeable = False
-    return out
+    return betaln(a_post, b_post) + log_trunc_beta_mass(a_post, b_post, prior.l, prior.u)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -93,6 +93,8 @@ def simon_oc(r1: int, n1: int, r: int, n2: int, p: float) -> tuple[float, float,
     """
     if not (0 <= r1 <= n1 < n2 and r1 <= r <= n2):
         raise ValueError(f"invalid design bounds: r1={r1}, n1={n1}, r={r}, n2={n2}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     pmf1, _ = _binomial_table(n1, p)
     _, tail2 = _binomial_table(n2 - n1, p)
     reject = float(_reject_matrix(pmf1, _shifted_tails(tail2, n1))[r1, r])

@@ -20,12 +20,10 @@ from bfdesign import (
     TruncatedBeta,
     TwoStageDesign,
     base_sample_size,
-    branch_probabilities,
     enumerate_oracle,
     evaluate,
     joint_predictive_matrix,
     optimal_calibrate,
-    path_probabilities,
     predictive_vector,
     scan,
     simon_search,
@@ -265,9 +263,9 @@ def test_criterion_7_normalization_and_identity_suite():
     hyp = Hypotheses(0.2)
     ap = AnalysisPrior.flat(0.2)
     for n1, n2 in [(5, 12), (10, 29), (30, 36)]:
-        p_stop = branch_probabilities(n1, 1 / 3, 3.0, hyp, ap, PointMass(0.2)).futility
         design = TwoStageDesign(n1, n2, 1 / 3, 3.0)
-        e_n = path_probabilities(design, hyp, ap, PointMass(0.2)).expected_n
+        oc = evaluate(design, hyp, ap, PointMass(0.2))
+        p_stop, e_n = oc.branch_h1.futility, oc.e_n_h1
         assert e_n == n2 - (n2 - n1) * p_stop
 
     for p0, n1, n2, k, k_f, power_prior, null_prior in random_scenarios(40, seed=123):
@@ -296,5 +294,6 @@ def test_criterion_1_anchor_stop_probability():
     """The anchor design's stop probability is the exact binomial mass."""
     hyp = Hypotheses(0.1)
     ap = AnalysisPrior.flat(0.1)
-    pce = branch_probabilities(10, 1 / 3, 3.0, hyp, ap, PointMass(0.1)).futility
+    interim = TwoStageDesign(10, 11, 1 / 3, 3.0)
+    pce = evaluate(interim, hyp, ap, PointMass(0.1)).branch_h1.futility
     assert math.isclose(pce, float(binom.cdf(1, 10, 0.1)), rel_tol=1e-14)

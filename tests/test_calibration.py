@@ -16,7 +16,7 @@ from bfdesign import (
     optimal_calibrate,
     scan,
 )
-from bfdesign.calibration import DesignGrid
+from bfdesign.operating import DesignGrid
 
 EX1_HYP = Hypotheses(0.1)
 EX1_AP = AnalysisPrior.flat(0.1)
@@ -139,13 +139,40 @@ def test_prune_never_changes_the_argmin():
             assert result.objective == e_n_h0
 
 
+def test_search_winners_carry_the_numbers_of_evaluate():
+    # the searches read their winner's characteristics off the grid they
+    # searched; under a flat null prior on [0, p0] these must still equal
+    # evaluate of the same design, field for field
+    searches = [
+        (0.1, 0.05, 0.2, 1 / 3, 3.0, PointMass(0.3), 5, 40, None),
+        (0.1, 0.05, 0.2, 1 / 3, 3.0, TruncatedBeta(1, 1, 0.1, 1), 5, 40, None),
+        (0.2, 0.1, 0.1, 1 / 3, 3.0, PointMass(0.4), 5, 45, 0.6),
+        (0.3, 0.1, 0.2, 1 / 10, 10.0, TruncatedBeta(2, 2, 0.3, 1), 2, 30, None),
+        (0.5, 0.2, 0.2, 1 / 3, 3.0, PointMass(0.75), 2, 25, None),
+    ]
+    found = 0
+    for p0, alpha, beta, k, k_f, prior, n_min, n_max, f in searches:
+        cons = CalibrationConstraints(alpha=alpha, beta=beta, f=f, n_min=n_min, n_max=n_max)
+        hyp, ap = Hypotheses(p0), AnalysisPrior.flat(p0)
+        null_prior = TruncatedBeta(1, 1, 0.0, p0)
+        for search in (optimal_calibrate, calibrate):
+            result = search(cons, k, k_f, hyp, ap, prior, null_prior)
+            if result is None:
+                continue
+            found += 1
+            oc = evaluate(result.design, hyp, ap, prior, null_prior)
+            assert result.oc == oc
+            assert result.objective == oc.e_n_h0
+    assert found == 8
+
+
 def test_prune_is_sound():
     # every skipped final size has single-look power below target, and no
     # interim split of it is feasible
     cons = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=40)
-    grid = DesignGrid(cons.n_max, 1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
+    grid = DesignGrid(range(1, cons.n_max + 1), 1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
     for n2 in range(cons.n_min + 1, cons.n_max + 1):
-        if grid.power[n2 - 1] >= 1 - cons.beta:
+        if grid.power[n2] >= 1 - cons.beta:
             continue
         assert not grid.rows(n2, np.arange(cons.n_min, n2)).feasible(cons).any()
 
@@ -155,7 +182,7 @@ def test_calibrate_returns_first_feasible_design():
     result = calibrate(cons, 1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
     assert result is not None
     assert result.design.n2 <= 29
-    grid = DesignGrid(cons.n_max, 1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
+    grid = DesignGrid(range(1, cons.n_max + 1), 1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
     # nothing earlier in the iteration order is feasible
     for n2 in range(cons.n_min + 1, result.design.n2 + 1):
         feasible = grid.rows(n2, np.arange(cons.n_min, n2)).feasible(cons)

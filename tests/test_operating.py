@@ -14,19 +14,16 @@ from bfdesign import (
     PointMass,
     TruncatedBeta,
     TwoStageDesign,
-    branch_probabilities,
     critical_efficacy,
     critical_futility,
     enumerate_oracle,
     enumerate_paths,
     evaluate,
-    futility_erased,
     optimal_calibrate,
-    path_probabilities,
     predictive_vector,
 )
 from bfdesign.bayesfactor import log_bf01_curve
-from bfdesign.operating import erased_mass_column
+from bfdesign.operating import DesignGrid, erased_mass_column
 
 FLAT01 = TruncatedBeta(1, 1, 0.0, 1.0)
 
@@ -74,7 +71,7 @@ def test_nan_futility_threshold_rejected():
     with pytest.raises(ValueError):
         critical_futility(10, nan, hyp, ap)
     with pytest.raises(ValueError):
-        branch_probabilities(10, 1 / 3, nan, hyp, ap, PointMass(0.5))
+        DesignGrid((10, 11), 1 / 3, nan, hyp, ap, PointMass(0.5))
 
 
 def test_reference_design_operating_characteristics():
@@ -153,6 +150,48 @@ def test_closed_form_never_builds_a_joint_matrix(monkeypatch):
         assert abs(oc.type_i_adjusted - oracle.type_i_adjusted) < 1e-12
 
 
+def test_evaluate_finds_critical_counts_once_per_size(monkeypatch):
+    # the grid behind evaluate tables only the design's two sizes, so one
+    # evaluate looks up each critical count once at n1 and once at n2,
+    # whatever the null design prior
+    calls = []
+    for name in ("critical_efficacy", "critical_futility"):
+        original = getattr(bfdesign.operating, name)
+
+        def counted(n, *args, _original=original, _name=name):
+            calls.append((_name, n))
+            return _original(n, *args)
+
+        monkeypatch.setattr(bfdesign.operating, name, counted)
+    design = TwoStageDesign(400, 1000, 1 / 10, 10.0)
+    hyp, ap = Hypotheses(0.05), AnalysisPrior.flat(0.05)
+    power_prior = TruncatedBeta(3.0, 2.0, 0.05, 1.0)
+    for null_prior in (None, TruncatedBeta(1.0, 1.0, 0.0, 0.05)):
+        calls.clear()
+        evaluate(design, hyp, ap, power_prior, null_prior)
+        assert sorted(calls) == [
+            ("critical_efficacy", 400),
+            ("critical_efficacy", 1000),
+            ("critical_futility", 400),
+            ("critical_futility", 1000),
+        ]
+
+
+def test_grid_read_at_a_size_it_did_not_build_raises():
+    # an untabled size must not read as "no critical count"
+    hyp, ap = Hypotheses(0.1), AnalysisPrior.flat(0.1)
+    grid = DesignGrid((10, 29), 1 / 3, 3.0, hyp, ap, PointMass(0.3))
+    with pytest.raises(KeyError):
+        grid.rows(29, [11])
+    with pytest.raises(KeyError):
+        grid.rows(30, [10])
+    with pytest.raises(KeyError):
+        grid.oc(9, 29)
+    assert grid.oc(10, 29) == evaluate(
+        TwoStageDesign(10, 29, 1 / 3, 3.0), hyp, ap, PointMass(0.3)
+    )
+
+
 def test_unadjusted_rate_decomposes_over_interim_branches():
     # the oracle's rejection paths split into those the trial walks and those
     # its interim stop erases, and together they are the single-look rate
@@ -162,7 +201,7 @@ def test_unadjusted_rate_decomposes_over_interim_branches():
         ap = AnalysisPrior.flat(p0)
         paths = enumerate_paths(design, hyp, ap, power_prior)
         total = paths.adjusted + paths.futility_erased
-        single_look = branch_probabilities(n2, k, k_f, hyp, ap, power_prior).efficacy
+        single_look = evaluate(design, hyp, ap, power_prior).power_unadjusted
         assert abs(total - single_look) < 1e-12
 
 
@@ -196,7 +235,7 @@ def test_erased_mass_column_matches_enumeration():
             oracle = enumerate_paths(design, hyp, ap, prior).futility_erased
             assert abs(column[i] - oracle) < 1e-12
             # one interim size alone gives the same bits as inside its column
-            alone = futility_erased(int(n1[i]), n2, k, k_f, hyp, ap, prior)
+            alone = evaluate(design, hyp, ap, prior).futility_erased_power
             assert alone == column[i]
     assert saw_no_futility and saw_no_efficacy
 
@@ -207,12 +246,12 @@ def test_adjustment_only_lowers_rates_and_exactly_when_erased():
         hyp = Hypotheses(p0)
         ap = AnalysisPrior.flat(p0)
         for prior in (power_prior, null_prior):
-            side = path_probabilities(design, hyp, ap, prior)
-            assert side.adjusted <= side.unadjusted + 1e-15
-            if side.futility_erased > 0.0:
-                assert side.adjusted < side.unadjusted
+            side = evaluate(design, hyp, ap, prior)
+            assert side.power_adjusted <= side.power_unadjusted + 1e-15
+            if side.futility_erased_power > 0.0:
+                assert side.power_adjusted < side.power_unadjusted
             else:
-                assert side.adjusted == side.unadjusted
+                assert side.power_adjusted == side.power_unadjusted
 
 
 def test_expected_n_identity_is_exact():
@@ -220,9 +259,9 @@ def test_expected_n_identity_is_exact():
     ap = AnalysisPrior.flat(0.2)
     for prior in (PointMass(0.2), TruncatedBeta(2, 5, 0.0, 0.2)):
         for n1, n2 in [(5, 12), (10, 29), (30, 36)]:
-            p_stop = branch_probabilities(n1, 1 / 3, 3.0, hyp, ap, prior).futility
             design = TwoStageDesign(n1, n2, 1 / 3, 3.0)
-            value = path_probabilities(design, hyp, ap, prior).expected_n
+            oc = evaluate(design, hyp, ap, prior)
+            p_stop, value = oc.branch_h1.futility, oc.e_n_h1
             assert value == n2 - (n2 - n1) * p_stop
             assert abs(value - (n1 * p_stop + n2 * (1.0 - p_stop))) < 1e-12
             assert n1 <= value <= n2
@@ -232,23 +271,25 @@ def test_expected_n_reference_values():
     hyp1 = Hypotheses(0.1)
     ap1 = AnalysisPrior.flat(0.1)
     design1 = TwoStageDesign(10, 29, 1 / 3, 3.0)
-    value1 = path_probabilities(design1, hyp1, ap1, PointMass(0.1)).expected_n
+    value1 = evaluate(design1, hyp1, ap1, PointMass(0.1)).e_n_h1
     assert round(value1, 2) == 15.01
     hyp2 = Hypotheses(0.2)
     ap2 = AnalysisPrior.flat(0.2)
     design2 = TwoStageDesign(30, 36, 1 / 3, 3.0)
-    value2 = path_probabilities(design2, hyp2, ap2, PointMass(0.2)).expected_n
+    value2 = evaluate(design2, hyp2, ap2, PointMass(0.2)).e_n_h1
     assert round(value2, 2) == 32.36
 
 
 def test_prob_futility_stop_reference_values():
     hyp1 = Hypotheses(0.1)
     ap1 = AnalysisPrior.flat(0.1)
-    stop1 = branch_probabilities(10, 1 / 3, 3.0, hyp1, ap1, PointMass(0.1)).futility
+    design1 = TwoStageDesign(10, 11, 1 / 3, 3.0)
+    stop1 = evaluate(design1, hyp1, ap1, PointMass(0.1)).branch_h1.futility
     assert round(stop1, 4) == 0.7361
     hyp2 = Hypotheses(0.2)
     ap2 = AnalysisPrior.flat(0.2)
-    stop2 = branch_probabilities(30, 1 / 3, 3.0, hyp2, ap2, PointMass(0.2)).futility
+    design2 = TwoStageDesign(30, 31, 1 / 3, 3.0)
+    stop2 = evaluate(design2, hyp2, ap2, PointMass(0.2)).branch_h1.futility
     assert round(stop2, 4) == 0.6070
 
 
@@ -257,7 +298,8 @@ def test_pce_is_stop_probability_under_point_null():
     hyp = Hypotheses(0.1)
     ap = AnalysisPrior.flat(0.1)
     oc = evaluate(design, hyp, ap, PointMass(0.3))
-    stop = branch_probabilities(10, 1 / 3, 3.0, hyp, ap, PointMass(0.1)).futility
+    interim = TwoStageDesign(10, 11, 1 / 3, 3.0)
+    stop = evaluate(interim, hyp, ap, PointMass(0.1)).branch_h1.futility
     assert oc.pce_p0 == stop
 
 
@@ -268,8 +310,9 @@ def test_unfulfillable_futility_threshold_degenerates_to_single_stage():
     ap = AnalysisPrior.flat(0.3)
     design = TwoStageDesign(1, 12, 1 / 3, 100.0)
     prior = PointMass(0.3)
-    assert branch_probabilities(1, 1 / 3, 100.0, hyp, ap, prior).futility == 0.0
-    assert futility_erased(1, 12, 1 / 3, 100.0, hyp, ap, prior) == 0.0
+    interim = TwoStageDesign(1, 2, 1 / 3, 100.0)
+    assert evaluate(interim, hyp, ap, prior).branch_h1.futility == 0.0
+    assert evaluate(design, hyp, ap, prior).futility_erased_power == 0.0
     oc = evaluate(design, hyp, ap, PointMass(0.5))
     assert oc.type_i_adjusted == oc.type_i_unadjusted
     assert oc.power_adjusted == oc.power_unadjusted
@@ -284,13 +327,14 @@ def test_branch_probabilities_sum_to_one():
     for p0, n1, n2, k, k_f, power_prior, null_prior in random_scenarios(30, seed=9):
         hyp = Hypotheses(p0)
         ap = AnalysisPrior.flat(p0)
-        triple = branch_probabilities(n1, k, k_f, hyp, ap, power_prior)
+        interim = TwoStageDesign(n1, n1 + 1, k, k_f)
+        triple = evaluate(interim, hyp, ap, power_prior).branch_h1
         assert abs(sum(triple) - 1.0) < 1e-10
         assert all(0.0 <= value <= 1.0 for value in triple)
 
 
 def test_slice_cut_equals_bayes_factor_classification():
-    # branch_probabilities slices the pmf at the critical counts, which
+    # the design grid slices the pmf at the critical counts, which
     # assumes BF01 is monotone in the success count; classifying every count
     # by its own Bayes factor must give the same three sums, bit for bit
     for p0, n1, n2, k, k_f, power_prior, null_prior in random_scenarios(200, seed=3):
@@ -303,7 +347,8 @@ def test_slice_cut_equals_bayes_factor_classification():
             for prior in (power_prior, null_prior):
                 pmf = predictive_vector(prior, n)
                 masks = (pmf[eff].sum(), pmf[~eff & ~fut].sum(), pmf[fut].sum())
-                triple = branch_probabilities(n, k, k_f, hyp, ap, prior)
+                look = TwoStageDesign(n, n + 1, k, k_f)
+                triple = evaluate(look, hyp, ap, prior).branch_h1
                 assert tuple(triple) == tuple(float(mass) for mass in masks)
 
 
@@ -317,7 +362,7 @@ def test_point_mass_branches_are_binomial_masses():
     n1, k, k_f, p = 18, 1 / 3, 3.0, 0.35
     y_eff = critical_efficacy(n1, k, hyp, ap)
     y_fut = critical_futility(n1, k_f, hyp, ap)
-    triple = branch_probabilities(n1, k, k_f, hyp, ap, PointMass(p))
+    triple = evaluate(TwoStageDesign(n1, n1 + 1, k, k_f), hyp, ap, PointMass(p)).branch_h1
     assert math.isclose(triple.efficacy, float(binom.sf(y_eff - 1, n1, p)), rel_tol=1e-12)
     assert math.isclose(triple.futility, float(binom.cdf(y_fut, n1, p)), rel_tol=1e-12)
 
@@ -330,18 +375,18 @@ def test_hand_enumerated_toy_design():
     hyp = Hypotheses(0.5)
     ap = AnalysisPrior.flat(0.5)
     design = TwoStageDesign(2, 4, 1 / 3, 3.0)
-    paths = path_probabilities(design, hyp, ap, FLAT01)
+    oc = evaluate(design, hyp, ap, FLAT01)
     third = float(Fraction(1, 3))
-    assert math.isclose(paths.branches.futility, third, rel_tol=1e-13)
-    assert math.isclose(paths.unadjusted, 0.4, rel_tol=1e-13)
-    assert paths.futility_erased == 0.0
-    assert math.isclose(paths.adjusted, 0.4, rel_tol=1e-13)
-    assert math.isclose(paths.expected_n, 4 - 2 * third, rel_tol=1e-13)
-    for value, expected in zip(paths.branches, (third, third, third)):
+    assert math.isclose(oc.branch_h1.futility, third, rel_tol=1e-13)
+    assert math.isclose(oc.power_unadjusted, 0.4, rel_tol=1e-13)
+    assert oc.futility_erased_power == 0.0
+    assert math.isclose(oc.power_adjusted, 0.4, rel_tol=1e-13)
+    assert math.isclose(oc.e_n_h1, 4 - 2 * third, rel_tol=1e-13)
+    for value, expected in zip(oc.branch_h1, (third, third, third)):
         assert math.isclose(value, expected, rel_tol=1e-12)
     oracle = enumerate_paths(design, hyp, ap, FLAT01)
-    assert abs(oracle.unadjusted - paths.unadjusted) < 1e-14
-    assert abs(oracle.branches.futility - paths.branches.futility) < 1e-14
+    assert abs(oracle.unadjusted - oc.power_unadjusted) < 1e-14
+    assert abs(oracle.branches.futility - oc.branch_h1.futility) < 1e-14
 
 
 def test_hand_computed_erased_mass():
@@ -350,7 +395,8 @@ def test_hand_computed_erased_mass():
     # joint cell (0, 4) = B(5, 3) / B(1, 1) = 1/105
     hyp = Hypotheses(0.5)
     ap = AnalysisPrior.flat(0.5)
-    value = futility_erased(2, 6, 1 / 3, 3.0, hyp, ap, FLAT01)
+    design = TwoStageDesign(2, 6, 1 / 3, 3.0)
+    value = evaluate(design, hyp, ap, FLAT01).futility_erased_power
     assert math.isclose(value, float(Fraction(1, 105)), rel_tol=1e-13)
 
 
@@ -359,7 +405,7 @@ def test_adjusted_rate_free_function_consistency():
     ap = AnalysisPrior.flat(0.1)
     prior = PointMass(0.1)
     design = TwoStageDesign(10, 29, 1 / 3, 3.0)
-    direct = path_probabilities(design, hyp, ap, prior).adjusted
+    direct = evaluate(design, hyp, ap, prior).power_adjusted
     via_evaluate = evaluate(design, hyp, ap, PointMass(0.3)).type_i_adjusted
     assert direct == via_evaluate
     assert round(direct, 4) == 0.0471

@@ -13,6 +13,7 @@ NO_CALLER = {
     "bf01": "user entry point: the Bayes factor of one observed count",
     "calibrate": "user entry point: the first calibrated design in search order",
     "enumerate_oracle": "oracle: brute-force figures the closed form is checked against",
+    "evaluate": "user entry point: the characteristics of one given design",
     "predictive_pmf": "user entry point: one predictive mass of the kernel",
     "simon_oc": "user entry point: characteristics of a given Simon design",
 }

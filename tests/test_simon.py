@@ -190,6 +190,14 @@ def test_simon_oc_always_stops_when_bound_is_full():
         assert e_n == n1
 
 
+def test_simon_oc_rejects_rate_outside_unit_interval():
+    # NaN used to come back as (nan, nan, nan) and the others as a bare
+    # "math domain error"; every one now names p
+    for p in (float("nan"), 1.5, -0.1):
+        with pytest.raises(ValueError, match="p must lie in"):
+            simon_oc(1, 10, 5, 29, p)
+
+
 def test_simon_oc_reference_design():
     reject0, pet, e_n = simon_oc(1, 10, 5, 29, 0.1)
     assert round(reject0, 4) == 0.0471
