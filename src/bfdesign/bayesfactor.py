@@ -19,16 +19,14 @@ assumption is baked in.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .predictive import log_predictive_vector
 from .priors import TruncatedBeta
-
-_CACHE_SIZE = 4096
 
 
 class ParameterError(ValueError):
@@ -46,6 +44,12 @@ def check_thresholds(k: Optional[float] = None, k_f: Optional[float] = None) -> 
         raise ParameterError("k", f"must lie in (0, 1), got {k}")
     if k_f is not None and not k_f > 1.0:
         raise ParameterError("k_f", f"must exceed 1, got {k_f}")
+
+
+def check_size(name: str, value: object) -> None:
+    """Require a Python or numpy integer; bools and floats such as 10.0 fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(name, f"must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -96,19 +100,12 @@ def _check_regions(hyp: Hypotheses, ap: AnalysisPrior) -> None:
         )
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _log_bf01_curve(n: int, hyp: Hypotheses, ap: AnalysisPrior) -> np.ndarray:
-    out = log_predictive_vector(ap.h0, n) - log_predictive_vector(ap.h1, n)
-    out.flags.writeable = False
-    return out
-
-
 def log_bf01_curve(n: int, hyp: Hypotheses, ap: AnalysisPrior) -> np.ndarray:
-    """log BF01 for every success count y = 0..n (read-only, cached)."""
+    """log BF01 for every success count y = 0..n."""
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got n={n}")
     _check_regions(hyp, ap)
-    return _log_bf01_curve(n, hyp, ap)
+    return log_predictive_vector(ap.h0, n) - log_predictive_vector(ap.h1, n)
 
 
 def bf01(y_s: int, n: int, hyp: Hypotheses, ap: AnalysisPrior) -> float:

@@ -37,21 +37,15 @@ E[N|H0] >= n1, only a short prefix of interim sizes is evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .bayesfactor import AnalysisPrior, Hypotheses, ParameterError, critical_efficacy
-from .operating import (
-    DesignGrid,
-    OperatingCharacteristics,
-    TwoStageDesign,
-    expected_size,
-    split_branches,
-)
-from .predictive import predictive_vector
-from .priors import DesignPrior, PointMass
+from .bayesfactor import AnalysisPrior, Hypotheses, ParameterError, check_size
+from .operating import DesignGrid, OperatingCharacteristics, TwoStageDesign, expected_size
+from .priors import DesignPrior
 
 
 @dataclass(frozen=True)
@@ -71,6 +65,8 @@ class CalibrationConstraints:
     window: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("n_min", "n_max", "window"):
+            check_size(name, getattr(self, name))
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError("alpha", f"must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
@@ -125,21 +121,16 @@ def base_sample_size(
 
     The power requirement must hold at n and at each of the next `window`
     sample sizes, which irons out the oscillations of the discrete binomial
-    power curve; the type-I requirement is checked at n itself.  None when no
-    n up to n_max qualifies.
+    power curve; the type-I requirement is checked at n itself.  Both are
+    read off the design grid of sizes 1..n_max + window at k_f = inf, where
+    no size can stop for futility, so its efficacy masses are the
+    single-look rates.  None when no n up to n_max qualifies.
     """
-    if null_prior is None:
-        null_prior = PointMass(hyp.p0)
     sizes = range(1, cons.n_max + cons.window + 1)
-    y_eff = {n: critical_efficacy(n, k, hyp, ap) for n in sizes}
-
-    def single_look(prior: DesignPrior, n: int) -> float:
-        return split_branches(predictive_vector(prior, n), y_eff[n], None).efficacy
-
-    power_ok = {n: single_look(power_prior, n) >= 1.0 - cons.beta for n in sizes}
+    grid = DesignGrid(sizes, k, math.inf, hyp, ap, power_prior, null_prior)
+    power_ok = grid.power >= 1.0 - cons.beta
     for n in range(1, cons.n_max + 1):
-        stable = all(power_ok[m] for m in range(n, n + cons.window + 1))
-        if stable and single_look(null_prior, n) <= cons.alpha:
+        if power_ok[n : n + cons.window + 1].all() and grid.type_i[n] <= cons.alpha:
             return n
     return None
 

@@ -50,6 +50,7 @@ import numpy as np
 from .bayesfactor import (
     AnalysisPrior,
     Hypotheses,
+    check_size,
     check_thresholds,
     critical_efficacy,
     critical_futility,
@@ -82,6 +83,8 @@ class TwoStageDesign:
     k_f: float
 
     def __post_init__(self) -> None:
+        check_size("n1", self.n1)
+        check_size("n2", self.n2)
         if not 1 <= self.n1 < self.n2:
             raise ValueError(f"need 1 <= n1 < n2, got n1={self.n1}, n2={self.n2}")
         check_thresholds(self.k, self.k_f)

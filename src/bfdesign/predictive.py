@@ -60,21 +60,13 @@ def log_predictive_vector(prior: TruncatedBeta, n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _predictive_vector(prior: DesignPrior, n: int) -> np.ndarray:
-    if isinstance(prior, PointMass):
-        out = np.exp(log_binom_pmf_vector(n, prior.p))
-    else:
-        out = np.exp(log_predictive_vector(prior, n))
-    out.flags.writeable = False
-    return out
-
-
 def predictive_vector(prior: DesignPrior, n: int) -> np.ndarray:
-    """Predictive pmf over y = 0..n as a read-only array (cached)."""
+    """Predictive pmf over y = 0..n."""
     if n < 1:
         raise ValueError(f"batch size must be at least 1, got n={n}")
-    return _predictive_vector(prior, n)
+    if isinstance(prior, PointMass):
+        return np.exp(log_binom_pmf_vector(n, prior.p))
+    return np.exp(log_predictive_vector(prior, n))
 
 
 def predictive_pmf(y_s: int, n: int, prior: DesignPrior) -> float:

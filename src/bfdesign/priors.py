@@ -2,7 +2,8 @@
 
 Two kinds of design prior drive every predictive computation: a point mass
 (frequentist planning value) and a Beta law truncated to an interval.  Both
-are frozen dataclasses so they can key the internal caches.
+are frozen dataclasses; a `TruncatedBeta` keys the cache of the log
+predictive kernel.
 """
 
 from __future__ import annotations

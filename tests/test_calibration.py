@@ -12,10 +12,13 @@ from bfdesign import (
     TwoStageDesign,
     base_sample_size,
     calibrate,
+    critical_efficacy,
     evaluate,
     optimal_calibrate,
+    predictive_vector,
     scan,
 )
+from bfdesign.bayesfactor import ParameterError
 from bfdesign.operating import DesignGrid
 
 EX1_HYP = Hypotheses(0.1)
@@ -35,6 +38,21 @@ def test_constraints_validation():
         CalibrationConstraints(alpha=0.05, beta=0.2, n_min=10, n_max=10)
     with pytest.raises(ValueError):
         CalibrationConstraints(alpha=0.05, beta=0.2, window=-1)
+    for name, value in [
+        ("n_min", 5.0),
+        ("n_min", True),
+        ("n_max", 40.5),
+        ("n_max", 40.0),
+        ("window", 2.5),
+        ("window", False),
+    ]:
+        with pytest.raises(ParameterError) as err:
+            CalibrationConstraints(alpha=0.05, beta=0.2, **{name: value})
+        assert err.value.name == name
+    cons = CalibrationConstraints(
+        alpha=0.05, beta=0.2, n_min=np.int64(5), n_max=np.int64(40), window=np.int64(0)
+    )
+    assert cons.n_max == 40
 
 
 def test_single_look_baselines():
@@ -52,6 +70,34 @@ def test_single_look_baseline_strong_evidence_point_prior():
     value = base_sample_size(1 / 10, EX2_HYP, EX2_AP, PointMass(0.4), cons)
     assert value in (53, 54)
     assert value == 53
+
+
+def _reference_base_sample_size(k, hyp, ap, power_prior, cons, null_prior):
+    """The baseline by its definition, one size at a time."""
+
+    def single_look(prior, n):
+        y_eff = critical_efficacy(n, k, hyp, ap)
+        return 0.0 if y_eff is None else float(predictive_vector(prior, n)[y_eff:].sum())
+
+    null_prior = null_prior or PointMass(hyp.p0)
+    for n in range(1, cons.n_max + 1):
+        stable = all(
+            single_look(power_prior, m) >= 1.0 - cons.beta
+            for m in range(n, n + cons.window + 1)
+        )
+        if stable and single_look(null_prior, n) <= cons.alpha:
+            return n
+    return None
+
+
+@pytest.mark.parametrize("window", [0, 10])
+@pytest.mark.parametrize("null_prior", [None, TruncatedBeta(1, 1, 0.0, 0.2)])
+@pytest.mark.parametrize("power_prior", [TruncatedBeta(1, 1, 0.2, 1.0), PointMass(0.4)])
+@pytest.mark.parametrize("k", [1 / 10, 1 / 3])
+def test_single_look_baseline_equals_per_size_reference(k, power_prior, null_prior, window):
+    cons = CalibrationConstraints(alpha=0.1, beta=0.1, n_min=5, n_max=150, window=window)
+    args = (k, EX2_HYP, EX2_AP, power_prior, cons, null_prior)
+    assert base_sample_size(*args) == _reference_base_sample_size(*args)
 
 
 def test_single_look_baseline_absent_when_range_too_small():

@@ -22,7 +22,7 @@ from bfdesign import (
     optimal_calibrate,
     predictive_vector,
 )
-from bfdesign.bayesfactor import log_bf01_curve
+from bfdesign.bayesfactor import ParameterError, log_bf01_curve
 from bfdesign.operating import DesignGrid, erased_mass_column
 
 FLAT01 = TruncatedBeta(1, 1, 0.0, 1.0)
@@ -59,6 +59,18 @@ def test_two_stage_design_validation():
         TwoStageDesign(2, 5, 1.5, 3.0)
     with pytest.raises(ValueError):
         TwoStageDesign(2, 5, 1 / 3, 0.5)
+    # sizes are counts: a float, even a whole one, or a bool is refused by name
+    for n1, n2, name in [
+        (10.5, 29, "n1"),
+        (10.0, 29, "n1"),
+        (True, 29, "n1"),
+        (10, 29.0, "n2"),
+        (10, np.float64(29), "n2"),
+    ]:
+        with pytest.raises(ParameterError) as err:
+            TwoStageDesign(n1, n2, 1 / 3, 3.0)
+        assert err.value.name == name
+    assert TwoStageDesign(np.int64(10), np.int32(29), 1 / 3, 3.0).n2 == 29
 
 
 def test_nan_futility_threshold_rejected():

@@ -9,12 +9,16 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import binom
 
 from bfdesign import (
+    AnalysisPrior,
+    Hypotheses,
     PointMass,
     TruncatedBeta,
     joint_predictive_matrix,
     predictive_pmf,
     predictive_vector,
 )
+from bfdesign.bayesfactor import log_bf01_curve
+from bfdesign.predictive import log_predictive_vector
 
 FLAT = TruncatedBeta(1, 1, 0.0, 1.0)
 
@@ -78,6 +82,24 @@ def test_predictive_domain_errors():
         predictive_pmf(-1, 4, FLAT)
     with pytest.raises(ValueError):
         predictive_pmf(0, 0, FLAT)
+
+
+def test_returned_arrays_belong_to_the_caller():
+    # only the cached log kernel is shared; what is derived from it is a
+    # fresh array the caller may write into
+    hyp, ap = Hypotheses(0.2), AnalysisPrior.flat(0.2)
+    for prior in (TruncatedBeta(2, 3, 0.2, 1.0), PointMass(0.4)):
+        first = predictive_vector(prior, 30)
+        expected = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(predictive_vector(prior, 30), expected)
+    first = log_bf01_curve(30, hyp, ap)
+    expected = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(log_bf01_curve(30, hyp, ap), expected)
+    shared = log_predictive_vector(TruncatedBeta(2, 3, 0.2, 1.0), 30)
+    with pytest.raises(ValueError):
+        shared[0] = 0.0
 
 
 def test_joint_flat_hand_value():

@@ -171,3 +171,35 @@ def test_only_special_imports_scipy():
             if any(m == "scipy" or m.startswith("scipy.") for m in modules):
                 importers.add(name)
     assert importers == {"special.py"}
+
+
+def test_only_the_kernel_is_cached():
+    # the design grid is the one per-size store of everything derived from
+    # the kernel, so lru_cache memoizes the kernel and nothing above it
+    package = os.path.dirname(bfdesign.__file__)
+    cached = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        uses = [
+            node
+            for node in ast.walk(tree)
+            if getattr(node, "id", None) == "lru_cache"
+            or getattr(node, "attr", None) == "lru_cache"
+        ]
+        decorated = [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            for decorator in node.decorator_list
+            if ast.unparse(getattr(decorator, "func", decorator)).endswith("lru_cache")
+        ]
+        # every use is a decorator on a named function
+        assert len(uses) == len(decorated), name
+        cached += [(name, function) for function in decorated]
+    assert sorted(cached) == [
+        ("predictive.py", "_log_norm"),
+        ("predictive.py", "log_predictive_vector"),
+    ]
