@@ -19,23 +19,13 @@ assumption is baked in.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .predictive import log_predictive_vector
-from .priors import TruncatedBeta
-
-
-class ParameterError(ValueError):
-    """A design parameter outside its valid range, carrying the parameter's name."""
-
-    def __init__(self, name: str, message: str):
-        super().__init__(f"{name} {message}")
-        self.name = name
-        self.message = message
+from .priors import ParameterError, TruncatedBeta, check_size
 
 
 def check_thresholds(k: Optional[float] = None, k_f: Optional[float] = None) -> None:
@@ -44,12 +34,6 @@ def check_thresholds(k: Optional[float] = None, k_f: Optional[float] = None) -> 
         raise ParameterError("k", f"must lie in (0, 1), got {k}")
     if k_f is not None and not k_f > 1.0:
         raise ParameterError("k_f", f"must exceed 1, got {k_f}")
-
-
-def check_size(name: str, value: object) -> None:
-    """Require a Python or numpy integer; bools and floats such as 10.0 fail."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParameterError(name, f"must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +86,9 @@ def _check_regions(hyp: Hypotheses, ap: AnalysisPrior) -> None:
 
 def log_bf01_curve(n: int, hyp: Hypotheses, ap: AnalysisPrior) -> np.ndarray:
     """log BF01 for every success count y = 0..n."""
+    check_size("n", n)
     if n < 1:
-        raise ValueError(f"sample size must be at least 1, got n={n}")
+        raise ParameterError("n", f"must be at least 1, got {n}")
     _check_regions(hyp, ap)
     return log_predictive_vector(ap.h0, n) - log_predictive_vector(ap.h1, n)
 

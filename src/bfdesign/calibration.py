@@ -38,6 +38,7 @@ E[N|H0] >= n1, only a short prefix of interim sizes is evaluated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -234,8 +235,9 @@ def scan(
     a final size n2 <= n_min gives none; exposes the error-rate oscillations
     in the interim size.
     """
-    if isinstance(n2_values, int):
-        n2_values = [n2_values]
+    n2_values = [n2_values] if isinstance(n2_values, numbers.Integral) else list(n2_values)
+    for n2 in n2_values:
+        check_size("n2", n2)
     sizes = [n2 for n2 in n2_values if n2 > cons.n_min]
     if not sizes:
         return []

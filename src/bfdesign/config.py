@@ -99,10 +99,10 @@ def _parse_number(field_name: str, token: str) -> float:
 def _truncated_beta(
     field_name: str, a: float, b: float, l: float, u: float
 ) -> TruncatedBeta:
-    """TruncatedBeta(a, b, l, u), its ValueError turned into a ConfigError."""
+    """TruncatedBeta(a, b, l, u); its ValueError or ArithmeticError becomes a ConfigError."""
     try:
         return TruncatedBeta(a, b, l, u)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(field_name, str(exc)) from exc
 
 

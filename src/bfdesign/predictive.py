@@ -14,10 +14,11 @@ predictive pmfs.  Evaluated at the pooled success count, it yields the joint
 law of the two batch counts of a split sample, because both batches share
 one latent success probability.
 
-All evaluation is in log space with a single final exponentiation.  The
-incomplete-beta masses M that underflow a double come from the log-space
-continued fraction in `special`, so the kernel stays finite and accurate
-for counts in the thousands.
+All evaluation is in log space with a single final exponentiation.  Each
+product B(p, q) * M(p, q) is the integral of t^(p-1) (1-t)^(q-1) over
+[l, u].  `special.log_beta_integrals` gives its log for every y at once from
+one recurrence, and the normalizer is the same integral at n = 0, so the
+kernel stays finite and accurate for counts in the thousands.
 """
 
 from __future__ import annotations
@@ -26,30 +27,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .priors import DesignPrior, PointMass, TruncatedBeta
-from .special import (
-    betaln,
-    log_binom_coeff_vector,
-    log_binom_pmf_vector,
-    log_trunc_beta_mass,
-)
+from .priors import DesignPrior, ParameterError, PointMass, TruncatedBeta, check_size
+from .special import log_beta_integrals, log_binom_coeff_vector, log_binom_pmf_vector
 
 _CACHE_SIZE = 4096
 
 
 def _log_pooled_kernel(prior: TruncatedBeta, n: int) -> np.ndarray:
     """log[B(a+s, b+n-s) * M(a+s, b+n-s)] for pooled success counts s = 0..n."""
-    s = np.arange(n + 1, dtype=float)
-    a_post = prior.a + s
-    b_post = prior.b + n - s
-    return betaln(a_post, b_post) + log_trunc_beta_mass(a_post, b_post, prior.l, prior.u)
+    return log_beta_integrals(prior.a, prior.b, prior.l, prior.u, n)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _log_norm(prior: TruncatedBeta) -> float:
-    return float(
-        betaln(prior.a, prior.b) + log_trunc_beta_mass(prior.a, prior.b, prior.l, prior.u)
-    )
+    return float(_log_pooled_kernel(prior, 0)[0])
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -62,8 +53,9 @@ def log_predictive_vector(prior: TruncatedBeta, n: int) -> np.ndarray:
 
 def predictive_vector(prior: DesignPrior, n: int) -> np.ndarray:
     """Predictive pmf over y = 0..n."""
+    check_size("n", n)
     if n < 1:
-        raise ValueError(f"batch size must be at least 1, got n={n}")
+        raise ParameterError("n", f"must be at least 1, got {n}")
     if isinstance(prior, PointMass):
         return np.exp(log_binom_pmf_vector(n, prior.p))
     return np.exp(log_predictive_vector(prior, n))
@@ -87,6 +79,8 @@ def joint_predictive_matrix(n1: int, m: int, prior: DesignPrior) -> np.ndarray:
     would hold far more memory than the predictive vectors they are built
     from.
     """
+    check_size("n1", n1)
+    check_size("m", m)
     if n1 < 1 or m < 1:
         raise ValueError(f"batch sizes must be at least 1, got n1={n1}, m={m}")
     if isinstance(prior, PointMass):

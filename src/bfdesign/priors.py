@@ -3,15 +3,33 @@
 Two kinds of design prior drive every predictive computation: a point mass
 (frequentist planning value) and a Beta law truncated to an interval.  Both
 are frozen dataclasses; a `TruncatedBeta` keys the cache of the log
-predictive kernel.
+predictive kernel.  Every module above refuses a bad parameter by name
+with `ParameterError`, defined here.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
-from .special import trunc_beta_mass
+from .special import log_beta, log_beta_integrals
+
+
+class ParameterError(ValueError):
+    """A design parameter outside its valid range, carrying the parameter's name."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(f"{name} {message}")
+        self.name = name
+        self.message = message
+
+
+def check_size(name: str, value: object) -> None:
+    """Require a Python or numpy integer; bools and floats such as 10.0 fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(name, f"must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -20,8 +38,9 @@ class TruncatedBeta:
 
     The untruncated law (l, u) = (0, 1) is the common special case.  The
     shapes must be positive numbers (NaN is rejected), and the Beta(a, b)
-    mass on [l, u] must be above zero in double precision.  A narrow interior
-    [l, u] loses precision: see `special.log_trunc_beta_mass`.
+    mass on [l, u] must be above zero in double precision, though the kernel
+    itself works in logs.  A narrow interior [l, u] loses precision: see
+    `special.log_beta_integrals`.
     """
 
     a: float
@@ -34,8 +53,8 @@ class TruncatedBeta:
             raise ValueError(f"shape parameters must be positive, got a={self.a}, b={self.b}")
         if not (0.0 <= self.l < self.u <= 1.0):
             raise ValueError(f"truncation must satisfy 0 <= l < u <= 1, got l={self.l}, u={self.u}")
-        mass = trunc_beta_mass(self.a, self.b, self.l, self.u)
-        if not mass > 0.0:
+        log_mass = log_beta_integrals(self.a, self.b, self.l, self.u, 0)[0]
+        if not math.exp(log_mass - log_beta(self.a, self.b)) > 0.0:
             raise ValueError(
                 f"degenerate truncation: Beta({self.a}, {self.b}) has no mass on [{self.l}, {self.u}]"
             )

@@ -1,12 +1,11 @@
-"""Log-domain special functions for beta-binomial computations.
+"""Log-domain special functions for beta-binomial computations, numpy only.
 
-Everything downstream (predictive masses, Bayes factors) is assembled from
-log factorials, log beta functions and the Beta mass of a truncation
-interval, all taken from here: this is the one module that imports scipy,
-whose cephes routines are the double precision path.  Masses that underflow
-a double are recomputed in log space from the continued fraction of the
-incomplete beta function, so log-scale quantities stay finite and accurate
-far into the tails.
+Everything downstream is assembled from log factorials and one kernel,
+`log_beta_integrals`.  On [0, u], with alpha = a + s and beta = b + n - s,
+its integrals J(s) obey the backward recurrence (DLMF 8.17(iv))
+alpha J(s) = u^alpha (1-u)^(beta-1) + (beta-1) J(s+1), whose terms are all
+positive.  It runs from one anchor J(n), taken from the incomplete beta
+continued fraction, and stays finite far below the double range.
 """
 
 from __future__ import annotations
@@ -14,21 +13,36 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betainc, betaincc, betaln, gammaln
 
-# Below this, a mass computed in doubles is recomputed in log space.
-_UNDERFLOW = 1e-290
-
-# Modified Lentz iteration: floor for vanishing denominators, the
-# convergence tolerance on each step's factor, and the iteration cap.
+# Modified Lentz iteration: denominator floor, step tolerance, iteration cap.
 _TINY = 1e-300
 _EPS = np.finfo(float).eps
 _MAX_ITER = 10_000
 
+# log y! from exact factorials up to 170! (171! overflows a double), and
+# Stirling's series for log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2,
+# whose omitted terms are below 1e-18 at x >= 17.
+_LOG_FACT_EXACT = np.log([float(math.factorial(y)) for y in range(171)])
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling(x):
+    """Stirling's series at x >= 17, elementwise."""
+    r2 = 1.0 / (x * x)
+    series = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        series = c + r2 * series
+    return series / x
+
 
 def log_factorials(n: int) -> np.ndarray:
     """log y! for y = 0..n."""
-    return gammaln(np.arange(n + 1) + 1.0)
+    if n < _LOG_FACT_EXACT.size:
+        return _LOG_FACT_EXACT[: n + 1].copy()
+    x = np.arange(_LOG_FACT_EXACT.size + 1.0, n + 2.0)
+    tail = (x - 0.5) * np.log(x) - x + _HALF_LOG_2PI + _stirling(x)
+    return np.concatenate((_LOG_FACT_EXACT, tail))
 
 
 def log_binom_coeff_vector(n: int) -> np.ndarray:
@@ -37,109 +51,93 @@ def log_binom_coeff_vector(n: int) -> np.ndarray:
     return log_fact[n] - log_fact - log_fact[::-1]
 
 
-def trunc_beta_mass(
-    a: np.ndarray | float, b: np.ndarray | float, l: float, u: float
-) -> np.ndarray:
-    """Beta(a, b) probability mass on [l, u], elementwise over a and b.
+def log_beta(a: float, b: float) -> float:
+    """log B(a, b); Stirling's series keeps large shapes from cancelling."""
+    a, b = min(a, b), max(a, b)
+    if b < 17.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    c = a + b
+    tail = _stirling(b) - _stirling(c) - (b - 0.5) * math.log1p(a / b)
+    return math.lgamma(a) + tail - a * math.log(c) + a
 
-    An interior interval is I_u - I_l, taken from the complemented cdfs
-    (survival functions) when I_l > 1/2, where the direct difference would
-    cancel.
+
+def _guard(v: float) -> float:
+    return _TINY if abs(v) < _TINY else v
+
+
+def _log_fraction(a: float, b: float, x: float) -> float:
+    """log of the integral of p^(a-1) (1-p)^(b-1) over [0, x], 0 < x < 1.
+
+    x^a (1-x)^b / a times the continued fraction by modified Lentz (Numerical
+    Recipes 6.4), fast for x < (a+1)/(a+b+2); unconverged, it raises.
     """
-    if l == 0.0:
-        return betainc(a, b, u)
-    if u == 1.0:
-        return betaincc(a, b, l)
-    lo = betainc(a, b, l)
-    return np.where(lo > 0.5, betaincc(a, b, l) - betaincc(a, b, u), betainc(a, b, u) - lo)
-
-
-def _floor(v: np.ndarray) -> np.ndarray:
-    """Lentz's guard: replace near-zero denominators by a tiny number."""
-    return np.where(np.abs(v) < _TINY, _TINY, v)
-
-
-def _log_lower_tail(a: np.ndarray, b: np.ndarray, x: np.ndarray | float) -> np.ndarray:
-    """log I_x(a, b) from the incomplete beta continued fraction.
-
-    I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) * cf, with cf evaluated by the
-    modified Lentz method (Numerical Recipes, section 6.4) on every entry at
-    once; the prefactor is summed in logs, so it never underflows.  The
-    fraction converges fast only for x < (a + 1) / (a + b + 2); outside that
-    regime, or without convergence, this raises ArithmeticError rather than
-    return a value it cannot vouch for.
-    """
-    a, b, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, x)))
-    if not np.all(x < (a + 1.0) / (a + b + 2.0)):
-        raise ArithmeticError("continued fraction asked outside x < (a+1)/(a+b+2)")
-    cf = np.empty(a.shape)
-    live = np.arange(a.size)
-    p, q, t = a.ravel(), b.ravel(), x.ravel()
-    c = np.ones(a.size)
-    d = 1.0 / _floor(1.0 - (p + q) * t / (p + 1.0))
-    h = d.copy()
+    d = 1.0 / _guard(1.0 - (a + b) * x / (a + 1.0))
+    c, h = 1.0, d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        even = m * (q - m) * t / ((p + m2 - 1.0) * (p + m2))
-        d = 1.0 / _floor(1.0 + even * d)
-        c = _floor(1.0 + even / c)
+        even = m * (b - m) / (a + m2 - 1.0) * x / (a + m2)
+        d = 1.0 / _guard(1.0 + even * d)
+        c = _guard(1.0 + even / c)
         h *= d * c
-        odd = -(p + m) * (p + q + m) * t / ((p + m2) * (p + m2 + 1.0))
-        d = 1.0 / _floor(1.0 + odd * d)
-        c = _floor(1.0 + odd / c)
-        step = d * c
-        h *= step
-        done = np.abs(step - 1.0) < _EPS
-        cf.flat[live[done]] = h[done]
-        if done.all():
-            break
-        keep = ~done
-        live, p, q, t, c, d, h = (v[keep] for v in (live, p, q, t, c, d, h))
-    else:
-        raise ArithmeticError(f"continued fraction unconverged after {_MAX_ITER} steps")
-    return a * np.log(x) + b * np.log1p(-x) - np.log(a) - betaln(a, b) + np.log(cf)
+        odd = -(a + m) / (a + m2) * (a + b + m) / (a + m2 + 1.0) * x
+        d = 1.0 / _guard(1.0 + odd * d)
+        c = _guard(1.0 + odd / c)
+        h *= d * c
+        if abs(d * c - 1.0) < _EPS:
+            return a * math.log(x) + b * math.log1p(-x) - math.log(a) + math.log(h)
+    raise ArithmeticError(f"continued fraction unconverged after {_MAX_ITER} steps")
 
 
-def log_trunc_beta_mass(
-    a: np.ndarray | float, b: np.ndarray | float, l: float, u: float
-) -> np.ndarray:
-    """log of the Beta(a, b) probability mass on [l, u], elementwise over a and b.
+def _log_lower_tails(a: float, b: float, u: float, n: int) -> np.ndarray:
+    """log J(s), s = 0..n, on [0, u], 0 < u <= 1.
 
-    a and b are scalars or arrays of one shape.
-
-    Entries whose double-precision mass underflows are recomputed by the
-    log-space continued fraction: a lower tail [0, u] directly, an upper tail
-    [l, 1] as the lower tail of Beta(b, a) at 1 - l, and an interior interval
-    as the log-difference of its two tails on the side of (a+1)/(a+b+2) where
-    it lies.
-
-    A narrow interior interval cancels: its mass carries a relative error of
-    about 1e-16 / (1 - I_l / I_u) or more.  For a = 1600, b = 160 on
-    [0.5 - 1e-13, 0.5] the result is off by 4.5e-7 in the log (3e-4 in the
-    mass) against 60-digit mpmath.  A config builds only the tails [0, p0]
-    and [p0, 1], which do not cancel.
+    With P(s) the sum of log((beta-1)/alpha) below s, J(s) exp(P(s)) is the
+    sum over j >= s of exp(P(j)) u^alpha (1-u)^(beta-1) / alpha, plus
+    exp(P(n)) J(n): one reversed logaddexp accumulation.  beta - 1 is formed
+    as b + (n - s - 1), so a tiny b is not rounded away.  Above the fraction's
+    regime the anchor is B(a+n, b) less the upper tail, unless that tail
+    holds over half of it (b tiny): then the fraction runs there, slowly
+    as u nears 1.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    mass = np.asarray(trunc_beta_mass(a, b, l, u), dtype=float)
-    out = np.full(mass.shape, -np.inf)
-    ok = mass > _UNDERFLOW
-    out[ok] = np.log(mass[ok])
-    low = ~ok
-    if not low.any():
-        return out
-    a, b = a[low], b[low]
-    if l == 0.0:
-        out[low] = _log_lower_tail(a, b, u)
-    elif u == 1.0:
-        out[low] = _log_lower_tail(b, a, 1.0 - l)
+    s = np.arange(n, dtype=float)
+    alpha, beta_m1 = a + s, b + (n - 1 - s)
+    log_alpha = np.log(alpha)
+    log_p = np.zeros(n + 1)
+    np.cumsum(np.log(beta_m1) - log_alpha, out=log_p[1:])
+    log_1mu = math.log1p(-u) if u < 1.0 else -math.inf
+    terms = np.empty(n + 1)
+    terms[:n] = log_p[:n] + alpha * math.log(u) + beta_m1 * log_1mu - log_alpha
+    top = a + n
+    if u < (top + 1.0) / (top + b + 2.0):
+        anchor = _log_fraction(top, b, u)
     else:
-        flip = l > (a + 1.0) / (a + b + 2.0)
-        p, q = np.where(flip, b, a), np.where(flip, a, b)
-        outer = _log_lower_tail(p, q, np.where(flip, 1.0 - l, u))
-        inner = _log_lower_tail(p, q, np.where(flip, 1.0 - u, l))
-        with np.errstate(divide="ignore"):
-            out[low] = outer + np.log(-np.expm1(inner - outer))
-    return out
+        anchor = log_beta(top, b)
+        share = math.exp(_log_fraction(b, top, 1.0 - u) - anchor) if u < 1.0 else 0.0
+        anchor = _log_fraction(top, b, u) if share > 0.5 else anchor + math.log1p(-share)
+    terms[n] = log_p[n] + anchor
+    return np.logaddexp.accumulate(terms[::-1])[::-1] - log_p
+
+
+def log_beta_integrals(a: float, b: float, l: float, u: float, n: int) -> np.ndarray:
+    """log of the integral of p^(a+s-1) (1-p)^(b+n-s-1) over [l, u], s = 0..n.
+
+    At n = 0, the log normalizer of Beta(a, b) on [l, u].  An upper tail runs
+    the recurrence under p -> 1 - p; an interior interval is the
+    log-difference of two lower or two upper tails, per entry on the side
+    where they cancel less.  A narrow interval still cancels, to a relative
+    error of about 1e-16 / (1 - I_l / I_u) or more (I_x the Beta cdf on that
+    side): for a = 1600, b = 160 on [0.5 - 1e-13, 0.5] the mass is off by 3e-4
+    relative to 60-digit mpmath.  Configs build only [0, p0] and [p0, 1].
+    """
+    if l == 0.0:
+        return _log_lower_tails(a, b, u, n)
+    if u == 1.0:
+        return _log_lower_tails(b, a, 1.0 - l, n)[::-1]
+    lower = _log_lower_tails(a, b, u, n), _log_lower_tails(a, b, l, n)
+    upper = _log_lower_tails(b, a, 1.0 - l, n)[::-1], _log_lower_tails(b, a, 1.0 - u, n)[::-1]
+    outer, inner = np.where(upper[1] - upper[0] < lower[1] - lower[0], upper, lower)
+    with np.errstate(divide="ignore"):
+        return outer + np.log(-np.expm1(inner - outer))
 
 
 def log_binom_pmf_vector(n: int, p: float) -> np.ndarray:

@@ -16,6 +16,7 @@ from bfdesign import (
     critical_futility,
     predictive_pmf,
 )
+from bfdesign.bayesfactor import ParameterError
 
 
 def quadrature_marginal(y, n, prior):
@@ -174,6 +175,9 @@ def test_threshold_preconditions():
         critical_futility(10, 1.0, hyp, ap)
     with pytest.raises(ValueError):
         bf01(5, 4, hyp, ap)
+    with pytest.raises(ParameterError) as err:
+        bf01(3, 10.0, hyp, ap)
+    assert err.value.name == "n"
 
 
 def test_analysis_prior_region_validation():
@@ -190,3 +194,59 @@ def test_hypotheses_validation():
         Hypotheses(0.0)
     with pytest.raises(ValueError):
         Hypotheses(1.0)
+
+
+# Critical counts at n = 1, 10, 60, 120, 1000, 3000, each row
+# (critical_efficacy at k = 1/3, at k = 1/30, critical_futility at k_f = 3,
+# at k_f = 30), for analysis shapes (a0, b0, a1, b1); integers only, so a
+# kernel change that moves no decision keeps this table.
+PINNED_SIZES = (1, 10, 60, 120, 1000, 3000)
+PINNED_COUNTS = {
+    (0.01, (1, 1, 1, 1)): [
+        (1, 1, None, None), (2, 2, 0, None), (3, 5, 1, 0),
+        (5, 6, 3, 1), (19, 22, 15, 11), (46, 50, 40, 33),
+    ],
+    (0.01, (2, 20, 0.5, 2)): [
+        (1, 1, None, None), (1, 2, 0, None), (3, 4, 1, None),
+        (4, 6, 2, None), (18, 21, 13, 8), (43, 48, 36, 27),
+    ],
+    (0.2, (1, 1, 1, 1)): [
+        (1, None, None, None), (4, 6, 1, 0), (17, 20, 12, 8),
+        (31, 35, 24, 18), (218, 231, 201, 184), (632, 653, 603, 573),
+    ],
+    (0.2, (2, 20, 0.5, 2)): [
+        (1, None, None, None), (3, 5, 1, None), (14, 18, 9, 6),
+        (26, 31, 20, 16), (202, 219, 186, 173), (603, 631, 574, 553),
+    ],
+    (0.5, (1, 1, 1, 1)): [
+        (None, None, None, None), (7, 9, 3, 1), (33, 38, 27, 22),
+        (64, 71, 56, 49), (511, 530, 489, 470), (1519, 1551, 1481, 1449),
+    ],
+    (0.5, (2, 20, 0.5, 2)): [
+        (1, None, None, None), (4, 6, 2, 1), (23, 26, 20, 18),
+        (48, 52, 44, 42), (454, 464, 444, 436), (1414, 1432, 1398, 1384),
+    ],
+    (0.99, (1, 1, 1, 1)): [
+        (None, None, 0, 0), (10, None, 8, 8), (59, 60, 57, 55),
+        (117, 119, 115, 114), (985, 989, 981, 978), (2960, 2967, 2954, 2950),
+    ],
+    (0.99, (2, 20, 0.5, 2)): [
+        (1, None, 0, 0), (8, 8, 7, 6), (51, 51, 49, 49),
+        (105, 106, 104, 103), (947, 948, 945, 944), (2896, 2898, 2894, 2892),
+    ],
+}
+
+
+@pytest.mark.parametrize("p0, shapes", list(PINNED_COUNTS))
+def test_pinned_critical_counts(p0, shapes):
+    hyp, ap = Hypotheses(p0), AnalysisPrior.from_shapes(p0, *shapes)
+    got = [
+        (
+            critical_efficacy(n, 1 / 3, hyp, ap),
+            critical_efficacy(n, 1 / 30, hyp, ap),
+            critical_futility(n, 3.0, hyp, ap),
+            critical_futility(n, 30.0, hyp, ap),
+        )
+        for n in PINNED_SIZES
+    ]
+    assert got == PINNED_COUNTS[(p0, shapes)]

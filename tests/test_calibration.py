@@ -325,6 +325,13 @@ def test_scan_multiple_final_sizes():
     assert [(row.n2, row.n1) for row in rows] == [
         (10, n1) for n1 in range(5, 10)
     ] + [(12, n1) for n1 in range(5, 12)]
+    # any integer is one final size; a float, even a whole one, is refused
+    args = (cons, 1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
+    assert scan(np.int64(29), *args) == scan(29, *args)
+    assert scan(iter([10, 12]), *args) == rows
+    with pytest.raises(ParameterError) as err:
+        scan([29.0], *args)
+    assert err.value.name == "n2"
 
 
 def test_searches_are_deterministic():

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,20 @@ def test_degenerate_prior_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "power_prior" in captured.err
     assert captured.out == ""
+
+
+def test_tiny_beta_prior_gives_finite_report(tmp_path, capsys):
+    # Beta(1e-300, 1e-300) on [0.5, 1] puts its mass at p = 1; the kernel
+    # keeps the tiny shapes, so every figure is finite and nothing warns
+    path = tmp_path / "tiny.cfg"
+    path.write_text("p0=0.5\nalpha=0.05\nbeta=0.2\npower_prior=beta 1e-300 1e-300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oc", "--config", str(path), "--n1", "10", "--n2", "29"]) == 0
+    out = capsys.readouterr().out.lower()
+    assert "nan" not in out and "inf" not in out
+    report = dict(line.split() for line in out.strip().splitlines())
+    assert report["power_unadjusted"] == "1.0000"
 
 
 def test_missing_config_file(capsys):

@@ -147,6 +147,11 @@ def test_invalid_values_carry_field_names():
             parse_config("alpha=0.05\nbeta=0.2\n" + lines)
         assert err.value.field_name == field_name
         assert "degenerate truncation" in str(err.value)
+    # shapes whose normalizer overflows are refused by name, not answered
+    # with nan figures
+    with pytest.raises(ConfigError) as err:
+        parse_config("p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=beta 1.7e308 1.7e308\n")
+    assert err.value.field_name == "power_prior"
 
 
 def test_duplicate_key_rejected():

@@ -17,7 +17,7 @@ from bfdesign import (
     predictive_pmf,
     predictive_vector,
 )
-from bfdesign.bayesfactor import log_bf01_curve
+from bfdesign.bayesfactor import ParameterError, log_bf01_curve
 from bfdesign.predictive import log_predictive_vector
 
 FLAT = TruncatedBeta(1, 1, 0.0, 1.0)
@@ -82,6 +82,30 @@ def test_predictive_domain_errors():
         predictive_pmf(-1, 4, FLAT)
     with pytest.raises(ValueError):
         predictive_pmf(0, 0, FLAT)
+    # sizes are counts: a float is refused by name, not by a numpy IndexError
+    for prior in (PointMass(0.3), TruncatedBeta(1, 1)):
+        for n in (10.5, 10.0):
+            with pytest.raises(ParameterError) as err:
+                predictive_vector(prior, n)
+            assert err.value.name == "n"
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [TruncatedBeta(1, b) for b in (1e-15, 1e-13, 1e-10, 1e-8)]
+    + [
+        TruncatedBeta(1e-15, 0.3, 0.2, 1.0),
+        TruncatedBeta(1e-10, 2.0, 0.05, 1.0),
+        TruncatedBeta(0.3, 1e-15, 0.0, 0.6),
+        TruncatedBeta(1e-15, 0.3, 0.2, 0.7),
+    ],
+)
+def test_tiny_shape_pmf_normalizes(prior):
+    # b + n - s rounds b away at s = n (to 0 for b = 1e-15 at n = 29), so
+    # the kernel forms each shape with its integer part first; in the last
+    # four, nearly all of the untruncated Beta is a spike outside [l, u] that
+    # no normalizer may take as a cancelling difference
+    assert abs(predictive_vector(prior, 29).sum() - 1.0) < 1e-12
 
 
 def test_returned_arrays_belong_to_the_caller():

@@ -1,10 +1,10 @@
 """Numerical properties of the kernel over the whole supported range.
 
 Random settings with n up to 3000, p0 in [0.01, 0.99] and non-flat analysis
-and design priors: the log-space tails that replace underflowed double masses
-match 40-digit mpmath, every pmf sums to 1, and log BF01 is finite and
-strictly decreasing in the success count.  Examples are derandomized so the
-suite checks the same settings on every run.
+and design priors: sampled entries of the log kernel match 40-digit mpmath,
+every pmf sums to 1, and log BF01 is finite and strictly decreasing in the
+success count.  Examples are derandomized so the suite checks the same
+settings on every run.
 """
 
 import math
@@ -17,7 +17,7 @@ from scipy.special import gammaln
 
 from bfdesign import AnalysisPrior, Hypotheses, TruncatedBeta, predictive_vector
 from bfdesign.bayesfactor import log_bf01_curve
-from bfdesign.special import _UNDERFLOW, log_trunc_beta_mass, trunc_beta_mass
+from bfdesign.predictive import _log_pooled_kernel
 
 # mpmath comparisons per prior and example
 SAMPLE = 50
@@ -34,14 +34,16 @@ SETTING = dict(
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-def mp_log_mass(a, b, l, u):
-    """40-digit log Beta(a, b) mass on [0, u] or [l, 1]."""
+def mp_log_integral(a, b, l, u):
+    """40-digit log of the integral of p^(a-1) (1-p)^(b-1) over [0, u] or [l, 1].
+
+    Unregularized, so no double log-beta is subtracted: that alone would cost
+    about 1e-11 at n = 3000.
+    """
     with mpmath.workdps(40):
         if l == 0.0:
-            mass = mpmath.betainc(a, b, 0, u, regularized=True)
-        else:
-            mass = mpmath.betainc(b, a, 0, 1 - mpmath.mpf(l), regularized=True)
-        return float(mpmath.log(mass))
+            return float(mpmath.log(mpmath.betainc(a, b, 0, u)))
+        return float(mpmath.log(mpmath.betainc(b, a, 0, 1 - mpmath.mpf(l))))
 
 
 def priors(p0, h0, h1, design):
@@ -57,17 +59,20 @@ def priors(p0, h0, h1, design):
 @example(n=3000, p0=0.01, h0=(2.0, 20.0), h1=(0.5, 2.0), design=(2.0, 10.0))
 @example(n=3000, p0=0.99, h0=(20.0, 2.0), h1=(2.0, 0.5), design=(10.0, 1.0))
 @example(n=2000, p0=0.5, h0=(3.0, 3.0), h1=(0.2, 30.0), design=(30.0, 0.2))
-def test_underflowed_masses_match_high_precision(n, p0, h0, h1, design):
+def test_kernel_matches_high_precision(n, p0, h0, h1, design):
     rng = np.random.default_rng(n)
-    s = np.arange(n + 1.0)
     for prior in priors(p0, h0, h1, design):
-        a, b = prior.a + s, prior.b + n - s
-        # an entry outside the fraction's regime would raise ArithmeticError here
-        got = log_trunc_beta_mass(a, b, prior.l, prior.u)
-        low = np.flatnonzero(~(trunc_beta_mass(a, b, prior.l, prior.u) > _UNDERFLOW))
-        for i in rng.permutation(low)[:SAMPLE]:
-            want = mp_log_mass(a[i], b[i], prior.l, prior.u)
-            assert math.isclose(got[i], want, rel_tol=1e-12), (prior, i)
+        kernel = _log_pooled_kernel(prior, n)
+        for s in rng.permutation(n + 1)[:SAMPLE]:
+            want = mp_log_integral(prior.a + s, prior.b + (n - s), prior.l, prior.u)
+            assert math.isclose(kernel[s], want, rel_tol=1e-12), (prior, s)
+
+
+def test_band_where_double_betainc_was_off():
+    # masses between 1e-290 and 1e-270 are where a double incomplete beta
+    # lost up to 0.38 in the log; 80-digit mpmath gives -653.8735330578011
+    log_bf = log_bf01_curve(719, Hypotheses(0.35), AnalysisPrior.flat(0.35))
+    assert abs(log_bf[699] - (-653.8735330578011)) < 1e-9
 
 
 @PROPERTY

@@ -1,8 +1,9 @@
 """Special-function layer: exact values, oracle cross-checks, properties.
 
-A regularized incomplete beta value I_x(a, b) is the mass of Beta(a, b) on
-[0, x], and ln B(a, b) is the log normalizer of an untruncated Beta prior;
-the tests reach both through the functions that compute them.
+The kernel `log_beta_integrals(a, b, l, u, n)` is log J(s), the integral of
+p^(a+s-1) (1-p)^(b+n-s-1) over [l, u] for s = 0..n; at n = 0 it is the log
+normalizer of Beta(a, b) truncated to [l, u], so a Beta mass on [l, u] is
+exp(J - ln B(a, b)).
 """
 
 import ast
@@ -20,21 +21,31 @@ import bfdesign
 from bfdesign import special
 from bfdesign.predictive import _log_norm
 from bfdesign.priors import TruncatedBeta
-from bfdesign.special import log_binom_coeff_vector, log_trunc_beta_mass, trunc_beta_mass
+from bfdesign.special import (
+    log_beta,
+    log_beta_integrals,
+    log_binom_coeff_vector,
+    log_factorials,
+)
 
 
-def mp_log_mass(a, b, l, u):
-    """40-digit log Beta(a, b) mass on [l, u] and the share I_l / I_u it cancels.
+def mp_log_integral(a, b, l, u):
+    """40-digit log of the integral of p^(a-1) (1-p)^(b-1) over [l, u].
 
-    Both are taken from lower tails on the side of the mean where [l, u]
-    lies, reflecting Beta(a, b) on [l, u] to Beta(b, a) on [1 - u, 1 - l].
+    Also returns the share I_l / I_u it cancels.  Both are taken from lower
+    tails on the side of the mean where [l, u] lies, reflecting Beta(a, b)
+    on [l, u] to Beta(b, a) on [1 - u, 1 - l].
     """
     with mpmath.workdps(40):
         if l > a / (a + b):
             a, b, l, u = b, a, 1 - mpmath.mpf(u), 1 - mpmath.mpf(l)
-        lower = mpmath.betainc(a, b, 0, l, regularized=True)
-        upper = mpmath.betainc(a, b, 0, u, regularized=True)
+        lower = mpmath.betainc(a, b, 0, l)
+        upper = mpmath.betainc(a, b, 0, u)
         return float(mpmath.log(upper - lower)), float(lower / upper)
+
+
+def log_integral(a, b, l, u):
+    return float(log_beta_integrals(a, b, l, u, 0)[0])
 
 
 def test_log_beta_trivial_values():
@@ -46,29 +57,45 @@ def test_log_beta_against_high_precision():
     # ln B(10.33, 15) from a 40-digit log-gamma evaluation
     value = _log_norm(TruncatedBeta(10.33, 15))
     assert math.isclose(value, -17.10073839610954654715748, rel_tol=1e-13)
+    # both sides of the switch to Stirling's series at 17, and shapes whose
+    # log-gammas would cancel to nothing if differenced
+    with mpmath.workdps(40):
+        for a, b in [(16.9, 17.1), (17.0, 40.0), (0.5, 3000.0), (3000.0, 20.0), (2.0, 1e12)]:
+            want = float(mpmath.log(mpmath.beta(a, b)))
+            assert math.isclose(log_beta(a, b), want, rel_tol=1e-14), (a, b)
+
+
+def test_log_factorials_against_high_precision():
+    table = log_factorials(3000)
+    assert table[0] == 0.0 and table[1] == 0.0
+    with mpmath.workdps(40):
+        for y in list(range(40)) + [100, 169, 170, 171, 172, 1000, 2999, 3000]:
+            want = float(mpmath.loggamma(y + 1))
+            assert math.isclose(table[y], want, rel_tol=1e-15), y
+    assert np.array_equal(log_factorials(10), table[:11])
 
 
 def test_reg_inc_beta_endpoints_and_uniform():
-    assert trunc_beta_mass(3.2, 4.5, 0.0, 0.0) == 0.0
-    assert trunc_beta_mass(3.2, 4.5, 0.0, 1.0) == 1.0
-    assert math.isclose(trunc_beta_mass(1, 1, 0.0, 0.5), 0.5, rel_tol=1e-15)
+    assert log_integral(3.2, 4.5, 0.0, 1.0) == log_beta(3.2, 4.5)
+    assert math.isclose(math.exp(log_integral(1, 1, 0.0, 0.5)), 0.5, rel_tol=1e-15)
+    assert math.isclose(math.exp(log_integral(1, 1, 0.25, 1.0)), 0.75, rel_tol=1e-15)
 
 
 def test_reg_inc_beta_against_quadrature():
-    # independent adaptive-quadrature oracle for the Beta(2, 3) cdf at 0.2
+    # independent adaptive-quadrature oracle for the Beta(2, 3) integral on [0, 0.2]
     raw, _ = integrate.quad(lambda t: t * (1 - t) ** 2, 0.0, 0.2)
     oracle = raw / (math.gamma(2) * math.gamma(3) / math.gamma(5))
     assert math.isclose(oracle, 0.1808, rel_tol=1e-10)
-    assert math.isclose(trunc_beta_mass(2, 3, 0.0, 0.2), oracle, rel_tol=1e-12)
+    assert math.isclose(math.exp(log_integral(2, 3, 0.0, 0.2)), raw, rel_tol=1e-12)
 
 
 def test_reg_inc_beta_nondecreasing_in_x():
     rng = np.random.default_rng(42)
-    grid = np.linspace(0.0, 1.0, 1000)
+    grid = np.linspace(0.0, 1.0, 1000)[1:]
     for _ in range(25):
         a = rng.uniform(1e-3, 50.0)
         b = rng.uniform(1e-3, 50.0)
-        values = np.array([trunc_beta_mass(a, b, 0.0, x) for x in grid])
+        values = np.exp([log_integral(a, b, 0.0, x) - log_beta(a, b) for x in grid])
         assert np.all(np.diff(values) >= -1e-15)
 
 
@@ -80,27 +107,32 @@ def test_log_binom_coeff():
 def test_trunc_beta_mass_matches_cdf_difference():
     cases = [(2.0, 3.0, 0.1, 0.7), (5.5, 1.2, 0.0, 0.4), (1.0, 1.0, 0.25, 1.0)]
     for a, b, l, u in cases:
-        direct = trunc_beta_mass(a, b, 0.0, u) - trunc_beta_mass(a, b, 0.0, l)
-        assert math.isclose(trunc_beta_mass(a, b, l, u), direct, rel_tol=1e-12)
+        direct = math.exp(log_integral(a, b, 0.0, u))
+        if l > 0.0:
+            direct -= math.exp(log_integral(a, b, 0.0, l))
+        assert math.isclose(math.exp(log_integral(a, b, l, u)), direct, rel_tol=1e-12)
 
 
 def test_trunc_beta_mass_upper_tail_avoids_cancellation():
-    # mass of Beta(1, 201) on [0.1, 1] is 0.9^201, far below cdf-difference accuracy
-    exact = 201 * math.log(0.9)
-    assert math.isclose(log_trunc_beta_mass(1.0, 201.0, 0.1, 1.0), exact, rel_tol=1e-12)
+    # the integral of (1-p)^200 over [0.1, 1] is 0.9^201 / 201, far below
+    # cdf-difference accuracy; the vector reaches it at s = 0 of n = 200
+    exact = 201 * math.log(0.9) - math.log(201)
+    assert math.isclose(log_integral(1.0, 201.0, 0.1, 1.0), exact, rel_tol=1e-12)
+    assert math.isclose(log_beta_integrals(1.0, 1.0, 0.1, 1.0, 200)[0], exact, rel_tol=1e-12)
 
 
 def test_log_trunc_beta_mass_survives_double_underflow():
-    # Beta(1, 5001) mass on [0.3, 1] is 0.7^5001 ~ 1e-775: underflows a double
-    exact = 5001 * math.log(0.7)
-    assert math.isclose(log_trunc_beta_mass(1.0, 5001.0, 0.3, 1.0), exact, rel_tol=1e-10)
+    # the integral of (1-p)^5000 over [0.3, 1] is 0.7^5001 / 5001 ~ 1e-778
+    exact = 5001 * math.log(0.7) - math.log(5001)
+    assert math.isclose(log_integral(1.0, 5001.0, 0.3, 1.0), exact, rel_tol=1e-10)
+    assert math.isclose(log_beta_integrals(1.0, 1.0, 0.3, 1.0, 5000)[0], exact, rel_tol=1e-10)
 
 
 @pytest.mark.parametrize(
     "a, b, l, u",
     [
-        (2.0, 3.0, 0.05, 0.15),  # below the mean, double path
-        (2.0, 3.0, 0.8, 0.95),  # above the mean, double path
+        (2.0, 3.0, 0.05, 0.15),  # below the mean
+        (2.0, 3.0, 0.8, 0.95),  # above the mean
         (1600.0, 160.0, 0.3, 0.5),  # below the mean, mass ~ 1e-300
         (160.0, 1600.0, 0.5, 0.7),  # above the mean, mass ~ 1e-300
         (1.5, 4000.0, 0.2, 0.3),  # above the mean, mass ~ 1e-390
@@ -110,41 +142,30 @@ def test_log_trunc_beta_mass_survives_double_underflow():
     ],
 )
 def test_interior_interval_against_high_precision(a, b, l, u):
-    oracle, cancelled = mp_log_mass(a, b, l, u)
+    oracle, cancelled = mp_log_integral(a, b, l, u)
     assert cancelled <= 0.5
-    assert math.isclose(log_trunc_beta_mass(a, b, l, u), oracle, rel_tol=1e-12)
-
-
-def test_vector_entries_equal_scalar_calls():
-    a = np.array([1.0, 30.0, 400.0, 2500.0])
-    b = np.array([2500.0, 400.0, 30.0, 1.0])
-    for l, u in ((0.0, 0.1), (0.9, 1.0), (0.2, 0.6)):
-        vector = log_trunc_beta_mass(a, b, l, u)
-        assert np.isneginf(vector).sum() == 0
-        for i in range(a.size):
-            assert log_trunc_beta_mass(a[i], b[i], l, u) == vector[i]
-
-
-def test_lower_tail_refuses_slow_regime():
-    # x = 0.9 lies above (a+1)/(a+b+2) = 3/7: the fraction is not used there
-    with pytest.raises(ArithmeticError):
-        special._log_lower_tail(np.array([2.0, 2.0]), np.array([3.0, 3.0]), [0.1, 0.9])
-    with pytest.raises(ArithmeticError):
-        special._log_lower_tail(np.array([float("nan")]), np.array([3.0]), 0.1)
+    assert math.isclose(log_integral(a, b, l, u), oracle, rel_tol=1e-12)
+    # the same integral as an inner entry of a vector: shapes (a - s, b - n + s)
+    s, t = int(a) // 2, int(b) // 2
+    vector = log_beta_integrals(a - s, b - t, l, u, s + t)
+    assert math.isclose(vector[s], oracle, rel_tol=1e-12)
 
 
 def test_lower_tail_refuses_unconverged_fraction(monkeypatch):
     monkeypatch.setattr(special, "_MAX_ITER", 2)
     with pytest.raises(ArithmeticError):
-        special._log_lower_tail(np.array([1000.0]), np.array([1000.0]), 0.45)
+        log_beta_integrals(1000.0, 1000.0, 0.0, 0.45, 0)
+    with pytest.raises(ArithmeticError):
+        log_beta_integrals(1000.0, 1000.0, 0.55, 1.0, 3)
 
 
-def test_import_does_not_load_mpmath():
+@pytest.mark.parametrize("module", ["mpmath", "scipy"])
+def test_import_does_not_load_mpmath(module):
     src = os.path.dirname(os.path.dirname(bfdesign.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, bfdesign; print('mpmath' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, bfdesign; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env=env,
@@ -153,7 +174,7 @@ def test_import_does_not_load_mpmath():
     assert done.stdout.strip() == "False"
 
 
-def test_only_special_imports_scipy():
+def test_no_module_imports_scipy():
     package = os.path.dirname(bfdesign.__file__)
     importers = set()
     for name in sorted(os.listdir(package)):
@@ -170,7 +191,7 @@ def test_only_special_imports_scipy():
                 continue
             if any(m == "scipy" or m.startswith("scipy.") for m in modules):
                 importers.add(name)
-    assert importers == {"special.py"}
+    assert importers == set()
 
 
 def test_only_the_kernel_is_cached():
