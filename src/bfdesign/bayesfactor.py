@@ -100,6 +100,7 @@ def bf01(y_s: int, n: int, hyp: Hypotheses, ap: AnalysisPrior) -> float:
     for no successes in thousands of trials at p0 = 0.5; `log_bf01_curve`
     keeps the finite log.
     """
+    check_size("y_s", y_s)
     if y_s < 0 or y_s > n:
         raise ValueError(f"success count out of range: y_s={y_s}, n={n}")
     try:

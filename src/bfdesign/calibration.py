@@ -13,26 +13,20 @@ published reference designs are only reproduced without a lookahead on the
 (n1, n2) grid, where the interim adjustment already absorbs the worst of the
 oscillation.
 
-Each search builds one `operating.DesignGrid` over the sizes it searches.
-The grid finds the two critical counts of each size n once and cuts each
-design prior's predictive pmf at them into the three branch masses: the
-futility mass gives the stop probability and PCE of n as an interim size,
-the efficacy mass the single-look power and type-I of n as a final size.
-The only per-design work left is the erased mass: all interim sizes n1 of
-one final size n2 share one predictive vector at n2, so one vectorized call
-per design prior gives the adjusted rates of a whole set of n1, and the
-searches compare them with numpy masks.  The winner's operating
-characteristics are read off the same grid, which is what `evaluate` does
-on a grid of the design's two sizes.
-
-The optimal design minimizes the expected sample size under the null design
-prior over the whole feasible rectangle.  Two bounds cut the work without
-changing the argmin.  Final sizes whose single-look power already misses
-the target cannot become feasible by adding an interim look (the adjustment
-only lowers power), so those final sizes are skipped wholesale.  Once a
-feasible design is known, a later final size can only win with a strictly
-smaller E[N|H0], which the table gives without any erased mass; since
-E[N|H0] >= n1, only a short prefix of interim sizes is evaluated.
+Both two-stage searches are one walk over one `operating.DesignGrid` of the
+sizes n_min..n_max, which returns the feasible design with the smallest
+(key, n2, n1); the key is read off the grid's per-size tables.
+`optimal_calibrate` keys by E[N|H0] from the tabled stop probabilities, and
+`calibrate` by a constant, so the first feasible design in the order
+(n2, n1) wins.  The only per-design work is the erased mass, one vectorized
+call per design prior for a set of interim sizes of one final size
+(`DesignGrid.rows`).  Two cuts spare it without changing the answer.  A
+final size whose single-look power misses the target is skipped, since the
+interim adjustment only lowers power.  Once a feasible design is known, a
+later final size can only win with a strictly smaller key, so only interim
+sizes below the incumbent's key get rates: a short prefix for E[N|H0] >= n1,
+none for a constant key.  The winner's operating characteristics are read
+off the same grid, which is what `evaluate` does on a grid of its two sizes.
 """
 
 from __future__ import annotations
@@ -40,7 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -104,12 +98,6 @@ class ScanRow:
     feasible: bool
 
 
-def _winner(grid: DesignGrid, n1: int, n2: int, k: float, k_f: float) -> CalibratedDesign:
-    """The searched design (n1, n2) with its characteristics read off the grid."""
-    oc = grid.oc(n1, n2)
-    return CalibratedDesign(TwoStageDesign(n1, n2, k, k_f), oc, oc.e_n_h0)
-
-
 def base_sample_size(
     k: float,
     hyp: Hypotheses,
@@ -136,6 +124,49 @@ def base_sample_size(
     return None
 
 
+def _search(
+    cons: CalibrationConstraints,
+    key: Callable[[DesignGrid, np.ndarray, int], np.ndarray],
+    k: float,
+    k_f: float,
+    hyp: Hypotheses,
+    ap: AnalysisPrior,
+    power_prior: DesignPrior,
+    null_prior: Optional[DesignPrior],
+) -> Optional[CalibratedDesign]:
+    """Feasible design with the smallest (key, n2, n1), or None.
+
+    `key(grid, n1, n2)` reads the grid's tables for an array of interim
+    sizes.  Only final sizes whose single-look power meets the target, and
+    interim sizes whose key is below the incumbent's, get rates computed.
+    """
+    grid = DesignGrid(
+        range(cons.n_min, cons.n_max + 1), k, k_f, hyp, ap, power_prior, null_prior
+    )
+    if all(grid.y_fut[n] is None for n in range(cons.n_min, cons.n_max)):
+        return None  # no interim size can stop: no two-stage design exists
+    best: Optional[tuple[float, int, int]] = None
+    for n2 in range(cons.n_min + 1, cons.n_max + 1):
+        if grid.power[n2] < 1.0 - cons.beta:
+            continue
+        n1 = np.arange(cons.n_min, n2)
+        keys = key(grid, n1, n2)
+        if best is not None:
+            below = keys < best[0]
+            n1, keys = n1[below], keys[below]
+            if n1.size == 0:
+                continue
+        ok = np.flatnonzero(grid.rows(n2, n1).feasible(cons))
+        if ok.size:
+            i = ok[np.argmin(keys[ok])]
+            best = (float(keys[i]), n2, int(n1[i]))
+    if best is None:
+        return None
+    _, n2, n1 = best
+    oc = grid.oc(n1, n2)
+    return CalibratedDesign(TwoStageDesign(n1, n2, k, k_f), oc, oc.e_n_h0)
+
+
 def calibrate(
     cons: CalibrationConstraints,
     k: float,
@@ -145,27 +176,17 @@ def calibrate(
     power_prior: DesignPrior,
     null_prior: Optional[DesignPrior] = None,
 ) -> Optional[CalibratedDesign]:
-    """First calibrated design in the plain iteration order.
+    """First calibrated design in the order (n2, n1), both ascending.
 
-    Walks n1 upward within each n2 and bumps n2 once the interim sizes are
-    exhausted.  Final sizes whose single-look power misses the target are
-    skipped outright, since no interim split can repair power.  None when no
-    design with n2 <= n_max qualifies, and when no interim size in
-    [n_min, n_max - 1] can stop for futility at k_f.
+    The search walk with a constant key: the power skip spares final sizes
+    that cannot be feasible, and the key bound ends the work at the first
+    hit.  None when no design with n2 <= n_max qualifies, and when no
+    interim size in [n_min, n_max - 1] can stop for futility at k_f.
     """
-    grid = DesignGrid(
-        range(cons.n_min, cons.n_max + 1), k, k_f, hyp, ap, power_prior, null_prior
-    )
-    if all(grid.y_fut[n] is None for n in range(cons.n_min, cons.n_max)):
-        return None  # no interim size can stop: no two-stage design exists
-    for n2 in range(cons.n_min + 1, cons.n_max + 1):
-        if grid.power[n2] < 1.0 - cons.beta:
-            continue
-        rows = grid.rows(n2, np.arange(cons.n_min, n2))
-        hits = np.flatnonzero(rows.feasible(cons))
-        if hits.size:
-            return _winner(grid, int(rows.n1[hits[0]]), n2, k, k_f)
-    return None
+    def first(grid, n1, n2):
+        return np.zeros(n1.size)
+
+    return _search(cons, first, k, k_f, hyp, ap, power_prior, null_prior)
 
 
 def optimal_calibrate(
@@ -179,44 +200,17 @@ def optimal_calibrate(
 ) -> Optional[CalibratedDesign]:
     """Feasible design minimizing the expected sample size under H0.
 
-    Ties go to the smaller n2, then the smaller n1.  None when no design
-    with n2 <= n_max is feasible, and when no interim size in
-    [n_min, n_max - 1] can stop for futility at k_f.  Two bounds always cut
-    the work without changing the argmin:
-
-    - final sizes whose single-look power misses the target are skipped
-      without an interim search, because the interim adjustment only ever
-      lowers power;
-    - once a feasible design is known, a later (larger) n2 can only win with
-      a strictly smaller E[N|H0], so only its interim sizes below that
-      objective get their rates computed.  E[N|H0] >= n1, so that is a short
-      prefix of the interim sizes, found from the tabled stop probabilities.
+    The search walk keyed by E[N|H0], read off the tabled stop
+    probabilities; ties go to the smaller n2, then the smaller n1.  The
+    power skip and the key bound leave the argmin unchanged, and since
+    E[N|H0] >= n1 the bound keeps a short prefix of interim sizes.  None
+    when no design with n2 <= n_max is feasible, and when no interim size
+    in [n_min, n_max - 1] can stop for futility at k_f.
     """
-    grid = DesignGrid(
-        range(cons.n_min, cons.n_max + 1), k, k_f, hyp, ap, power_prior, null_prior
-    )
-    if all(grid.y_fut[n] is None for n in range(cons.n_min, cons.n_max)):
-        return None  # no interim size can stop: no two-stage design exists
-    best: Optional[tuple[float, int, int]] = None
-    for n2 in range(cons.n_min + 1, cons.n_max + 1):
-        if grid.power[n2] < 1.0 - cons.beta:
-            continue
-        n1 = np.arange(cons.n_min, n2)
-        if best is not None:
-            n1 = n1[expected_size(n1, n2, grid.p_stop[n1]) < best[0]]
-            if n1.size == 0:
-                continue
-        rows = grid.rows(n2, n1)
-        ok = np.flatnonzero(rows.feasible(cons))
-        if ok.size == 0:
-            continue
-        i = ok[np.argmin(rows.e_n_h0[ok])]
-        key = (float(rows.e_n_h0[i]), n2, int(rows.n1[i]))
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None
-    return _winner(grid, best[2], best[1], k, k_f)
+    def e_n_h0(grid, n1, n2):
+        return expected_size(n1, n2, grid.p_stop[n1])
+
+    return _search(cons, e_n_h0, k, k_f, hyp, ap, power_prior, null_prior)
 
 
 def scan(

@@ -17,8 +17,9 @@ one latent success probability.
 All evaluation is in log space with a single final exponentiation.  Each
 product B(p, q) * M(p, q) is the integral of t^(p-1) (1-t)^(q-1) over
 [l, u].  `special.log_beta_integrals` gives its log for every y at once from
-one recurrence, and the normalizer is the same integral at n = 0, so the
-kernel stays finite and accurate for counts in the thousands.
+one recurrence, so the kernel stays finite and accurate for counts in the
+thousands.  The normalizer is the same integral at n = 0, kept on the prior
+as `TruncatedBeta.log_norm`.
 """
 
 from __future__ import annotations
@@ -39,14 +40,9 @@ def _log_pooled_kernel(prior: TruncatedBeta, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _log_norm(prior: TruncatedBeta) -> float:
-    return float(_log_pooled_kernel(prior, 0)[0])
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def log_predictive_vector(prior: TruncatedBeta, n: int) -> np.ndarray:
     """Log predictive pmf over y = 0..n under a truncated Beta (read-only, cached)."""
-    out = log_binom_coeff_vector(n) + _log_pooled_kernel(prior, n) - _log_norm(prior)
+    out = log_binom_coeff_vector(n) + _log_pooled_kernel(prior, n) - prior.log_norm
     out.flags.writeable = False
     return out
 
@@ -63,6 +59,7 @@ def predictive_vector(prior: DesignPrior, n: int) -> np.ndarray:
 
 def predictive_pmf(y_s: int, n: int, prior: DesignPrior) -> float:
     """Predictive probability of exactly y_s successes in n trials."""
+    check_size("y_s", y_s)
     if y_s < 0 or y_s > n:
         raise ValueError(f"success count out of range: y_s={y_s}, n={n}")
     return float(predictive_vector(prior, n)[y_s])
@@ -94,6 +91,6 @@ def joint_predictive_matrix(n1: int, m: int, prior: DesignPrior) -> np.ndarray:
         log_binom_coeff_vector(n1)[:, None]
         + log_binom_coeff_vector(m)[None, :]
         + kernel[pooled]
-        - _log_norm(prior)
+        - prior.log_norm
     )
     return np.exp(log_mass)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .special import log_beta, log_beta_integrals
@@ -40,24 +40,27 @@ class TruncatedBeta:
     shapes must be positive numbers (NaN is rejected), and the Beta(a, b)
     mass on [l, u] must be above zero in double precision, though the kernel
     itself works in logs.  A narrow interior [l, u] loses precision: see
-    `special.log_beta_integrals`.
+    `special.log_beta_integrals`.  `log_norm`, the log normalizer of the
+    predictive pmfs, takes no part in equality or hashing.
     """
 
     a: float
     b: float
     l: float = 0.0
     u: float = 1.0
+    log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.a > 0 and self.b > 0):
             raise ValueError(f"shape parameters must be positive, got a={self.a}, b={self.b}")
         if not (0.0 <= self.l < self.u <= 1.0):
             raise ValueError(f"truncation must satisfy 0 <= l < u <= 1, got l={self.l}, u={self.u}")
-        log_mass = log_beta_integrals(self.a, self.b, self.l, self.u, 0)[0]
+        log_mass = float(log_beta_integrals(self.a, self.b, self.l, self.u, 0)[0])
         if not math.exp(log_mass - log_beta(self.a, self.b)) > 0.0:
             raise ValueError(
                 f"degenerate truncation: Beta({self.a}, {self.b}) has no mass on [{self.l}, {self.u}]"
             )
+        object.__setattr__(self, "log_norm", log_mass)
 
 
 @dataclass(frozen=True)

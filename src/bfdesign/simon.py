@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .priors import check_size
 from .special import log_binom_pmf_vector
 
 
@@ -91,6 +92,8 @@ def simon_oc(r1: int, n1: int, r: int, n2: int, p: float) -> tuple[float, float,
     PET is the probability of early termination, P(X1 <= r1).  H0 is
     rejected when the trial continues and the total count exceeds r.
     """
+    for name, value in (("r1", r1), ("n1", n1), ("r", r), ("n2", n2)):
+        check_size(name, value)
     if not (0 <= r1 <= n1 < n2 and r1 <= r <= n2):
         raise ValueError(f"invalid design bounds: r1={r1}, n1={n1}, r={r}, n2={n2}")
     if not 0.0 <= p <= 1.0:
@@ -116,6 +119,7 @@ def simon_search(
     the maximum sample size n2 and breaks ties by the same expectation.
     None when no design with n2 <= n_max meets the error targets.
     """
+    check_size("n_max", n_max)
     if not 0.0 < p0 < p1 < 1.0:
         raise ValueError(f"need 0 < p0 < p1 < 1, got p0={p0}, p1={p1}")
     if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):

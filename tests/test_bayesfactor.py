@@ -178,6 +178,9 @@ def test_threshold_preconditions():
     with pytest.raises(ParameterError) as err:
         bf01(3, 10.0, hyp, ap)
     assert err.value.name == "n"
+    with pytest.raises(ParameterError) as err:
+        bf01(2.5, 10, Hypotheses(0.1), AnalysisPrior.flat(0.1))
+    assert err.value.name == "y_s"
 
 
 def test_analysis_prior_region_validation():

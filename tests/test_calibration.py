@@ -174,15 +174,22 @@ def test_prune_never_changes_the_argmin():
     ]
     for cons, k, k_f, hyp, ap, prior in settings:
         result = optimal_calibrate(cons, k, k_f, hyp, ap, prior)
-        # exhaustive reference: the argmin over every row of every final size
+        first = calibrate(cons, k, k_f, hyp, ap, prior)
+        # exhaustive reference: every row of every final size, in scan order
         rows = scan(range(cons.n_min + 1, cons.n_max + 1), cons, k, k_f, hyp, ap, prior)
         feasible = [(r.e_n_h0, r.n2, r.n1) for r in rows if r.feasible]
         if result is None:
             assert not feasible
+            assert first is None
         else:
+            # optimal: the argmin of (E[N|H0], n2, n1)
             e_n_h0, n2, n1 = min(feasible)
             assert (result.design.n1, result.design.n2) == (n1, n2)
             assert result.objective == e_n_h0
+            # first calibrated: the first feasible (n2, n1) in scan order
+            e_n_h0, n2, n1 = feasible[0]
+            assert (first.design.n1, first.design.n2) == (n1, n2)
+            assert first.objective == e_n_h0
 
 
 def test_search_winners_carry_the_numbers_of_evaluate():

@@ -1,10 +1,14 @@
 """Command line interface: subcommands, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bfdesign.cli import main
 
@@ -318,3 +322,87 @@ def test_golden_cli_bytes(golden, monkeypatch, capsys):
     assert main(golden["argv"]) == golden["exit_code"]
     want = (GOLDEN_DIR / golden["stdout"]).read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == want
+
+
+# Fuzzed config values: plain settings per key, and the wild values that
+# replace them in a few keys of each example.
+FUZZ_PLAIN = {
+    "p0": ["0.1", "0.2", "0.3", "0.5"],
+    "alpha": ["0.05", "0.1", "0.2"],
+    "beta": ["0.1", "0.2", "0.3"],
+    "power_prior": ["point 0.7", "point 0.9", "beta 1 1", "beta 2 2"],
+    "k": ["1/3", "1/10"],
+    "k_f": ["3", "10"],
+    "f": ["0.5", "0.6"],
+    "a0": ["1", "2"],
+    "b0": ["1", "0.5"],
+    "a1": ["1", "0.5"],
+    "b1": ["1", "2"],
+    "n_min": ["1", "2", "5"],
+    "window": ["0", "10"],
+}
+FUZZ_WILD = st.sampled_from(
+    ["1e-300", "1e300", "nan", "inf", "-1", "0", "1/3", "1/0", "1e15"]
+)
+FUZZ_WILD_PRIOR = st.one_of(
+    st.builds("point {}".format, FUZZ_WILD),
+    st.builds("beta {} {}".format, FUZZ_WILD, FUZZ_WILD),
+    st.builds("beta {} {}".format, FUZZ_WILD, st.sampled_from(["0.5", "1", "3"])),
+)
+FUZZ_KEYS = sorted(FUZZ_PLAIN)
+
+
+@st.composite
+def fuzz_run(draw):
+    """(config text, arguments after the config path) for one CLI run.
+
+    The text sets n_max <= 20, some optional keys and at most two wild
+    values, and now and then repeats a key, which must be refused.
+    """
+    n_max = draw(st.integers(6, 20))
+    keys = ["p0", "alpha", "beta", "power_prior"]
+    keys += sorted(draw(st.sets(st.sampled_from(FUZZ_KEYS))) - set(keys))
+    wild = draw(st.sets(st.sampled_from(keys), max_size=2))
+    repeated = draw(st.sampled_from([[]] * 5 + [["n_max"], ["p0"], ["k_f"]]))
+    lines = [f"n_max = {n_max}"]
+    for key in keys + repeated:
+        if key in wild:
+            value = draw(FUZZ_WILD_PRIOR if key == "power_prior" else FUZZ_WILD)
+        else:
+            value = draw(st.sampled_from(FUZZ_PLAIN.get(key, [str(n_max)])))
+        lines.append(f"{key} = {value}")
+    text = "\n".join(draw(st.permutations(lines))) + "\n"
+    command = draw(st.sampled_from(["calibrate", "oc", "scan", "simon"]))
+    args = [command]
+    if command == "oc":
+        n2 = draw(st.integers(2, n_max))
+        args += ["--n1", str(draw(st.integers(1, n2 - 1))), "--n2", str(n2)]
+    if command == "scan":
+        args += ["--n2", str(draw(st.integers(1, n_max)))]
+    return text, args
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(run=fuzz_run())
+@example(
+    run=(
+        "p0 = 0.5\nalpha = 0.05\nbeta = 0.2\npower_prior = beta 1e-300 1e-300\nn_max = 20\n",
+        ["oc", "--n1", "10", "--n2", "19"],
+    )
+)
+def test_fuzzed_config_is_answered_or_refused(tmp_path_factory, run):
+    # every config is answered with finite figures or refused with exit 2
+    # or 3; no exception escapes and nothing warns
+    text, args = run
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+    path.write_text(text)
+    argv = args[:1] + ["--config", str(path)] + args[1:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code in (0, 2, 3), (text, argv, err.getvalue())
+    if code == 0:
+        printed = out.getvalue().lower()
+        assert "nan" not in printed and "inf" not in printed, (text, argv)

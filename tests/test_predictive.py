@@ -88,6 +88,11 @@ def test_predictive_domain_errors():
             with pytest.raises(ParameterError) as err:
                 predictive_vector(prior, n)
             assert err.value.name == "n"
+    # so are success counts
+    for y_s in (2.0, 2.5, True):
+        with pytest.raises(ParameterError) as err:
+            predictive_pmf(y_s, 10, PointMass(0.3))
+        assert err.value.name == "y_s"
 
 
 @pytest.mark.parametrize(

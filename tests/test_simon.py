@@ -12,6 +12,7 @@ from scipy.stats import binom
 
 import bfdesign
 from bfdesign import simon_oc, simon_search
+from bfdesign.priors import ParameterError
 from bfdesign.simon import SimonDesign, _binomial_table
 
 
@@ -212,6 +213,16 @@ def test_simon_oc_validates_bounds():
         simon_oc(5, 4, 6, 10, 0.2)
     with pytest.raises(ValueError):
         simon_oc(2, 4, 1, 10, 0.2)
+    # counts are refused by name, not by a TypeError inside numpy
+    for args, name in [
+        ((1.0, 10, 3, 29), "r1"),
+        ((1, 10.5, 3, 29), "n1"),
+        ((1, 10, 3.5, 29), "r"),
+        ((1, 10, 3, True), "n2"),
+    ]:
+        with pytest.raises(ParameterError) as err:
+            simon_oc(*args, 0.1)
+        assert err.value.name == name
 
 
 def test_search_first_reference_setting():
@@ -258,3 +269,7 @@ def test_search_validates_inputs():
         simon_search(0.4, 0.2, 0.05, 0.2)
     with pytest.raises(ValueError):
         simon_search(0.2, 0.4, 0.0, 0.2)
+    for n_max in (20.5, True):
+        with pytest.raises(ParameterError) as err:
+            simon_search(0.1, 0.3, 0.05, 0.2, n_max)
+        assert err.value.name == "n_max"

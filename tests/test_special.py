@@ -19,7 +19,6 @@ from scipy import integrate
 
 import bfdesign
 from bfdesign import special
-from bfdesign.predictive import _log_norm
 from bfdesign.priors import TruncatedBeta
 from bfdesign.special import (
     log_beta,
@@ -49,13 +48,13 @@ def log_integral(a, b, l, u):
 
 
 def test_log_beta_trivial_values():
-    assert _log_norm(TruncatedBeta(1, 1)) == 0.0
-    assert math.isclose(_log_norm(TruncatedBeta(1, 2)), math.log(0.5), rel_tol=1e-15)
+    assert TruncatedBeta(1, 1).log_norm == 0.0
+    assert math.isclose(TruncatedBeta(1, 2).log_norm, math.log(0.5), rel_tol=1e-15)
 
 
 def test_log_beta_against_high_precision():
     # ln B(10.33, 15) from a 40-digit log-gamma evaluation
-    value = _log_norm(TruncatedBeta(10.33, 15))
+    value = TruncatedBeta(10.33, 15).log_norm
     assert math.isclose(value, -17.10073839610954654715748, rel_tol=1e-13)
     # both sides of the switch to Stirling's series at 17, and shapes whose
     # log-gammas would cancel to nothing if differenced
@@ -220,7 +219,4 @@ def test_only_the_kernel_is_cached():
         # every use is a decorator on a named function
         assert len(uses) == len(decorated), name
         cached += [(name, function) for function in decorated]
-    assert sorted(cached) == [
-        ("predictive.py", "_log_norm"),
-        ("predictive.py", "log_predictive_vector"),
-    ]
+    assert sorted(cached) == [("predictive.py", "log_predictive_vector")]
