@@ -7,14 +7,25 @@ exact binomial enumeration; the optimal and minimax designs provide an
 independent cross-check for the Bayes factor design search, which recovers
 the optimal design under frequentist power and moderate evidence thresholds.
 
-One search builds the pmf and upper-tail vectors of Bin(n, p) for every
-n <= n_max once per success rate, from the log-space kernel in `special`,
-and every (n1, n2) pair indexes those tables.  `simon_oc` goes through the
-same tables and the same rejection matrix, so a design has the same bits
-alone as in the search.  Once an optimal design is known, only a strictly
-smaller E[N|p0] can win, so the search evaluates only the interim sizes n1
-below the incumbent's E[N|p0] (E[N|p0] >= n1) and, within a pair, only the
-futility bounds r1 whose E[N|p0] is below it (E[N|p0] depends on r1 alone).
+A search tables Bin(n, p) for every n <= n_max once per success rate, from
+the log-space kernel in `special`: the reversed pmf, the upper tail and,
+under p0, the PET of every futility bound.  It walks the final size n2
+upward in one vectorized step each: `_reject_tensor` gives
+P(X1 > r1, X1 + X2 > r) for every live (n1, r1, r) at once.  Each entry is
+the same sequential sum from x1 = n1 down, so `simon_oc` gives a design the
+same bits alone as in the search.  Two cuts keep a step small:
+
+- Power cap.  P(X1 > r1, X1 + X2 > r) <= P(X1 + X2 > r) = P(Bin(n2, p1) > r),
+  so a feasible r has single-look power >= 1 - beta.  A step takes only the
+  r whose single-look tail reaches 1 - beta - 1e-9, a margin far above the
+  rounding of either sum, and is skipped when there is none.
+- Incumbent bound.  Once an optimal design is known, only a strictly smaller
+  E[N|p0] can win.  E[N|p0] is at least n1 and depends on (n1, r1) alone,
+  so a step evaluates only the rows (n1, r1) whose E[N|p0] is below the
+  incumbent's.
+
+A step splits its interim sizes into blocks whose tensors hold at most
+`_BLOCK` entries, so memory stays bounded at any n_max.
 """
 
 from __future__ import annotations
@@ -25,8 +36,11 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .priors import check_size
+from .priors import ParameterError, check_size
 from .special import log_binom_pmf_vector
+
+# most entries of one rejection tensor; a search step splits its interim sizes to stay below it
+_BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -51,39 +65,39 @@ def _binomial_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     return pmf, tail
 
 
-def _pet(pmf1: np.ndarray) -> np.ndarray:
-    """pet[r1] = P(X1 <= r1): the running sum clipped at 1, and 1 at r1 = n1."""
-    pet = np.minimum(np.cumsum(pmf1), 1.0)
-    pet[-1] = 1.0
-    return pet
+def _tables(p: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(top, tails) of Bin(n, p) for n = 0..n_max, row n from `_binomial_table`.
 
-
-def _shifted_tails(tail2: np.ndarray, n1_max: int) -> np.ndarray:
-    """shifted[n1_max - x1, r] = P(X2 > r - x1) for x1 = 0..n1_max, r = 0..n1_max + m.
-
-    `tail2` is the upper tail of the second-stage count X2 ~ Bin(m, p) from
-    `_binomial_table`; r - x1 is clipped into [-1, m].  The result is a
-    read-only strided view, so building it copies only one padded vector.
+    top[n, d] = P(X = n - d), 0 for d > n; tails[n, t + 1] = P(X > t) for
+    t = -1..n, 0 beyond.
     """
-    ext = np.concatenate((np.full(n1_max, tail2[0]), tail2[1:], np.zeros(n1_max)))
-    return sliding_window_view(ext, ext.size - n1_max)
+    top = np.zeros((n_max + 1, n_max + 1))
+    tails = np.zeros((n_max + 1, n_max + 2))
+    for n in range(n_max + 1):
+        pmf, tails[n, : n + 2] = _binomial_table(n, p)
+        top[n, : n + 1] = pmf[::-1]
+    return top, tails
 
 
-def _reject_matrix(pmf1: np.ndarray, shifted: np.ndarray, r1_min: int = 0) -> np.ndarray:
-    """reject[r1 - r1_min, r] = P(X1 > r1, X1 + X2 > r) for r1 = r1_min..n1, r = 0..n2.
+def _pets(top: np.ndarray) -> np.ndarray:
+    """pets[n, d] = P(X <= n - 1 - d), the PET of r1 = n - 1 - d: the running sum clipped at 1."""
+    return np.minimum(np.cumsum(top[:, :0:-1], axis=1)[:, ::-1], 1.0)
 
-    `pmf1` is the pmf of the first-stage count X1 from `_binomial_table` and
-    `shifted` comes from `_shifted_tails` with any n1_max >= n1.  The sums run
-    from x1 = n1 down, so a row has the same bits whatever r1_min and n1_max
-    are.
+
+def _reject_tensor(top: np.ndarray, tails: np.ndarray, n1s: np.ndarray, cols: int) -> np.ndarray:
+    """rej[d, i, r] = P(X1 > n1s[i] - 1 - d, X1 + X2 > r) for d < top.shape[1], r < cols.
+
+    Row i of `top` and `tails` are `_tables` rows of the first-stage count
+    X1 ~ Bin(n1s[i], p) and of the second-stage count X2; r - x1 is clipped
+    into [-1, tails.shape[1] - 2].  Every entry is the sequential sum from
+    x1 = n1 down, so it has the same bits whatever the depth, cols or batch.
     """
-    n1 = pmf1.size - 1
-    n1_max = shifted.shape[0] - 1
-    n2 = n1 + shifted.shape[1] - 1 - n1_max
-    rows = shifted[n1_max - n1 : n1_max - r1_min, : n2 + 1]
-    reject = np.zeros((n1 + 1 - r1_min, n2 + 1))  # the row of r1 = n1 stays 0
-    reject[:-1] = np.cumsum(pmf1[n1:r1_min:-1, None] * rows, axis=0)[::-1]
-    return reject
+    depth = top.shape[1]
+    shift = np.arange(depth + cols - 1) - n1s[:, None]  # at d + r: r - x1
+    ext = np.take_along_axis(tails, np.clip(shift, -1, tails.shape[1] - 2) + 1, axis=1)
+    windows = sliding_window_view(ext, cols, axis=1).transpose(1, 0, 2)
+    rej = np.multiply(top.T[:, :, None], windows, out=np.empty((depth, n1s.size, cols)))
+    return np.cumsum(rej, axis=0, out=rej)
 
 
 def simon_oc(r1: int, n1: int, r: int, n2: int, p: float) -> tuple[float, float, float]:
@@ -97,13 +111,15 @@ def simon_oc(r1: int, n1: int, r: int, n2: int, p: float) -> tuple[float, float,
     if not (0 <= r1 <= n1 < n2 and r1 <= r <= n2):
         raise ValueError(f"invalid design bounds: r1={r1}, n1={n1}, r={r}, n2={n2}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    pmf1, _ = _binomial_table(n1, p)
-    _, tail2 = _binomial_table(n2 - n1, p)
-    reject = float(_reject_matrix(pmf1, _shifted_tails(tail2, n1))[r1, r])
-    pet = float(_pet(pmf1)[r1])
-    e_n = n1 + (1.0 - pet) * (n2 - n1)
-    return reject, pet, e_n
+        raise ParameterError("p", f"must lie in [0, 1], got {p}")
+    reject, pet = 0.0, 1.0  # r1 = n1 always stops
+    if r1 < n1:
+        d = n1 - 1 - r1
+        top = _binomial_table(n1, p)[0][None, ::-1]
+        tails = _binomial_table(n2 - n1, p)[1][None]
+        reject = float(_reject_tensor(top[:, : d + 1], tails, np.array([n1]), r + 1)[d, 0, r])
+        pet = float(_pets(top)[0, d])
+    return reject, pet, n1 + (1.0 - pet) * (n2 - n1)
 
 
 def simon_search(
@@ -120,59 +136,63 @@ def simon_search(
     None when no design with n2 <= n_max meets the error targets.
     """
     check_size("n_max", n_max)
-    if not 0.0 < p0 < p1 < 1.0:
-        raise ValueError(f"need 0 < p0 < p1 < 1, got p0={p0}, p1={p1}")
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
-        raise ValueError(f"error targets must lie in (0, 1), got {alpha}, {beta}")
+    if not 0.0 < p0 < 1.0:
+        raise ParameterError("p0", f"must lie in (0, 1), got {p0}")
+    if not p0 < p1 < 1.0:
+        raise ParameterError("p1", f"must lie in (p0, 1), got {p1}")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 < value < 1.0:
+            raise ParameterError(name, f"must lie in (0, 1), got {value}")
 
-    tables0 = [_binomial_table(n, p0) for n in range(n_max + 1)]
-    tables1 = [_binomial_table(n, p1) for n in range(n_max + 1)]
-    pets = [_pet(pmf) for pmf, _ in tables0]
-    # the second stage of size m serves every n1 <= n_max - m
-    shifted0 = [_shifted_tails(tail, n_max - m) for m, (_, tail) in enumerate(tables0)]
-    shifted1 = [_shifted_tails(tail, n_max - m) for m, (_, tail) in enumerate(tables1)]
-    # valid[r1, r]: a design needs r1 <= r
-    valid = np.arange(n_max + 1)[None, :] >= np.arange(n_max + 1)[:, None]
-
+    top0, tails0 = _tables(p0, n_max)
+    top1, tails1 = _tables(p1, n_max)
+    pets = _pets(top0)
     best_optimal: Optional[SimonDesign] = None
     best_minimax: Optional[SimonDesign] = None
     for n2 in range(2, n_max + 1):
-        for n1 in range(1, n2):
-            pet = pets[n1]
-            e_n = n1 + (1.0 - pet) * (n2 - n1)  # E[N|p0] of each r1
-            r1_min = 0
-            if best_optimal is not None:
-                # Only a strictly smaller E[N|p0] can win, and E[N|p0] >= n1.
-                # The minimax design is fixed in the first column with a
-                # feasible design, where both answers share this strict test.
-                if n1 >= best_optimal.e_n_h0:
-                    break
-                r1_min = int(np.argmax(e_n < best_optimal.e_n_h0))
-                if e_n[r1_min] >= best_optimal.e_n_h0:
-                    continue
-            reject_p0 = _reject_matrix(tables0[n1][0], shifted0[n2 - n1], r1_min)
-            reject_p1 = _reject_matrix(tables1[n1][0], shifted1[n2 - n1], r1_min)
-            feasible = (
-                (reject_p0 <= alpha)
-                & (reject_p1 >= 1.0 - beta)
-                & valid[r1_min : n1 + 1, : n2 + 1]
-            )
-            rows = np.flatnonzero(feasible.any(axis=1))
-            if rows.size == 0:
+        cols = int(np.count_nonzero(tails1[n2, 1 : n2 + 2] >= 1.0 - beta - 1e-9))  # power cap
+        if cols == 0:
+            continue
+        # the minimax design is fixed at the first n2 with a design, where
+        # both answers share this strict bound
+        bound = np.inf if best_optimal is None else best_optimal.e_n_h0
+        n1s = np.arange(1, n2)
+        n1s = n1s[n1s < bound]  # E[N|p0] >= n1
+        e_n = n1s[:, None] + (1.0 - pets[n1s, : n2 - 1]) * (n2 - n1s)[:, None]
+        live = np.minimum(np.count_nonzero(e_n < bound, axis=1), n1s)  # rows d < live
+        keep = live > 0
+        n1s, e_n, live = n1s[keep], e_n[keep], live[keep]
+        if n1s.size == 0:
+            continue
+        step = max(1, _BLOCK // (int(live.max()) * cols))
+        for lo in range(0, n1s.size, step):
+            n1b, k = n1s[lo : lo + step], live[lo : lo + step]
+            depth = int(k.max())
+            rej0 = _reject_tensor(top0[n1b, :depth], tails0[n2 - n1b], n1b, cols)
+            rej1 = _reject_tensor(top1[n1b, :depth], tails1[n2 - n1b], n1b, cols)
+            ds = np.arange(depth)[:, None]
+            feasible = (rej0 <= alpha) & (rej1 >= 1.0 - beta)
+            feasible &= np.arange(cols) >= (n1b - 1 - ds)[:, :, None]  # r >= r1
+            rows = feasible.any(axis=2) & (ds < k)
+            if not rows.any():
                 continue
-            # E[N|p0] depends on r1 only; the largest feasible r1 wins
-            row = int(rows[np.argmax(pet[r1_min + rows])])
-            r1 = r1_min + row
-            r = int(np.flatnonzero(feasible[row])[0])
+            # within an n1 the largest PET wins, then the first r1 (the last d);
+            # across n1 the smallest E[N|p0], then the first n1
+            pet = np.where(rows, pets[n1b, :depth].T, -1.0)
+            best_d = depth - 1 - np.argmax(pet[::-1], axis=0)
+            e_best = e_n[np.arange(lo, lo + n1b.size), best_d]
+            i = int(np.argmin(np.where(rows.any(axis=0), e_best, np.inf)))
+            d, n1 = int(best_d[i]), int(n1b[i])
+            r = int(np.argmax(feasible[d, i]))
             design = SimonDesign(
-                r1=r1,
+                r1=n1 - 1 - d,
                 n1=n1,
                 r=r,
                 n2=n2,
-                alpha_attained=float(reject_p0[row, r]),
-                power_attained=float(reject_p1[row, r]),
-                pet_p0=float(pet[r1]),
-                e_n_h0=float(e_n[r1]),
+                alpha_attained=float(rej0[d, i, r]),
+                power_attained=float(rej1[d, i, r]),
+                pet_p0=float(pets[n1, d]),
+                e_n_h0=float(e_n[lo + i, d]),
             )
             if best_optimal is None or design.e_n_h0 < best_optimal.e_n_h0:
                 best_optimal = design

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -82,7 +83,7 @@ def reference_search(p0, p1, alpha, beta, n_max):
 
 
 def _reference_settings():
-    """Seeded (p0, p1, alpha, beta, n_max), the last one without a design."""
+    """Seeded and chosen (p0, p1, alpha, beta, n_max), the last one without a design."""
     rng = np.random.default_rng(20)
     settings = []
     for _ in range(19):
@@ -91,6 +92,11 @@ def _reference_settings():
         alpha = float(rng.choice([0.05, 0.1]))
         beta = float(rng.choice([0.1, 0.2]))
         settings.append((p0, p1, alpha, beta, int(rng.integers(30, 41))))
+    # small effects: many steps before the first design, and the power cap
+    settings.append((0.1, 0.25, 0.1, 0.2, 60))
+    settings.append((0.05, 0.17, 0.1, 0.2, 60))
+    # a single look at n2 = 3 is feasible, so the r1 = -1 row must stay out
+    settings.append((0.011, 0.489, 0.05, 0.2, 28))
     settings.append((0.2, 0.25, 0.05, 0.1, 15))
     return settings
 
@@ -195,8 +201,9 @@ def test_simon_oc_rejects_rate_outside_unit_interval():
     # NaN used to come back as (nan, nan, nan) and the others as a bare
     # "math domain error"; every one now names p
     for p in (float("nan"), 1.5, -0.1):
-        with pytest.raises(ValueError, match="p must lie in"):
+        with pytest.raises(ParameterError, match="p must lie in") as err:
             simon_oc(1, 10, 5, 29, p)
+        assert err.value.name == "p"
 
 
 def test_simon_oc_reference_design():
@@ -265,11 +272,63 @@ def test_search_absent_when_bound_too_small():
 
 
 def test_search_validates_inputs():
-    with pytest.raises(ValueError):
-        simon_search(0.4, 0.2, 0.05, 0.2)
-    with pytest.raises(ValueError):
-        simon_search(0.2, 0.4, 0.0, 0.2)
+    nan = float("nan")
+    for args, name in [
+        ((0.4, 0.2, 0.05, 0.2), "p1"),
+        ((0.2, 0.4, 0.0, 0.2), "alpha"),
+        ((0.0, 0.4, 0.05, 0.2), "p0"),
+        ((nan, 0.4, 0.05, 0.2), "p0"),
+        ((0.2, 1.0, 0.05, 0.2), "p1"),
+        ((0.2, nan, 0.05, 0.2), "p1"),
+        ((0.2, 0.4, nan, 0.2), "alpha"),
+        ((0.2, 0.4, 0.05, 1.0), "beta"),
+        ((0.2, 0.4, 0.05, nan), "beta"),
+    ]:
+        with pytest.raises(ParameterError) as err:
+            simon_search(*args)
+        assert err.value.name == name
     for n_max in (20.5, True):
         with pytest.raises(ParameterError) as err:
             simon_search(0.1, 0.3, 0.05, 0.2, n_max)
         assert err.value.name == "n_max"
+
+
+# (optimal, minimax) at three settings, to be matched bit for bit; the n_max 160
+# one takes many final sizes before its first design
+PINNED_SEARCHES = [
+    (
+        (0.1, 0.3, 0.05, 0.2, 120),
+        SimonDesign(1, 10, 5, 29, 0.047086306643891365, 0.8050629131503259,
+                    0.7360989291000004, 15.014120347099993),
+        SimonDesign(1, 15, 5, 25, 0.03280866681522383, 0.8017005704188653,
+                    0.5490430189190643, 19.509569810809356),
+    ),
+    (
+        (0.2, 0.4, 0.1, 0.1, 120),
+        SimonDesign(3, 17, 10, 37, 0.09478437433149584, 0.9032742865924438,
+                    0.5488762045857807, 26.022475908284385),
+        SimonDesign(3, 19, 10, 36, 0.08609446068332044, 0.9023530139479216,
+                    0.4550887423457888, 28.263491380121593),
+    ),
+    (
+        (0.2, 0.3, 0.05, 0.2, 160),
+        SimonDesign(10, 46, 35, 141, 0.04956819745877057, 0.800588747837591,
+                    0.6939676687405415, 75.07307146964855),
+        SimonDesign(13, 66, 30, 116, 0.04748443875597729, 0.8006611928224832,
+                    0.5489258102070549, 88.55370948964725),
+    ),
+]
+
+
+def test_search_answers_are_pinned_bit_for_bit():
+    for setting, optimal, minimax in PINNED_SEARCHES:
+        # blocks keep every rejection tensor small: unsplit, the steps
+        # before the first design at n_max 160 would build 1M-entry tensors
+        tracemalloc.start()
+        try:
+            got = simon_search(*setting)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (optimal, minimax), setting
+        assert peak < 8 * 2**20, (setting, peak)
