@@ -25,10 +25,8 @@ from .calibration import (
 from .operating import (
     BranchProbabilities,
     OperatingCharacteristics,
-    PathProbabilities,
     TwoStageDesign,
     enumerate_oracle,
-    enumerate_paths,
     evaluate,
 )
 from .predictive import (
@@ -47,7 +45,6 @@ __all__ = [
     "DesignPrior",
     "Hypotheses",
     "OperatingCharacteristics",
-    "PathProbabilities",
     "PointMass",
     "ScanRow",
     "SimonDesign",
@@ -59,7 +56,6 @@ __all__ = [
     "critical_efficacy",
     "critical_futility",
     "enumerate_oracle",
-    "enumerate_paths",
     "evaluate",
     "joint_predictive_matrix",
     "optimal_calibrate",

@@ -33,10 +33,10 @@ of sizes once and adds the erased masses one final size at a time.  The
 searches build it over every size they search; `evaluate` builds it over a
 design's two sizes and reads it at (n1, n2).
 
-The two-batch joint table is the oracle's alone: an exhaustive enumeration
-of all its (y1, y2) cells, classifying each by direct Bayes factor
-comparisons and never touching critical values, serves as an independent
-check of the same quantities.
+The two-batch joint table is the oracle's alone.  `enumerate_oracle`
+classifies all its (y1, y2) cells at once by direct Bayes factor
+comparisons, as boolean masks over the table, and never touches critical
+values; it serves as an independent check of the same quantities.
 """
 
 from __future__ import annotations
@@ -88,23 +88,6 @@ class TwoStageDesign:
         if not 1 <= self.n1 < self.n2:
             raise ValueError(f"need 1 <= n1 < n2, got n1={self.n1}, n2={self.n2}")
         check_thresholds(self.k, self.k_f)
-
-
-@dataclass(frozen=True)
-class PathProbabilities:
-    """Rates of one design under a single design prior.
-
-    unadjusted is the single-look rejection mass at n2, futility_erased its
-    part on paths stopped at the interim, and adjusted what is left.
-    branches are the interim outcome masses; their futility branch is the
-    stop probability behind expected_n, the expected enrolled size.
-    """
-
-    unadjusted: float
-    futility_erased: float
-    adjusted: float
-    expected_n: float
-    branches: BranchProbabilities
 
 
 @dataclass(frozen=True)
@@ -340,51 +323,32 @@ def evaluate(
     return grid.oc(n1, n2)
 
 
-def enumerate_paths(
-    design: TwoStageDesign, hyp: Hypotheses, ap: AnalysisPrior, prior: DesignPrior
-) -> PathProbabilities:
-    """Rates of one design by brute-force enumeration of all (y1, y2) paths.
+def _enumerate_side(
+    design: TwoStageDesign, log_bf1: np.ndarray, log_bf2: np.ndarray, prior: DesignPrior
+) -> tuple[float, float, float, BranchProbabilities]:
+    """Unadjusted, erased and adjusted rejection mass and the interim branches.
 
-    Every cell of the joint predictive table is classified by direct Bayes
-    factor comparisons at the interim and final sizes; no critical values and
-    no rectangle algebra are involved.  This is the independent oracle the
-    closed-form path is tested against.
+    Every cell (y1, y2) of the joint predictive table under prior is
+    classified by direct Bayes factor comparisons at the interim and final
+    sizes; no critical values and no rectangle algebra are involved.  The
+    adjusted mass is summed over its own cells, not taken as unadjusted -
+    erased, so it checks `checked_adjusted` independently.
     """
-    n1, n2, k, k_f = design.n1, design.n2, design.k, design.k_f
-    m = n2 - n1
-    log_bf1 = log_bf01_curve(n1, hyp, ap)
-    log_bf2 = log_bf01_curve(n2, hyp, ap)
+    n1, m = design.n1, design.n2 - design.n1
+    log_k = math.log(design.k)
     joint = joint_predictive_matrix(n1, m, prior)
-    log_k, log_kf = math.log(k), math.log(k_f)
-
-    unadjusted = 0.0
-    adjusted = 0.0
-    erased = 0.0
-    branch = {"efficacy": 0.0, "indecisive": 0.0, "futility": 0.0}
-    for y1 in range(n1 + 1):
-        if log_bf1[y1] < log_k:
-            name = "efficacy"
-        elif log_bf1[y1] > log_kf:
-            name = "futility"
-        else:
-            name = "indecisive"
-        stops = name == "futility"
-        branch[name] += float(joint[y1, :].sum())
-        for y2 in range(m + 1):
-            cell = float(joint[y1, y2])
-            if log_bf2[y1 + y2] < log_k:
-                unadjusted += cell
-                if stops:
-                    erased += cell
-                else:
-                    adjusted += cell
-    return PathProbabilities(
-        unadjusted=unadjusted,
-        futility_erased=erased,
-        adjusted=adjusted,
-        expected_n=expected_size(n1, n2, branch["futility"]),
-        branches=BranchProbabilities(
-            branch["efficacy"], branch["indecisive"], branch["futility"]
+    efficacy = log_bf1 < log_k
+    stops = log_bf1 > math.log(design.k_f)
+    reject = log_bf2[np.add.outer(np.arange(n1 + 1), np.arange(m + 1))] < log_k
+    rows = joint.sum(axis=1)
+    return (
+        float(joint[reject].sum()),
+        float(joint[reject & stops[:, None]].sum()),
+        float(joint[reject & ~stops[:, None]].sum()),
+        BranchProbabilities(
+            float(rows[efficacy].sum()),
+            float(rows[~efficacy & ~stops].sum()),
+            float(rows[stops].sum()),
         ),
     )
 
@@ -396,29 +360,36 @@ def enumerate_oracle(
     power_prior: DesignPrior,
     null_prior: Optional[DesignPrior] = None,
 ) -> OperatingCharacteristics:
-    """Full operating characteristics via path enumeration only.
+    """Full operating characteristics by brute-force enumeration of all paths.
 
-    The null design prior defaults to a point mass at p0, whose interim
-    futility mass is also the PCE.
+    The independent oracle the closed form is tested against.  The null
+    design prior defaults to a point mass at p0, whose interim futility mass
+    is also the PCE.
     """
+    n1, n2 = design.n1, design.n2
     point_null = PointMass(hyp.p0)
     if null_prior is None:
         null_prior = point_null
-    h0_side = enumerate_paths(design, hyp, ap, null_prior)
-    h1_side = enumerate_paths(design, hyp, ap, power_prior)
-    pce_side = h0_side
+    curves = (log_bf01_curve(n1, hyp, ap), log_bf01_curve(n2, hyp, ap))
+    type_i, erased_type_i, type_i_adjusted, branch_h0 = _enumerate_side(
+        design, *curves, null_prior
+    )
+    power, erased_power, power_adjusted, branch_h1 = _enumerate_side(
+        design, *curves, power_prior
+    )
+    pce = branch_h0.futility
     if null_prior != point_null:
-        pce_side = enumerate_paths(design, hyp, ap, point_null)
+        pce = _enumerate_side(design, *curves, point_null)[-1].futility
     return OperatingCharacteristics(
-        type_i_unadjusted=h0_side.unadjusted,
-        type_i_adjusted=h0_side.adjusted,
-        power_unadjusted=h1_side.unadjusted,
-        power_adjusted=h1_side.adjusted,
-        futility_erased_power=h1_side.futility_erased,
-        futility_erased_type_i=h0_side.futility_erased,
-        pce_p0=pce_side.branches.futility,
-        e_n_h0=h0_side.expected_n,
-        e_n_h1=h1_side.expected_n,
-        branch_h0=h0_side.branches,
-        branch_h1=h1_side.branches,
+        type_i_unadjusted=type_i,
+        type_i_adjusted=type_i_adjusted,
+        power_unadjusted=power,
+        power_adjusted=power_adjusted,
+        futility_erased_power=erased_power,
+        futility_erased_type_i=erased_type_i,
+        pce_p0=pce,
+        e_n_h0=expected_size(n1, n2, branch_h0.futility),
+        e_n_h1=expected_size(n1, n2, branch_h1.futility),
+        branch_h0=branch_h0,
+        branch_h1=branch_h1,
     )

@@ -34,15 +34,11 @@ from .special import log_beta_integrals, log_binom_coeff_vector, log_binom_pmf_v
 _CACHE_SIZE = 4096
 
 
-def _log_pooled_kernel(prior: TruncatedBeta, n: int) -> np.ndarray:
-    """log[B(a+s, b+n-s) * M(a+s, b+n-s)] for pooled success counts s = 0..n."""
-    return log_beta_integrals(prior.a, prior.b, prior.l, prior.u, n)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def log_predictive_vector(prior: TruncatedBeta, n: int) -> np.ndarray:
     """Log predictive pmf over y = 0..n under a truncated Beta (read-only, cached)."""
-    out = log_binom_coeff_vector(n) + _log_pooled_kernel(prior, n) - prior.log_norm
+    kernel = log_beta_integrals(prior.a, prior.b, prior.l, prior.u, n)
+    out = log_binom_coeff_vector(n) + kernel - prior.log_norm
     out.flags.writeable = False
     return out
 
@@ -85,7 +81,7 @@ def joint_predictive_matrix(n1: int, m: int, prior: DesignPrior) -> np.ndarray:
             np.exp(log_binom_pmf_vector(n1, prior.p)),
             np.exp(log_binom_pmf_vector(m, prior.p)),
         )
-    kernel = _log_pooled_kernel(prior, n1 + m)
+    kernel = log_beta_integrals(prior.a, prior.b, prior.l, prior.u, n1 + m)
     pooled = np.add.outer(np.arange(n1 + 1), np.arange(m + 1))
     log_mass = (
         log_binom_coeff_vector(n1)[:, None]

@@ -205,6 +205,13 @@ def test_truncated_beta_validation():
     for args in [(nan, 1.0), (1.0, nan), (nan, 1.0, 0.1, 1.0), (1.0, 1.0, nan, 0.5)]:
         with pytest.raises(ValueError):
             TruncatedBeta(*args)
+    # shapes above the cap would be answered with pmfs that do not sum to 1:
+    # at 1e20 every kernel entry is equal, at 1e8 the totals drift by 2e-7
+    for args in [(1e20, 1e20, 0.2, 0.7), (1e8, 2e8, 0.2, 1.0)]:
+        with pytest.raises(ValueError, match="at most 100000"):
+            TruncatedBeta(*args)
+    # the cap itself is answered
+    assert abs(predictive_vector(TruncatedBeta(1e5, 1e5), 3000).sum() - 1.0) < 1e-9
 
 
 def test_degenerate_truncation_rejected():

@@ -17,7 +17,7 @@ from scipy.special import gammaln
 
 from bfdesign import AnalysisPrior, Hypotheses, TruncatedBeta, predictive_vector
 from bfdesign.bayesfactor import log_bf01_curve
-from bfdesign.predictive import _log_pooled_kernel
+from bfdesign.special import log_beta_integrals
 
 # mpmath comparisons per prior and example
 SAMPLE = 50
@@ -62,7 +62,7 @@ def priors(p0, h0, h1, design):
 def test_kernel_matches_high_precision(n, p0, h0, h1, design):
     rng = np.random.default_rng(n)
     for prior in priors(p0, h0, h1, design):
-        kernel = _log_pooled_kernel(prior, n)
+        kernel = log_beta_integrals(prior.a, prior.b, prior.l, prior.u, n)
         for s in rng.permutation(n + 1)[:SAMPLE]:
             want = mp_log_integral(prior.a + s, prior.b + (n - s), prior.l, prior.u)
             assert math.isclose(kernel[s], want, rel_tol=1e-12), (prior, s)
