@@ -14,18 +14,20 @@ the stop probability (the PCE under a point prior at p0).
 
 Computed without an interim look, the rejection probability at n2 counts
 sample paths that would in fact have been halted at n1.  The correction
-subtracts the erased mass: the joint probability of {stop for futility at
-n1} and {final BF below k had the trial continued}, that is of
-{Y1 <= y_fut(n1)} and {S >= y_eff(n2)} for the interim count Y1 and the pooled
-count S at n2.  Both batches share one latent success probability, so given
-S = s the interim count is hypergeometric (n2, s, n1) whatever the design
-prior, and
+subtracts the erased mass, the probability of {Y1 <= y} and {S >= y_eff} for
+the interim count Y1, the pooled count S at n2, y = y_fut(n1) and
+y_eff = y_eff(n2).  Given S = s, Y1 is hypergeometric (n2, s, n1) whatever
+the design prior.  Turn one of the n2 - s failures, chosen at random, into a
+success: Y1 rises exactly when it lies among the n1 - Y1 interim failures,
+so P(Y1 <= y | s + 1) = P(Y1 <= y | s) - P(Y1 = y | s) (n1 - y) / (n2 - s).
+Telescoped from s = n2 and summed against the predictive pmf at n2, with
+w(t) = C(n1, y) C(n2 - n1, t - y) / (n2 C(n2 - 1, t)), it is a positive sum
 
-    erased(n1) = sum_{s >= y_eff(n2)} P(S = s) * P(Y1 <= y_fut(n1) | S = s).
+    erased(n1) = [y >= n1] P(S >= y_eff)
+                 + (n1 - y) sum_{t=y_eff}^{n2-1} w(t) P(y_eff <= S <= t).
 
-One predictive vector at n2 and one log-factorial table therefore serve every
-interim size of a final size at once (`erased_mass_column`), and the closed
-form never builds the two-batch joint table.
+One predictive vector and one log-factorial table thus serve all interim
+sizes of a final size (`erased_mass_column`), with no two-batch joint table.
 
 `DesignGrid` is the one closed-form route from a design to its operating
 characteristics.  It tables the critical counts and branch masses of a set
@@ -63,6 +65,8 @@ from .special import log_factorials
 # Adjusted rates may dip this far below zero from rounding; anything worse
 # indicates inconsistent critical values and raises.
 _NEGATIVITY_TOL = 1e-12
+# Largest (interim size, t) block of erased-mass weights, as in `simon`.
+_BLOCK = 2**17
 
 
 class BranchProbabilities(NamedTuple):
@@ -124,43 +128,39 @@ def erased_mass_column(
 
     y_fut[i] is the futility critical count at n1[i] and y_eff the efficacy
     critical count at n2; None marks an unreachable threshold, which erases
-    nothing.  The hypergeometric cdf of Y1 given the pooled count s is built
-    one y1 at a time in log space from a log-factorial table, as an
-    (interim size, s) array, and then weighted by the predictive pmf at n2.
-    Each entry depends only on its own n1, so a design gives the same bits
-    alone as inside its column.
+    nothing.  Rows take the telescoped sum of the module docstring in blocks
+    of at most `_BLOCK` (row, t) weights, each row reduced along its own axis
+    over all of t = y_eff..n2 - 1, so a design gives the same bits alone as
+    inside its column.
     """
     n1 = np.asarray(n1, dtype=np.int64)
     y_fut = np.array([-1 if y is None else y for y in y_fut], dtype=np.int64)
     if np.any(n1 < 1) or np.any(n1 >= n2):
         raise ValueError(f"need 1 <= n1 < n2 = {n2} for every interim size")
-    if y_eff is None or y_fut.size == 0 or y_fut.max() < 0:
-        return np.zeros(n1.shape)
+    erased = np.zeros(n1.shape)
+    if y_eff is None:
+        return erased
+    pmf = predictive_vector(prior, n2)[y_eff:]
+    cdf = np.cumsum(pmf[:-1])
     log_fact = log_factorials(n2)
-    m = n2 - n1
-    m_max = int(m.max())
-    s = np.arange(y_eff, n2 + 1)
-    log_total = log_fact[n2] - log_fact[s] - log_fact[n2 - s]
-    log_n1 = log_fact[n1]
-    log_m = log_fact[m][:, None]
-    cdf = np.zeros((n1.size, s.size))
-    for y1 in range(int(y_fut.max()) + 1):
-        # pooled counts s with 0 <= s - y1 <= m for some interim size
-        lo = max(y1 - y_eff, 0)
-        hi = min(y1 + m_max - y_eff, s.size - 1)
-        if lo > hi:
-            continue
-        y2 = s[lo : hi + 1] - y1
-        live = (y_fut >= y1)[:, None] & (y2[None, :] <= m[:, None])
-        rest = np.maximum(m[:, None] - y2[None, :], 0)
-        interim = np.maximum(n1 - y1, 0)
-        log_pmf = (
-            (log_n1 - log_fact[y1] - log_fact[interim])[:, None]
-            + (log_m - log_fact[y2][None, :] - log_fact[rest])
-            - log_total[None, lo : hi + 1]
+    t = np.arange(y_eff, n2)
+    log_t = log_fact[t] + log_fact[n2 - 1 - t] - log_fact[n2]
+    live_rows = np.flatnonzero(y_fut >= 0)
+    step = max(1, _BLOCK // max(t.size, 1))
+    for start in range(0, live_rows.size, step):
+        i = live_rows[start : start + step]
+        y, m = np.minimum(y_fut[i], n1[i]), (n2 - n1[i])[:, None]
+        j = t - y[:, None]  # successes among the m final-batch outcomes
+        live = (j >= 0) & (j <= m)
+        j = np.clip(j, 0, m)
+        log_w = (
+            (log_fact[n1[i]] - log_fact[y] - log_fact[n1[i] - y])[:, None]
+            + (log_fact[m] - log_fact[j] - log_fact[m - j])
+            + log_t
         )
-        cdf[:, lo : hi + 1] += np.exp(np.where(live, log_pmf, -np.inf))
-    return (cdf * predictive_vector(prior, n2)[y_eff:]).sum(axis=1)
+        w = np.exp(np.where(live, log_w, -np.inf))
+        erased[i] = (n1[i] - y) * (w * cdf).sum(axis=1) + (y == n1[i]) * pmf.sum()
+    return erased
 
 
 def checked_adjusted(unadjusted: float, erased: float | np.ndarray) -> np.ndarray:

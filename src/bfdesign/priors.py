@@ -60,14 +60,14 @@ class TruncatedBeta:
             raise ValueError(f"shape parameters must be positive, got a={self.a}, b={self.b}")
         if not (0.0 <= self.l < self.u <= 1.0):
             raise ValueError(f"truncation must satisfy 0 <= l < u <= 1, got l={self.l}, u={self.u}")
+        if max(self.a, self.b) > MAX_SHAPE:
+            raise ValueError(
+                f"shape parameters must be at most {MAX_SHAPE:g}, got a={self.a}, b={self.b}"
+            )
         log_mass = float(log_beta_integrals(self.a, self.b, self.l, self.u, 0)[0])
         if not math.exp(log_mass - log_beta(self.a, self.b)) > 0.0:
             raise ValueError(
                 f"degenerate truncation: Beta({self.a}, {self.b}) has no mass on [{self.l}, {self.u}]"
-            )
-        if max(self.a, self.b) > MAX_SHAPE:
-            raise ValueError(
-                f"shape parameters must be at most {MAX_SHAPE:g}, got a={self.a}, b={self.b}"
             )
         object.__setattr__(self, "log_norm", log_mass)
 

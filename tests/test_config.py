@@ -140,13 +140,23 @@ def test_invalid_values_carry_field_names():
     # a prior with no mass on its truncation interval names its fields
     for lines, field_name in [
         ("p0 = 0.01\npower_prior = point 0.3\na0 = 1000\nb0 = 0.001", "a0/b0"),
+        ("p0 = 0.1\npower_prior = point 0.3\na1 = 1e-300\nb1 = 1e5", "a1/b1"),
+        ("p0 = 0.1\npower_prior = beta 1e-300 1e5", "power_prior"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            parse_config("alpha=0.05\nbeta=0.2\n" + lines)
+        assert err.value.field_name == field_name
+        assert "degenerate truncation" in str(err.value)
+    # the shape cap is checked before the normalizer, so a shape above it
+    # is refused by the cap even where the truncation is degenerate too
+    for lines, field_name in [
         ("p0 = 0.1\npower_prior = point 0.3\na1 = 1e-300\nb1 = 1e300", "a1/b1"),
         ("p0 = 0.1\npower_prior = beta 1e-300 1e300", "power_prior"),
     ]:
         with pytest.raises(ConfigError) as err:
             parse_config("alpha=0.05\nbeta=0.2\n" + lines)
         assert err.value.field_name == field_name
-        assert "degenerate truncation" in str(err.value)
+        assert "at most 100000" in str(err.value)
     # shapes whose normalizer overflows are refused by name, not answered
     # with nan figures
     with pytest.raises(ConfigError) as err:

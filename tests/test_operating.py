@@ -1,6 +1,7 @@
 """Operating characteristics: closed form versus enumeration, hand cases."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -260,6 +261,83 @@ def test_erased_mass_column_matches_enumeration():
             alone = evaluate(design, hyp, ap, prior).futility_erased_power
             assert alone == column[i]
     assert saw_no_futility and saw_no_efficacy
+
+
+def exact_erased(n1, y_fut, n2, y_eff, pmf):
+    """Direct sum of pmf[s] P(Y1 <= y_fut | S = s) over s >= y_eff.
+
+    The hypergeometric cdf is a ratio of exact integers, rounded once; only
+    the predictive pmf is in double precision.  At y_fut >= n1 the cdf is 1
+    by Vandermonde's identity.
+    """
+    if y_fut >= n1:
+        return math.fsum(pmf[y_eff:])
+    m = n2 - n1
+    head = [math.comb(n1, y1) for y1 in range(y_fut + 1)]
+    tail = [math.comb(m, j) for j in range(m + 1)]
+    terms = []
+    for s in range(y_eff, n2 + 1):
+        y1 = range(max(0, s - m), min(y_fut, s) + 1)
+        cdf = sum(head[i] * tail[s - i] for i in y1) / math.comb(n2, s)
+        terms.append(float(pmf[s]) * cdf)
+    return math.fsum(terms)
+
+
+def test_erased_mass_column_is_exact_at_large_n2():
+    # one design from each band of the benchmark's tails workload, plus
+    # interim counts that stop only at zero or always (y_fut >= n1: then
+    # everything that rejects is erased), and an efficacy count of n2 itself,
+    # which erases nothing unless the interim always stops
+    for p0, n1, n2, shapes, power in [
+        (0.035, 1192, 2979, (2.0, 20.0, 1.0, 1.0), (2.0, 10.0)),
+        (0.5, 792, 1980, (3.0, 3.0, 3.0, 3.0), (4.0, 4.0)),
+        (0.92, 408, 1020, (20.0, 2.0, 1.0, 1.0), (10.0, 1.0)),
+    ]:
+        hyp = Hypotheses(p0)
+        ap = AnalysisPrior.from_shapes(p0, *shapes)
+        prior = TruncatedBeta(*power, p0, 1.0)
+        pmf = predictive_vector(prior, n2)
+        y_fut = critical_futility(n1, 3.0, hyp, ap)
+        y_eff = critical_efficacy(n2, 1 / 3, hyp, ap)
+        for y, eff in [(y_fut, y_eff), (0, y_eff), (n1, y_eff), (n1 + 3, y_eff),
+                       (y_fut, n2), (n1, n2)]:
+            got = erased_mass_column([n1], [y], n2, eff, prior)[0]
+            want = exact_erased(n1, y, n2, eff, pmf)
+            assert abs(got - want) <= 1e-11 * want, (p0, n1, n2, y, eff)
+
+
+def test_erased_mass_column_blocks_bound_memory_and_keep_bits():
+    # a full column at n2 = 2000 (example2_bayes): 1999 interim sizes, each
+    # row spanning the 1574 counts t = y_eff..n2 - 1
+    hyp = Hypotheses(0.2)
+    ap = AnalysisPrior.flat(0.2)
+    prior = TruncatedBeta(1.0, 1.0, 0.2, 1.0)
+    n2 = 2000
+    n1 = np.arange(1, n2)
+    y_fut = [critical_futility(int(i), 3.0, hyp, ap) for i in n1]
+    y_eff = critical_efficacy(n2, 1 / 3, hyp, ap)
+    predictive_vector(prior, n2)  # the kernel cache is not the column's
+    tracemalloc.start()
+    try:
+        column = erased_mass_column(n1, y_fut, n2, y_eff, prior)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block holds at most 2**17 entries, 1 MiB of float64 per temporary,
+    # and a handful of temporaries are alive at once; one unblocked
+    # temporary alone would take 1999 * 1574 * 8 bytes, 24 MiB
+    assert peak < 8 * 2**20, peak
+    # rows on both sides of every block boundary, and the two ends, give
+    # the bits of their design alone
+    live = [i for i, y in enumerate(y_fut) if y is not None]
+    step = bfdesign.operating._BLOCK // (n2 - y_eff)
+    assert len(live) > step
+    edges = {live[0], live[-1]}
+    for start in range(step, len(live), step):
+        edges |= {live[start - 1], live[start]}
+    for i in sorted(edges):
+        alone = erased_mass_column([n1[i]], [y_fut[i]], n2, y_eff, prior)[0]
+        assert alone == column[i], int(n1[i])
 
 
 def test_adjustment_only_lowers_rates_and_exactly_when_erased():

@@ -207,7 +207,10 @@ def test_truncated_beta_validation():
             TruncatedBeta(*args)
     # shapes above the cap would be answered with pmfs that do not sum to 1:
     # at 1e20 every kernel entry is equal, at 1e8 the totals drift by 2e-7
-    for args in [(1e20, 1e20, 0.2, 0.7), (1e8, 2e8, 0.2, 1.0)]:
+    # the cap is checked before the normalizer, which would give up after
+    # 10,000 continued-fraction steps at 1e15 and overflow at 1.7e308
+    for args in [(1e20, 1e20, 0.2, 0.7), (1e8, 2e8, 0.2, 1.0), (1e15, 1e15, 0.5, 1.0),
+                 (1.7e308, 1.7e308)]:
         with pytest.raises(ValueError, match="at most 100000"):
             TruncatedBeta(*args)
     # the cap itself is answered
