@@ -13,20 +13,31 @@ published reference designs are only reproduced without a lookahead on the
 (n1, n2) grid, where the interim adjustment already absorbs the worst of the
 oscillation.
 
-Both two-stage searches are one walk over one `operating.DesignGrid` of the
-sizes n_min..n_max, which returns the feasible design with the smallest
-(key, n2, n1); the key is read off the grid's per-size tables.
-`optimal_calibrate` keys by E[N|H0] from the tabled stop probabilities, and
-`calibrate` by a constant, so the first feasible design in the order
-(n2, n1) wins.  The only per-design work is the erased mass, one vectorized
-call per design prior for a set of interim sizes of one final size
-(`DesignGrid.rows`).  Two cuts spare it without changing the answer.  A
-final size whose single-look power misses the target is skipped, since the
-interim adjustment only lowers power.  Once a feasible design is known, a
-later final size can only win with a strictly smaller key, so only interim
-sizes below the incumbent's key get rates: a short prefix for E[N|H0] >= n1,
-none for a constant key.  The winner's operating characteristics are read
-off the same grid, which is what `evaluate` does on a grid of its two sizes.
+Both two-stage searches are one walk over the final sizes n2 upward, which
+returns the feasible design with the smallest (key, n2, n1); the key is read
+off the per-size tables of one `operating.DesignGrid`.  `optimal_calibrate`
+keys by E[N|H0] from the tabled stop probabilities, and `calibrate` by a
+constant, so the first feasible design in the order (n2, n1) wins.  The only
+per-design work is the erased mass, one vectorized call for both design
+priors for a set of interim sizes of one final size (`DesignGrid.rows`).
+Three cuts spare it without changing the answer.  A final size whose
+single-look power misses the target is skipped, since the interim
+adjustment only lowers power.  Once a feasible design is known, a later
+final size can only win with a strictly smaller key, so only interim sizes
+below the incumbent's key get rates: a short prefix for E[N|H0] >= n1, none
+for a constant key.  And the walk ends at the incumbent's horizon, the first
+n2 where no interim size's key is below the incumbent's:
+E[N|H0] = n1 + (1 - p_stop)(n2 - n1) never falls as n2 grows, and interim
+sizes added later have E[N|H0] >= n1 >= n2, beyond the incumbent's n2 and
+so its E[N|H0] (`_past_horizon` allows for rounding).  A constant key ends
+the walk at the first hit.
+
+The grid tables each size as the walk reaches it, so no kernel is built
+past the horizon.  A search also needs an interim size in [n_min, n_max - 1]
+that can stop for futility; that is checked after the walk, which tables
+the sizes it skipped only when none of those tabled can stop.  The winner's
+operating characteristics are read off the same grid, which is what
+`evaluate` does on a grid of its two sizes.
 """
 
 from __future__ import annotations
@@ -111,17 +122,36 @@ def base_sample_size(
     The power requirement must hold at n and at each of the next `window`
     sample sizes, which irons out the oscillations of the discrete binomial
     power curve; the type-I requirement is checked at n itself.  Both are
-    read off the design grid of sizes 1..n_max + window at k_f = inf, where
-    no size can stop for futility, so its efficacy masses are the
-    single-look rates.  None when no n up to n_max qualifies.
+    read off a design grid at k_f = inf, where no size can stop for
+    futility, so its efficacy masses are the single-look rates; the scan
+    tables the sizes up to n + window as it reaches n.  None when no n up to
+    n_max qualifies.
     """
-    sizes = range(1, cons.n_max + cons.window + 1)
-    grid = DesignGrid(sizes, k, math.inf, hyp, ap, power_prior, null_prior)
-    power_ok = grid.power >= 1.0 - cons.beta
+    grid = DesignGrid(range(1, cons.window + 1), k, math.inf, hyp, ap, power_prior, null_prior)
     for n in range(1, cons.n_max + 1):
-        if power_ok[n : n + cons.window + 1].all() and grid.type_i[n] <= cons.alpha:
+        grid.add(n + cons.window)
+        power_ok = grid.power[n : n + cons.window + 1] >= 1.0 - cons.beta
+        if power_ok.all() and grid.type_i[n] <= cons.alpha:
             return n
     return None
+
+
+def _past_horizon(keys: np.ndarray, best: float, n_max: int) -> bool:
+    """Whether no design at the current final size or later beats the key best.
+
+    keys are those of the interim sizes below the current n2 at n2, and best
+    is the key of a design with a smaller n2; a key is a constant or E[N|H0].
+    A constant key ends the walk at the first hit.  E[N|H0] =
+    n1 + (1 - p_stop)(n2 - n1) never falls as n2 grows, so the interim sizes
+    here keep keys >= best, and those added later have keys >= n1 >= n2,
+    above the incumbent's n2 >= best.  In doubles it may fall: by rounding,
+    up to 2**-52 n_max per key, and by p_stop - 1 per step where the pmf's
+    rounding leaves p_stop above 1, which it keeps far below 1e-9 (pmf
+    totals stay within about 1e-11 of 1 at n = 3000).  Every key must pass
+    best by a relative 2e-9 n_max, which covers both over the rest of the
+    walk, since E[N|H0] >= 1.
+    """
+    return bool(np.all(keys >= best * (1.0 + 2e-9 * n_max)))
 
 
 def _search(
@@ -137,31 +167,36 @@ def _search(
     """Feasible design with the smallest (key, n2, n1), or None.
 
     `key(grid, n1, n2)` reads the grid's tables for an array of interim
-    sizes.  Only final sizes whose single-look power meets the target, and
-    interim sizes whose key is below the incumbent's, get rates computed.
+    sizes; it is either a constant or E[N|H0].  Only final sizes whose
+    single-look power meets the target, and interim sizes whose key is below
+    the incumbent's, get rates computed, and the walk ends at the
+    incumbent's horizon.  The grid tables each size as the walk reaches it.
     """
-    grid = DesignGrid(
-        range(cons.n_min, cons.n_max + 1), k, k_f, hyp, ap, power_prior, null_prior
-    )
-    if all(grid.y_fut[n] is None for n in range(cons.n_min, cons.n_max)):
-        return None  # no interim size can stop: no two-stage design exists
+    grid = DesignGrid((cons.n_min,), k, k_f, hyp, ap, power_prior, null_prior)
     best: Optional[tuple[float, int, int]] = None
     for n2 in range(cons.n_min + 1, cons.n_max + 1):
-        if grid.power[n2] < 1.0 - cons.beta:
-            continue
         n1 = np.arange(cons.n_min, n2)
         keys = key(grid, n1, n2)
         if best is not None:
+            if _past_horizon(keys, best[0], cons.n_max):
+                break
             below = keys < best[0]
             n1, keys = n1[below], keys[below]
-            if n1.size == 0:
-                continue
+        grid.add(n2)
+        if n1.size == 0 or grid.power[n2] < 1.0 - cons.beta:
+            continue
         ok = np.flatnonzero(grid.rows(n2, n1).feasible(cons))
         if ok.size:
             i = ok[np.argmin(keys[ok])]
             best = (float(keys[i]), n2, int(n1[i]))
     if best is None:
         return None
+    interim = range(cons.n_min, cons.n_max)
+    if all(grid.y_fut[n] is None for n in interim if n in grid.y_fut):
+        for n in interim:
+            grid.add(n)
+        if all(grid.y_fut[n] is None for n in interim):
+            return None  # no interim size can stop: no two-stage design exists
     _, n2, n1 = best
     oc = grid.oc(n1, n2)
     return CalibratedDesign(TwoStageDesign(n1, n2, k, k_f), oc, oc.e_n_h0)
@@ -179,9 +214,9 @@ def calibrate(
     """First calibrated design in the order (n2, n1), both ascending.
 
     The search walk with a constant key: the power skip spares final sizes
-    that cannot be feasible, and the key bound ends the work at the first
-    hit.  None when no design with n2 <= n_max qualifies, and when no
-    interim size in [n_min, n_max - 1] can stop for futility at k_f.
+    that cannot be feasible, and the walk ends at the first hit.  None when
+    no design with n2 <= n_max qualifies, and when no interim size in
+    [n_min, n_max - 1] can stop for futility at k_f.
     """
     def first(grid, n1, n2):
         return np.zeros(n1.size)
@@ -202,10 +237,11 @@ def optimal_calibrate(
 
     The search walk keyed by E[N|H0], read off the tabled stop
     probabilities; ties go to the smaller n2, then the smaller n1.  The
-    power skip and the key bound leave the argmin unchanged, and since
-    E[N|H0] >= n1 the bound keeps a short prefix of interim sizes.  None
-    when no design with n2 <= n_max is feasible, and when no interim size
-    in [n_min, n_max - 1] can stop for futility at k_f.
+    power skip, the key bound and the walk end leave the argmin unchanged;
+    since E[N|H0] >= n1 the bound keeps a short prefix of interim sizes, and
+    the walk ends soon after n2 passes the optimum's E[N|H0].  None when no
+    design with n2 <= n_max is feasible, and when no interim size in
+    [n_min, n_max - 1] can stop for futility at k_f.
     """
     def e_n_h0(grid, n1, n2):
         return expected_size(n1, n2, grid.p_stop[n1])

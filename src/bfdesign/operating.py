@@ -30,10 +30,10 @@ One predictive vector and one log-factorial table thus serve all interim
 sizes of a final size (`erased_mass_column`), with no two-batch joint table.
 
 `DesignGrid` is the one closed-form route from a design to its operating
-characteristics.  It tables the critical counts and branch masses of a set
-of sizes once and adds the erased masses one final size at a time.  The
-searches build it over every size they search; `evaluate` builds it over a
-design's two sizes and reads it at (n1, n2).
+characteristics.  It tables the critical counts and branch masses of each
+size once and adds the erased masses one final size at a time.  The
+searches table each size as their walk reaches it; `evaluate` builds it
+over a design's two sizes and reads it at (n1, n2).
 
 The two-batch joint table is the oracle's alone.  `enumerate_oracle`
 classifies all its (y1, y2) cells at once by direct Bayes factor
@@ -122,26 +122,28 @@ def erased_mass_column(
     y_fut: Sequence[Optional[int]],
     n2: int,
     y_eff: Optional[int],
-    prior: DesignPrior,
+    priors: Sequence[DesignPrior],
 ) -> np.ndarray:
     """Erased mass of every interim size n1[i] at one final size n2.
 
-    y_fut[i] is the futility critical count at n1[i] and y_eff the efficacy
-    critical count at n2; None marks an unreachable threshold, which erases
-    nothing.  Rows take the telescoped sum of the module docstring in blocks
-    of at most `_BLOCK` (row, t) weights, each row reduced along its own axis
-    over all of t = y_eff..n2 - 1, so a design gives the same bits alone as
-    inside its column.
+    Entry [j, i] is the erased mass of n1[i] under priors[j].  y_fut[i] is
+    the futility critical count at n1[i] and y_eff the efficacy critical
+    count at n2; None marks an unreachable threshold, which erases nothing.
+    Rows take the telescoped sum of the module docstring in blocks of at most
+    `_BLOCK` (row, t) weights.  The weights do not depend on the prior, so a
+    block serves every prior, and each (prior, row) is reduced along its own
+    axis over all of t = y_eff..n2 - 1: a design gives the same bits alone
+    as inside its column, and under one prior as under several.
     """
     n1 = np.asarray(n1, dtype=np.int64)
     y_fut = np.array([-1 if y is None else y for y in y_fut], dtype=np.int64)
     if np.any(n1 < 1) or np.any(n1 >= n2):
         raise ValueError(f"need 1 <= n1 < n2 = {n2} for every interim size")
-    erased = np.zeros(n1.shape)
+    erased = np.zeros((len(priors), n1.size))
     if y_eff is None:
         return erased
-    pmf = predictive_vector(prior, n2)[y_eff:]
-    cdf = np.cumsum(pmf[:-1])
+    pmfs = [predictive_vector(prior, n2)[y_eff:] for prior in priors]
+    cdfs = [np.cumsum(pmf[:-1]) for pmf in pmfs]
     log_fact = log_factorials(n2)
     t = np.arange(y_eff, n2)
     log_t = log_fact[t] + log_fact[n2 - 1 - t] - log_fact[n2]
@@ -159,7 +161,8 @@ def erased_mass_column(
             + log_t
         )
         w = np.exp(np.where(live, log_w, -np.inf))
-        erased[i] = (n1[i] - y) * (w * cdf).sum(axis=1) + (y == n1[i]) * pmf.sum()
+        for row, pmf, cdf in zip(erased, pmfs, cdfs):
+            row[i] = (n1[i] - y) * (w * cdf).sum(axis=1) + (y == n1[i]) * pmf.sum()
     return erased
 
 
@@ -222,21 +225,25 @@ class GridColumn(NamedTuple):
 
 
 class DesignGrid:
-    """Every design (n1, n2) with n1 < n2 drawn from a given set of sizes.
+    """Every design (n1, n2) with n1 < n2 drawn from a set of tabled sizes.
 
-    The constructor tables, for each size n of `sizes`, its critical counts
-    `y_eff[n]` and `y_fut[n]` (None when k or k_f is out of reach), and cuts
-    each design prior's pmf at n there once: `h1[n]` holds the three branch
-    masses under the power prior and `h0[n]` under the null prior.  Their
-    efficacy columns are the single-look `power` and `type_i`, the null
-    futility column the stop probability `p_stop`, and `pce` the futility
-    mass under a point prior at p0 (`p_stop` itself when the null prior is
-    that point).  Tables are indexed by n itself.  The counts are looked up
-    by size, so reading a size the grid did not table raises KeyError.
+    Tabling a size n (`add`) finds its critical counts `y_eff[n]` and
+    `y_fut[n]` (None when k or k_f is out of reach) and cuts each design
+    prior's pmf at n there once: `h1[n]` holds the three branch masses under
+    the power prior and `h0[n]` under the null prior.  Their efficacy columns
+    are the single-look `power` and `type_i`, the null futility column the
+    stop probability `p_stop`, and `pce` the futility mass under a point
+    prior at p0 (`p_stop` itself when the null prior is that point).  Tables
+    are indexed by n itself.  The counts are looked up by size, so reading a
+    size the grid has not tabled raises KeyError.
+
+    The constructor tables `sizes` at once, as `evaluate` and `scan` need.
+    A walk over final sizes starts from a few and adds each size as it
+    reaches it, so nothing past the point where the walk ends is built.
 
     `rows` adds the erased mass of a set of interim sizes at one final size,
-    one `erased_mass_column` call per design prior, and keeps nothing; `oc`
-    reads one design's full characteristics off the tables and one row.
+    one `erased_mass_column` call for both design priors, and keeps nothing;
+    `oc` reads one design's full characteristics off the tables and one row.
     """
 
     def __init__(
@@ -249,33 +256,65 @@ class DesignGrid:
         power_prior: DesignPrior,
         null_prior: Optional[DesignPrior] = None,
     ) -> None:
+        self.k, self.k_f, self.hyp, self.ap = k, k_f, hyp, ap
         self.power_prior = power_prior
         self.null_prior = null_prior if null_prior is not None else PointMass(hyp.p0)
-        self.y_eff = {n: critical_efficacy(n, k, hyp, ap) for n in sizes}
-        self.y_fut = {n: critical_futility(n, k_f, hyp, ap) for n in self.y_eff}
-        self.h1 = self._branches(power_prior)
-        self.h0 = self._branches(self.null_prior)
-        self.power = self.h1[:, 0]
-        self.type_i = self.h0[:, 0]
-        self.p_stop = self.pce = self.h0[:, 2]
         point_null = PointMass(hyp.p0)
+        # the last prior tabled is always the point null at p0, behind pce
+        self._priors = (power_prior, self.null_prior)
         if self.null_prior != point_null:
-            self.pce = self._branches(point_null)[:, 2]
+            self._priors += (point_null,)
+        self.y_eff: dict[int, Optional[int]] = {}
+        self.y_fut: dict[int, Optional[int]] = {}
+        self._masses = np.full((0, len(self._priors), 3), np.nan)
+        for n in sizes:
+            self.add(n)
 
-    def _branches(self, prior: DesignPrior) -> np.ndarray:
-        """Branch masses of prior in row n for every tabled size, NaN elsewhere."""
-        table = np.full((max(self.y_eff) + 1, 3), np.nan)
-        for n, y_eff in self.y_eff.items():
-            table[n] = split_branches(predictive_vector(prior, n), y_eff, self.y_fut[n])
-        return table
+    def add(self, n: int) -> None:
+        """Table size n, unless it is tabled already; rows stay NaN until tabled."""
+        if n in self.y_eff:
+            return
+        self.y_eff[n] = critical_efficacy(n, self.k, self.hyp, self.ap)
+        self.y_fut[n] = critical_futility(n, self.k_f, self.hyp, self.ap)
+        size = len(self._masses)
+        if n >= size:  # double the capacity, so a walk copies O(n) rows in all
+            grown = np.full((max(n + 1, 2 * size),) + self._masses.shape[1:], np.nan)
+            grown[:size] = self._masses
+            self._masses = grown
+        for row, prior in zip(self._masses[n], self._priors):
+            row[:] = split_branches(predictive_vector(prior, n), self.y_eff[n], self.y_fut[n])
+
+    @property
+    def h1(self) -> np.ndarray:
+        return self._masses[:, 0]
+
+    @property
+    def h0(self) -> np.ndarray:
+        return self._masses[:, 1]
+
+    @property
+    def power(self) -> np.ndarray:
+        return self._masses[:, 0, 0]
+
+    @property
+    def type_i(self) -> np.ndarray:
+        return self._masses[:, 1, 0]
+
+    @property
+    def p_stop(self) -> np.ndarray:
+        return self._masses[:, 1, 2]
+
+    @property
+    def pce(self) -> np.ndarray:
+        return self._masses[:, -1, 2]
 
     def rows(self, n2: int, n1: Sequence[int]) -> GridColumn:
         """Rates of the designs (n1[i], n2)."""
         n1 = np.asarray(n1, dtype=np.int64)
         y_fut = [self.y_fut[i] for i in n1]
-        y_eff = self.y_eff[n2]
-        erased_power = erased_mass_column(n1, y_fut, n2, y_eff, self.power_prior)
-        erased_type_i = erased_mass_column(n1, y_fut, n2, y_eff, self.null_prior)
+        erased_power, erased_type_i = erased_mass_column(
+            n1, y_fut, n2, self.y_eff[n2], (self.power_prior, self.null_prior)
+        )
         return GridColumn(
             n1=n1,
             power_adjusted=checked_adjusted(self.power[n2], erased_power),

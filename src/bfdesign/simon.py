@@ -7,22 +7,30 @@ exact binomial enumeration; the optimal and minimax designs provide an
 independent cross-check for the Bayes factor design search, which recovers
 the optimal design under frequentist power and moderate evidence thresholds.
 
-A search tables Bin(n, p) for every n <= n_max once per success rate, from
-the log-space kernel in `special`: the reversed pmf, the upper tail and,
-under p0, the PET of every futility bound.  It walks the final size n2
-upward in one vectorized step each: `_reject_tensor` gives
-P(X1 > r1, X1 + X2 > r) for every live (n1, r1, r) at once.  Each entry is
-the same sequential sum from x1 = n1 down, so `simon_oc` gives a design the
-same bits alone as in the search.  Two cuts keep a step small:
+A search walks the final size n2 upward in one vectorized step each:
+`_reject_tensor` gives P(X1 > r1, X1 + X2 > r) for every live (n1, r1, r)
+at once.  Each entry is the same sequential sum from x1 = n1 down, so
+`simon_oc` gives a design the same bits alone as in the search.  Bin(n, p)
+is tabled once per success rate as the walk reaches n, from the log-space
+kernel in `special`: the reversed pmf, the upper tail and, under p0, the PET
+of every futility bound.  Three cuts spare work without changing an answer:
 
 - Power cap.  P(X1 > r1, X1 + X2 > r) <= P(X1 + X2 > r) = P(Bin(n2, p1) > r),
   so a feasible r has single-look power >= 1 - beta.  A step takes only the
   r whose single-look tail reaches 1 - beta - 1e-9, a margin far above the
-  rounding of either sum, and is skipped when there is none.
+  rounding of either sum, and is skipped when there is none.  Likewise
+  P(X1 > r1, X1 + X2 > r) <= 1 - PET(p1), so a row (n1, r1) whose PET under
+  p1 exceeds beta + 1e-9 is never feasible, at any n2.
 - Incumbent bound.  Once an optimal design is known, only a strictly smaller
   E[N|p0] can win.  E[N|p0] is at least n1 and depends on (n1, r1) alone,
   so a step evaluates only the rows (n1, r1) whose E[N|p0] is below the
   incumbent's.
+- Walk end.  E[N|p0] = n1 + (1 - PET)(n2 - n1) never falls as n2 grows,
+  in doubles too: the factor 1 - PET >= 0 is fixed per row and rounding is
+  monotone.  Rows added later have E[N|p0] >= n1 >= n2, beyond the
+  incumbent's n2 and so its E[N|p0].  So the walk ends at the first n2
+  where no row is both below the incumbent and under the cap.  The minimax
+  design, fixed at the first n2 with a design, stands too.
 
 A step splits its interim sizes into blocks whose tensors hold at most
 `_BLOCK` entries, so memory stays bounded at any n_max.
@@ -65,18 +73,14 @@ def _binomial_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     return pmf, tail
 
 
-def _tables(p: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(top, tails) of Bin(n, p) for n = 0..n_max, row n from `_binomial_table`.
+def _table_row(n: int, p: float, top: np.ndarray, tails: np.ndarray) -> None:
+    """Write row n of the tables of Bin(n, p), from `_binomial_table`.
 
-    top[n, d] = P(X = n - d), 0 for d > n; tails[n, t + 1] = P(X > t) for
-    t = -1..n, 0 beyond.
+    top[n, d] = P(X = n - d) and tails[n, t + 1] = P(X > t) for t = -1..n;
+    entries beyond stay 0.
     """
-    top = np.zeros((n_max + 1, n_max + 1))
-    tails = np.zeros((n_max + 1, n_max + 2))
-    for n in range(n_max + 1):
-        pmf, tails[n, : n + 2] = _binomial_table(n, p)
-        top[n, : n + 1] = pmf[::-1]
-    return top, tails
+    pmf, tails[n, : n + 2] = _binomial_table(n, p)
+    top[n, : n + 1] = pmf[::-1]
 
 
 def _pets(top: np.ndarray) -> np.ndarray:
@@ -144,15 +148,17 @@ def simon_search(
         if not 0.0 < value < 1.0:
             raise ParameterError(name, f"must lie in (0, 1), got {value}")
 
-    top0, tails0 = _tables(p0, n_max)
-    top1, tails1 = _tables(p1, n_max)
-    pets = _pets(top0)
+    top0, tails0, pets, top1, tails1 = np.zeros((5, n_max + 1, n_max + 2))
+    capped = np.zeros(n_max + 1, dtype=np.int64)  # rows d < capped[n1] have PET(p1) > beta
     best_optimal: Optional[SimonDesign] = None
     best_minimax: Optional[SimonDesign] = None
     for n2 in range(2, n_max + 1):
-        cols = int(np.count_nonzero(tails1[n2, 1 : n2 + 2] >= 1.0 - beta - 1e-9))  # power cap
-        if cols == 0:
-            continue
+        # a step reads top rows n1 < n2, tails rows n2 - n1 and tails1[n2]: table each once
+        for n in range(1 if n2 == 2 else n2, n2 + 1):
+            _table_row(n, p0, top0, tails0)
+            _table_row(n, p1, top1, tails1)
+            pets[n, :-1] = _pets(top0[n : n + 1])[0]
+            capped[n] = np.count_nonzero(_pets(top1[n : n + 1]) > beta + 1e-9)
         # the minimax design is fixed at the first n2 with a design, where
         # both answers share this strict bound
         bound = np.inf if best_optimal is None else best_optimal.e_n_h0
@@ -160,9 +166,12 @@ def simon_search(
         n1s = n1s[n1s < bound]  # E[N|p0] >= n1
         e_n = n1s[:, None] + (1.0 - pets[n1s, : n2 - 1]) * (n2 - n1s)[:, None]
         live = np.minimum(np.count_nonzero(e_n < bound, axis=1), n1s)  # rows d < live
-        keep = live > 0
+        keep = live > capped[n1s]
+        if best_optimal is not None and not keep.any():
+            break  # the horizon: no row here or later can win
+        cols = int(np.count_nonzero(tails1[n2, 1 : n2 + 2] >= 1.0 - beta - 1e-9))  # power cap
         n1s, e_n, live = n1s[keep], e_n[keep], live[keep]
-        if n1s.size == 0:
+        if cols == 0 or n1s.size == 0:
             continue
         step = max(1, _BLOCK // (int(live.max()) * cols))
         for lo in range(0, n1s.size, step):

@@ -1,8 +1,12 @@
 """Calibration searches: baselines, first-feasible, optimal, scan."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bfdesign.operating
 from bfdesign import (
     AnalysisPrior,
     CalibrationConstraints,
@@ -13,18 +17,42 @@ from bfdesign import (
     base_sample_size,
     calibrate,
     critical_efficacy,
+    critical_futility,
     evaluate,
     optimal_calibrate,
     predictive_vector,
     scan,
 )
 from bfdesign.bayesfactor import ParameterError
-from bfdesign.operating import DesignGrid
+from bfdesign.calibration import _past_horizon
+from bfdesign.config import load_config
+from bfdesign.operating import DesignGrid, expected_size
 
 EX1_HYP = Hypotheses(0.1)
 EX1_AP = AnalysisPrior.flat(0.1)
 EX2_HYP = Hypotheses(0.2)
 EX2_AP = AnalysisPrior.flat(0.2)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def count_tabled_sizes(monkeypatch):
+    """Record every size a design grid tables from now on, in order."""
+    tabled = []
+    original = bfdesign.operating.critical_efficacy
+
+    def counted(n, *args):
+        tabled.append(n)
+        return original(n, *args)
+
+    monkeypatch.setattr(bfdesign.operating, "critical_efficacy", counted)
+    return tabled
+
+
+def exhaustive(cons, k, k_f, hyp, ap, prior, null_prior=None):
+    """(optimal, first) as (E[N|H0], n2, n1) from every scan row, or None."""
+    rows = scan(range(cons.n_min + 1, cons.n_max + 1), cons, k, k_f, hyp, ap, prior, null_prior)
+    feasible = [(r.e_n_h0, r.n2, r.n1) for r in rows if r.feasible]
+    return (min(feasible), feasible[0]) if feasible else None
 
 
 def test_constraints_validation():
@@ -100,6 +128,14 @@ def test_single_look_baseline_equals_per_size_reference(k, power_prior, null_pri
     assert base_sample_size(*args) == _reference_base_sample_size(*args)
 
 
+def test_single_look_baseline_tables_only_what_its_scan_reads(monkeypatch):
+    # the scan at n reads sizes up to n + window, each tabled once
+    cons = CalibrationConstraints(alpha=0.1, beta=0.1, n_min=5, n_max=150, window=10)
+    tabled = count_tabled_sizes(monkeypatch)
+    assert base_sample_size(1 / 3, EX2_HYP, EX2_AP, PointMass(0.4), cons) == 36
+    assert tabled == list(range(1, 47))
+
+
 def test_single_look_baseline_absent_when_range_too_small():
     cons = CalibrationConstraints(alpha=0.1, beta=0.1, n_min=5, n_max=30, window=10)
     flat = TruncatedBeta(1, 1, 0.2, 1.0)
@@ -137,7 +173,7 @@ def test_optimal_design_pce_floor_changes_answer():
     assert round(result.oc.e_n_h0, 2) == 32.36
 
 
-def test_prune_never_changes_the_argmin():
+def test_prune_never_changes_the_argmin(monkeypatch):
     settings = [
         (
             CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=40),
@@ -171,25 +207,76 @@ def test_prune_never_changes_the_argmin():
             AnalysisPrior.flat(0.3),
             TruncatedBeta(2, 2, 0.3, 1.0),
         ),
+        # the optimum has E[N|H0] 9.1, so both walks end long before n_max
+        (
+            CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=100),
+            1 / 3,
+            3.0,
+            EX1_HYP,
+            EX1_AP,
+            TruncatedBeta(1, 1, 0.1, 1.0),
+        ),
     ]
+    tabled = count_tabled_sizes(monkeypatch)
     for cons, k, k_f, hyp, ap, prior in settings:
+        tabled.clear()
         result = optimal_calibrate(cons, k, k_f, hyp, ap, prior)
         first = calibrate(cons, k, k_f, hyp, ap, prior)
+        if cons.n_max >= 100:
+            assert max(tabled) < cons.n_max // 4, max(tabled)
         # exhaustive reference: every row of every final size, in scan order
-        rows = scan(range(cons.n_min + 1, cons.n_max + 1), cons, k, k_f, hyp, ap, prior)
-        feasible = [(r.e_n_h0, r.n2, r.n1) for r in rows if r.feasible]
+        reference = exhaustive(cons, k, k_f, hyp, ap, prior)
         if result is None:
-            assert not feasible
+            assert reference is None
             assert first is None
         else:
             # optimal: the argmin of (E[N|H0], n2, n1)
-            e_n_h0, n2, n1 = min(feasible)
+            e_n_h0, n2, n1 = reference[0]
             assert (result.design.n1, result.design.n2) == (n1, n2)
             assert result.objective == e_n_h0
             # first calibrated: the first feasible (n2, n1) in scan order
-            e_n_h0, n2, n1 = feasible[0]
+            e_n_h0, n2, n1 = reference[1]
             assert (first.design.n1, first.design.n2) == (n1, n2)
             assert first.objective == e_n_h0
+
+
+@pytest.mark.parametrize("name", ["example1", "example2_bayes", "example2_pce"])
+def test_searches_end_at_the_horizon_on_the_shipped_configs(name, monkeypatch):
+    # the optima lie far below n_max 120, so a generous n_max changes no
+    # answer, and at 1000 the walk still tables fewer than 90 sizes
+    config = load_config(str(CONFIGS / f"{name}.cfg"))
+    args = (config.k, config.k_f, config.hypotheses(), config.analysis_prior(), config.power_prior)
+    tabled = count_tabled_sizes(monkeypatch)
+    for search in (optimal_calibrate, calibrate):
+        at_120 = search(dataclasses.replace(config.constraints(), n_max=120), *args)
+        tabled.clear()
+        at_1000 = search(dataclasses.replace(config.constraints(), n_max=1000), *args)
+        assert at_120 is not None and at_1000 == at_120
+        assert len(tabled) < 90 and max(tabled) < 90, (len(tabled), max(tabled))
+
+
+def test_walk_end_allows_for_keys_that_fall_in_doubles():
+    # E[N|H0] = n2 - (n2 - n1) p_stop never falls as n2 grows while
+    # p_stop <= 1, but the pmf's rounding can leave p_stop a hair above 1,
+    # and then the doubles fall: a walk that ended where every key first
+    # reached the incumbent's would end too early
+    n_max = 400
+    n2 = np.arange(11, n_max + 1)
+    fell = 0
+    for p_stop in (0.0, 0.5, 1 - 1e-14, 1 - 2**-53, 1.0, 1 + 2**-52, 1 + 1e-14, 1 + 1e-10):
+        keys = expected_size(10, n2, p_stop)
+        fell += bool(np.any(np.diff(keys) < 0))
+        # least key from n2[i] on: of interim size 10, and of any added later
+        later = np.minimum.accumulate(keys[::-1])[::-1]
+        added = [expected_size(n1, np.arange(n1 + 1, n_max + 1), p_stop).min() for n1 in n2[:-1]]
+        added = np.minimum.accumulate(np.array(added + [np.inf])[::-1])[::-1]
+        for i in range(n2.size):
+            for best in {keys[i], np.nextafter(keys[i], 0), keys[i] - 1e-7, 10.0, 9.5}:
+                if _past_horizon(keys[i : i + 1], best, n_max):
+                    assert min(later[i], added[i]) >= best, (p_stop, int(n2[i]), best)
+    assert fell == 3
+    # a constant key ends the walk at the first hit
+    assert _past_horizon(np.zeros(6), 0.0, n_max)
 
 
 def test_search_winners_carry_the_numbers_of_evaluate():
@@ -261,15 +348,37 @@ def test_calibrate_infeasible_reports_none():
 
 
 def test_searches_need_an_interim_size_that_can_stop():
-    # k_f = 1e300 has no futility count at any n1 <= 39: both searches say
+    # k_f = 1e300 has no futility count at any n1 <= 119: both searches say
     # so with None instead of a design whose interim look never stops
-    cons = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=40)
     args = (1 / 3, 1e300, EX1_HYP, EX1_AP, PointMass(0.3))
-    assert calibrate(cons, *args) is None
-    assert optimal_calibrate(cons, *args) is None
+    for n_max in (40, 120):
+        cons = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=n_max)
+        assert calibrate(cons, *args) is None
+        assert optimal_calibrate(cons, *args) is None
+    cons = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=40)
     # rows still report the single-look rates of such designs
     row = scan(25, cons, *args)[0]
     assert (row.n1, row.pce, row.e_n_h0) == (5, 0.0, 25.0)
+
+
+@pytest.mark.parametrize("n_max", [60, 66, 67, 120])
+def test_interim_sizes_that_can_stop_only_past_the_horizon(n_max):
+    # at k_f = 1e4 the first interim size that can stop is 66; every design
+    # the walk finds before its horizon is a single look in disguise, and it
+    # stands exactly when some interim size in [n_min, n_max - 1] can stop
+    args = (1 / 3, 1e4, EX1_HYP, EX1_AP, PointMass(0.3))
+    stops = [n for n in range(1, 121) if critical_futility(n, 1e4, EX1_HYP, EX1_AP) is not None]
+    assert stops[0] == 66
+    cons = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=n_max)
+    result = optimal_calibrate(cons, *args)
+    first = calibrate(cons, *args)
+    if n_max <= 66:
+        assert result is None and first is None
+        return
+    (e_n_h0, n2, n1), _ = exhaustive(cons, *args)
+    assert (result.design.n1, result.design.n2, result.objective) == (n1, n2, e_n_h0)
+    assert result.design.n2 < 40 and result.oc.pce_p0 == 0.0
+    assert first.design.n2 == result.design.n2
 
 
 def test_scan_rows_and_oscillation():

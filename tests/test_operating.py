@@ -249,7 +249,7 @@ def test_erased_mass_column_matches_enumeration():
         y_eff = critical_efficacy(n2, k, hyp, ap)
         saw_no_futility |= None in y_fut
         saw_no_efficacy |= y_eff is None
-        column = erased_mass_column(n1, y_fut, n2, y_eff, prior)
+        (column,) = erased_mass_column(n1, y_fut, n2, y_eff, [prior])
         assert column.shape == n1.shape
         unreachable = np.array([y is None for y in y_fut]) | (y_eff is None)
         assert not column[unreachable].any()
@@ -301,25 +301,27 @@ def test_erased_mass_column_is_exact_at_large_n2():
         y_eff = critical_efficacy(n2, 1 / 3, hyp, ap)
         for y, eff in [(y_fut, y_eff), (0, y_eff), (n1, y_eff), (n1 + 3, y_eff),
                        (y_fut, n2), (n1, n2)]:
-            got = erased_mass_column([n1], [y], n2, eff, prior)[0]
+            got = erased_mass_column([n1], [y], n2, eff, [prior])[0, 0]
             want = exact_erased(n1, y, n2, eff, pmf)
             assert abs(got - want) <= 1e-11 * want, (p0, n1, n2, y, eff)
 
 
 def test_erased_mass_column_blocks_bound_memory_and_keep_bits():
     # a full column at n2 = 2000 (example2_bayes): 1999 interim sizes, each
-    # row spanning the 1574 counts t = y_eff..n2 - 1
+    # row spanning the 1574 counts t = y_eff..n2 - 1, under the power prior
+    # and a flat null prior, which share every block of weights
     hyp = Hypotheses(0.2)
     ap = AnalysisPrior.flat(0.2)
-    prior = TruncatedBeta(1.0, 1.0, 0.2, 1.0)
+    priors = (TruncatedBeta(1.0, 1.0, 0.2, 1.0), TruncatedBeta(1.0, 1.0, 0.0, 0.2))
     n2 = 2000
     n1 = np.arange(1, n2)
     y_fut = [critical_futility(int(i), 3.0, hyp, ap) for i in n1]
     y_eff = critical_efficacy(n2, 1 / 3, hyp, ap)
-    predictive_vector(prior, n2)  # the kernel cache is not the column's
+    for prior in priors:
+        predictive_vector(prior, n2)  # the kernel cache is not the column's
     tracemalloc.start()
     try:
-        column = erased_mass_column(n1, y_fut, n2, y_eff, prior)
+        column = erased_mass_column(n1, y_fut, n2, y_eff, priors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,8 +329,9 @@ def test_erased_mass_column_blocks_bound_memory_and_keep_bits():
     # and a handful of temporaries are alive at once; one unblocked
     # temporary alone would take 1999 * 1574 * 8 bytes, 24 MiB
     assert peak < 8 * 2**20, peak
+    assert column.shape == (2, n1.size)
     # rows on both sides of every block boundary, and the two ends, give
-    # the bits of their design alone
+    # the bits of their design alone, under each prior alone
     live = [i for i, y in enumerate(y_fut) if y is not None]
     step = bfdesign.operating._BLOCK // (n2 - y_eff)
     assert len(live) > step
@@ -336,8 +339,9 @@ def test_erased_mass_column_blocks_bound_memory_and_keep_bits():
     for start in range(step, len(live), step):
         edges |= {live[start - 1], live[start]}
     for i in sorted(edges):
-        alone = erased_mass_column([n1[i]], [y_fut[i]], n2, y_eff, prior)[0]
-        assert alone == column[i], int(n1[i])
+        for j, prior in enumerate(priors):
+            alone = erased_mass_column([n1[i]], [y_fut[i]], n2, y_eff, [prior])[0, 0]
+            assert alone == column[j, i], (j, int(n1[i]))
 
 
 def test_adjustment_only_lowers_rates_and_exactly_when_erased():

@@ -12,6 +12,7 @@ import pytest
 from scipy.stats import binom
 
 import bfdesign
+import bfdesign.simon
 from bfdesign import simon_oc, simon_search
 from bfdesign.priors import ParameterError
 from bfdesign.simon import SimonDesign, _binomial_table
@@ -98,6 +99,8 @@ def _reference_settings():
     # a single look at n2 = 3 is feasible, so the r1 = -1 row must stay out
     settings.append((0.011, 0.489, 0.05, 0.2, 28))
     settings.append((0.2, 0.25, 0.05, 0.1, 15))
+    # the optimum has n2 = 29 and E[N|p0] 15.01: the walk ends long before n_max
+    settings.append((0.1, 0.3, 0.05, 0.2, 60))
     return settings
 
 
@@ -332,3 +335,42 @@ def test_search_answers_are_pinned_bit_for_bit():
             tracemalloc.stop()
         assert got == (optimal, minimax), setting
         assert peak < 8 * 2**20, (setting, peak)
+
+
+def test_pinned_answers_hold_at_n_max_300():
+    # each walk ends at its optimum's horizon, so a larger n_max changes nothing
+    for setting, optimal, minimax in PINNED_SEARCHES:
+        assert simon_search(*setting[:4], 300) == (optimal, minimax), setting
+
+
+def test_search_ends_at_the_horizon(monkeypatch):
+    # rows whose PET under p1 exceeds beta can never reach the power target,
+    # and the others pass the optimum's E[N|p0] = 26.02 by n2 = 46: at
+    # n_max 300 the walk builds exactly the rejection tensors it builds at 46
+    calls = []
+    original = bfdesign.simon._reject_tensor
+
+    def counted(top, tails, n1s, cols):
+        calls.append(n1s.size)
+        return original(top, tails, n1s, cols)
+
+    monkeypatch.setattr(bfdesign.simon, "_reject_tensor", counted)
+    found = {}
+    for n_max in (46, 300):
+        calls.clear()
+        found[n_max] = (simon_search(0.2, 0.4, 0.1, 0.1, n_max), list(calls))
+    assert found[300] == found[46]
+    assert found[300][0][0].n2 == 37
+
+
+def test_simon_expected_size_never_falls_as_n2_grows():
+    # the walk end rests on it, in doubles too: E[N|p0] = n1 + (1 - PET) m
+    # with 1 - PET >= 0 fixed per row, and rounding is monotone
+    rng = np.random.default_rng(7)
+    pets = np.concatenate(
+        [rng.random(2000), [0.0, 1.0, 1 - 2**-53, 2**-1074, 1e-300, 1 - 1e-14, 0.5]]
+    )
+    m = np.arange(3001)
+    for n1 in (1, 7, 100, 2999):
+        e_n = n1 + (1.0 - pets[:, None]) * m
+        assert (np.diff(e_n, axis=1) >= 0).all()
