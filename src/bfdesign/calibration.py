@@ -34,10 +34,14 @@ the walk at the first hit.
 
 The grid tables each size as the walk reaches it, so no kernel is built
 past the horizon.  A search also needs an interim size in [n_min, n_max - 1]
-that can stop for futility; that is checked after the walk, which tables
-the sizes it skipped only when none of those tabled can stop.  The winner's
-operating characteristics are read off the same grid, which is what
-`evaluate` does on a grid of its two sizes.
+that can stop for futility, and one can if and only if n_max - 1 can: log
+BF01 at zero successes never falls as n grows.  Its derivative in n is
+E0[log(1 - p)] - E1[log(1 - p)], the means under each region's analysis
+prior tilted by (1 - p)^n, and log(1 - p) is at least log(1 - p0) on
+[0, p0] and at most that on [p0, 1].  So the check, after the walk, tables
+only n_max - 1, and only when none of the sizes the walk tabled can stop.
+The winner's operating characteristics are read off the same grid, which is
+what `evaluate` does on a grid of its two sizes.
 """
 
 from __future__ import annotations
@@ -191,11 +195,9 @@ def _search(
             best = (float(keys[i]), n2, int(n1[i]))
     if best is None:
         return None
-    interim = range(cons.n_min, cons.n_max)
-    if all(grid.y_fut[n] is None for n in interim if n in grid.y_fut):
-        for n in interim:
-            grid.add(n)
-        if all(grid.y_fut[n] is None for n in interim):
+    if all(grid.y_fut[n] is None for n in range(cons.n_min, cons.n_max) if n in grid.y_fut):
+        grid.add(cons.n_max - 1)  # some size can stop iff n_max - 1 can (module docstring)
+        if grid.y_fut[cons.n_max - 1] is None:
             return None  # no interim size can stop: no two-stage design exists
     _, n2, n1 = best
     oc = grid.oc(n1, n2)

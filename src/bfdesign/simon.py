@@ -13,14 +13,23 @@ at once.  Each entry is the same sequential sum from x1 = n1 down, so
 `simon_oc` gives a design the same bits alone as in the search.  Bin(n, p)
 is tabled once per success rate as the walk reaches n, from the log-space
 kernel in `special`: the reversed pmf, the upper tail and, under p0, the PET
-of every futility bound.  Three cuts spare work without changing an answer:
+of every futility bound.  The tables grow by doubling in rows and width, so
+memory follows the walk and not n_max.  Four cuts spare work without
+changing an answer; each skips only when a bound misses its target by more
+than a margin of 1e-9, far above the rounding of any of these sums:
 
+- Neyman-Pearson ceiling.  A design at n2 rejects on an event of the n2
+  outcomes, so it is a non-randomized test of p0 against p1 > p0, and its
+  power is at most that of the randomized UMP level-alpha binomial test at
+  n2 (the Neyman-Pearson lemma): reject when S > c and with probability
+  gamma when S = c, where c is the least count with P0(S > c) <= alpha and
+  gamma P0(S = c) = alpha - P0(S > c).  A step whose UMP power is below
+  1 - beta builds no tensor (`_ump_short`).  Its rows still fill the tables.
 - Power cap.  P(X1 > r1, X1 + X2 > r) <= P(X1 + X2 > r) = P(Bin(n2, p1) > r),
-  so a feasible r has single-look power >= 1 - beta.  A step takes only the
-  r whose single-look tail reaches 1 - beta - 1e-9, a margin far above the
-  rounding of either sum, and is skipped when there is none.  Likewise
-  P(X1 > r1, X1 + X2 > r) <= 1 - PET(p1), so a row (n1, r1) whose PET under
-  p1 exceeds beta + 1e-9 is never feasible, at any n2.
+  so a feasible r has single-look power >= 1 - beta: a step takes only the
+  r whose single-look tail reaches it, and is skipped when there is none.
+  Likewise P(X1 > r1, X1 + X2 > r) <= 1 - PET(p1), so a row (n1, r1) whose
+  PET under p1 exceeds beta is never feasible, at any n2.
 - Incumbent bound.  Once an optimal design is known, only a strictly smaller
   E[N|p0] can win.  E[N|p0] is at least n1 and depends on (n1, r1) alone,
   so a step evaluates only the rows (n1, r1) whose E[N|p0] is below the
@@ -29,8 +38,8 @@ of every futility bound.  Three cuts spare work without changing an answer:
   in doubles too: the factor 1 - PET >= 0 is fixed per row and rounding is
   monotone.  Rows added later have E[N|p0] >= n1 >= n2, beyond the
   incumbent's n2 and so its E[N|p0].  So the walk ends at the first n2
-  where no row is both below the incumbent and under the cap.  The minimax
-  design, fixed at the first n2 with a design, stands too.
+  where no row is both below the incumbent and under the PET cap.  The
+  minimax design, fixed at the first n2 with a design, stands too.
 
 A step splits its interim sizes into blocks whose tensors hold at most
 `_BLOCK` entries, so memory stays bounded at any n_max.
@@ -104,6 +113,26 @@ def _reject_tensor(top: np.ndarray, tails: np.ndarray, n1s: np.ndarray, cols: in
     return np.cumsum(rej, axis=0, out=rej)
 
 
+def _ump_short(
+    pmf0: np.ndarray, tail0: np.ndarray, pmf1: np.ndarray, tail1: np.ndarray,
+    alpha: float, target: float,
+) -> bool:
+    """Whether the randomized UMP level-alpha test of p0 against p1 > p0 has power below target.
+
+    pmf[x] = P(S = x) and tail[t + 1] = P(S > t) of one Bin(n, p) under p0
+    and p1, as `_binomial_table` gives them.  The test rejects when S > c,
+    and with probability gamma when S = c, where c is the least count with
+    P0(S > c) <= alpha and gamma P0(S = c) = alpha - P0(S > c).  Its power
+    P1(S > c) + gamma P1(S = c) is compared times P0(S = c), so a zero mass
+    never divides; c = -1, a test that always rejects, is never short.
+    """
+    c = int(np.count_nonzero(tail0 > alpha)) - 1
+    if c < 0:
+        return False
+    power = tail1[c + 1] * pmf0[c] + (alpha - tail0[c + 1]) * pmf1[c]
+    return bool(power < target * pmf0[c])
+
+
 def simon_oc(r1: int, n1: int, r: int, n2: int, p: float) -> tuple[float, float, float]:
     """(rejection probability, PET, E[N]) of a design at success rate p.
 
@@ -148,17 +177,28 @@ def simon_search(
         if not 0.0 < value < 1.0:
             raise ParameterError(name, f"must lie in (0, 1), got {value}")
 
-    top0, tails0, pets, top1, tails1 = np.zeros((5, n_max + 1, n_max + 2))
-    capped = np.zeros(n_max + 1, dtype=np.int64)  # rows d < capped[n1] have PET(p1) > beta
+    tables = np.zeros((5, 0, 1))  # top0, tails0, pets, top1, tails1, rows and width grown together
+    capped = np.zeros(0, dtype=np.int64)  # rows d < capped[n1] have PET(p1) > beta
     best_optimal: Optional[SimonDesign] = None
     best_minimax: Optional[SimonDesign] = None
     for n2 in range(2, n_max + 1):
-        # a step reads top rows n1 < n2, tails rows n2 - n1 and tails1[n2]: table each once
+        size = capped.size
+        if n2 >= size:  # double the capacity up to n_max, so a walk copies O(n2^2) entries
+            cap = min(max(n2 + 1, 2 * size), n_max + 1)
+            grown = np.zeros((5, cap, cap + 1))
+            grown[:, :size, : size + 1] = tables
+            tables, capped = grown, np.append(capped, np.zeros(cap - size, dtype=np.int64))
+            top0, tails0, pets, top1, tails1 = tables
+        # a step reads top rows n1 < n2, tails rows n2 - n1 and row n2: table each once
         for n in range(1 if n2 == 2 else n2, n2 + 1):
             _table_row(n, p0, top0, tails0)
             _table_row(n, p1, top1, tails1)
             pets[n, :-1] = _pets(top0[n : n + 1])[0]
             capped[n] = np.count_nonzero(_pets(top1[n : n + 1]) > beta + 1e-9)
+        if _ump_short(
+            top0[n2, n2::-1], tails0[n2], top1[n2, n2::-1], tails1[n2], alpha, 1.0 - beta - 1e-9
+        ):
+            continue  # the Neyman-Pearson ceiling
         # the minimax design is fixed at the first n2 with a design, where
         # both answers share this strict bound
         bound = np.inf if best_optimal is None else best_optimal.e_n_h0

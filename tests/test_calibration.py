@@ -23,7 +23,7 @@ from bfdesign import (
     predictive_vector,
     scan,
 )
-from bfdesign.bayesfactor import ParameterError
+from bfdesign.bayesfactor import ParameterError, log_bf01_curve
 from bfdesign.calibration import _past_horizon
 from bfdesign.config import load_config
 from bfdesign.operating import DesignGrid, expected_size
@@ -359,6 +359,38 @@ def test_searches_need_an_interim_size_that_can_stop():
     # rows still report the single-look rates of such designs
     row = scan(25, cons, *args)[0]
     assert (row.n1, row.pce, row.e_n_h0) == (5, 0.0, 25.0)
+
+
+def test_no_interim_stop_is_told_from_the_last_size(monkeypatch):
+    # log BF01 at zero successes never falls as n grows, so some interim size
+    # can stop exactly when n_max - 1 can; at k_f = 1e300 none can, and the
+    # check tables n_max - 1 alone instead of every size the walk skipped
+    args = (1 / 3, 1e300, EX1_HYP, EX1_AP, PointMass(0.3))
+    cons = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=1500)
+    tabled = count_tabled_sizes(monkeypatch)
+    for search in (calibrate, optimal_calibrate):
+        tabled.clear()
+        assert search(cons, *args) is None
+        assert tabled[-1] == 1499 and len(tabled) < 60, (len(tabled), tabled[-3:])
+
+
+@pytest.mark.parametrize(
+    "p0, shapes",
+    [
+        (0.1, (1, 1, 1, 1)),
+        (0.2, (2, 5, 1, 1)),
+        (0.3, (0.5, 0.5, 3, 1)),
+        (0.5, (1, 4, 4, 1)),
+        (0.7, (5, 1, 1, 5)),
+        (0.9, (1, 1, 0.5, 2)),
+    ],
+)
+def test_log_bf01_at_zero_successes_never_falls(p0, shapes):
+    # its derivative in n is the mean of log(1 - p) under the tilted H0
+    # prior, at least log(1 - p0), less that under the tilted H1 prior
+    hyp, ap = Hypotheses(p0), AnalysisPrior.from_shapes(p0, *shapes)
+    at_zero = np.array([log_bf01_curve(n, hyp, ap)[0] for n in range(1, 1201)])
+    assert (np.diff(at_zero) >= 0).all()
 
 
 @pytest.mark.parametrize("n_max", [60, 66, 67, 120])

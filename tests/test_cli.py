@@ -288,6 +288,16 @@ def test_simon_rows(example1, capsys):
     assert "n1=15" in lines[1] and "n2=25" in lines[1]
 
 
+def test_simon_tables_grow_with_the_walk(tmp_path, capsys):
+    # the binomial tables follow the walk, which ends at n2 = 36, so an
+    # n_max of ten million allocates nothing of its size
+    path = tmp_path / "huge.cfg"
+    path.write_text(EXAMPLE1.replace("n_max = 40", "n_max = 10000000"))
+    assert main(["simon", "--config", str(path)]) == 0
+    want = (GOLDEN_DIR / "simon-example1.stdout").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
 def test_simon_second_setting(tmp_path, capsys):
     path = tmp_path / "ex2.cfg"
     path.write_text(

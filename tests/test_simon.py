@@ -15,7 +15,7 @@ import bfdesign
 import bfdesign.simon
 from bfdesign import simon_oc, simon_search
 from bfdesign.priors import ParameterError
-from bfdesign.simon import SimonDesign, _binomial_table
+from bfdesign.simon import SimonDesign, _binomial_table, _ump_short
 
 
 def brute_force_oc(r1, n1, r, n2, p):
@@ -374,3 +374,76 @@ def test_simon_expected_size_never_falls_as_n2_grows():
     for n1 in (1, 7, 100, 2999):
         e_n = n1 + (1.0 - pets[:, None]) * m
         assert (np.diff(e_n, axis=1) >= 0).all()
+
+
+def _designs_by_final_size(p0, p1, n2_max):
+    """(n2, alpha, power) over every design (r1, n1, r, n2) with n2 <= n2_max, by scipy."""
+    for n2 in range(2, n2_max + 1):
+        for n1 in range(1, n2):
+            reject0 = _reference_reject_matrix(n1, n2, p0)[:n1]
+            reject1 = _reference_reject_matrix(n1, n2, p1)[:n1]
+            valid = np.arange(n2 + 1)[None, :] >= np.arange(n1)[:, None]  # r >= r1
+            yield n2, reject0[valid], reject1[valid]
+
+
+@pytest.mark.parametrize("p0, p1, alpha", [(0.1, 0.3, 0.05), (0.2, 0.4, 0.1), (0.5, 0.7, 0.05)])
+def test_ump_power_bounds_every_design(p0, p1, alpha):
+    # the Neyman-Pearson lemma: no design of type-I <= alpha beats the
+    # randomized UMP test at its final size
+    best = {}
+    for n2, reject0, reject1 in _designs_by_final_size(p0, p1, 25):
+        level = reject0 <= alpha
+        if level.any():
+            best[n2] = max(best.get(n2, 0.0), float(reject1[level].max()))
+    assert len(best) > 15
+    for n2, power in best.items():
+        tables = (*_binomial_table(n2, p0), *_binomial_table(n2, p1))
+        assert not _ump_short(*tables, alpha, power), n2
+        assert _ump_short(*tables, alpha, 1.0)
+
+
+# designs (r1, n1, r, n2) whose own type-I and power are taken as alpha and
+# 1 - beta: the search must find a design at n2, though the Neyman-Pearson
+# ceiling or the power cap meet the target only within rounding
+BOUNDARY_DESIGNS = [
+    (0.75, 0.9, (6, 12, 15, 18)),
+    (0.65, 0.75, (2, 18, 16, 24)),
+    (0.6, 0.75, (3, 10, 13, 18)),
+]
+
+
+@pytest.mark.parametrize("p0, p1, bounds", BOUNDARY_DESIGNS)
+def test_designs_at_the_error_bounds_are_found(p0, p1, bounds):
+    alpha, _, e_n = simon_oc(*bounds, p0)
+    power = simon_oc(*bounds, p1)[0]
+    beta = 1.0 - power
+    while 1.0 - beta > power:
+        beta = math.nextafter(beta, 1.0)
+    found = simon_search(p0, p1, alpha, beta, bounds[-1])
+    assert found is not None
+    for design in found:
+        assert design.alpha_attained <= alpha and design.power_attained >= 1.0 - beta
+    assert found[1].n2 <= bounds[-1] and found[0].e_n_h0 <= e_n
+
+
+def test_infeasible_search_builds_no_tensor(monkeypatch):
+    # the UMP power at p1 = 0.25 stays below 0.9 for every n2 <= 150
+    calls = []
+    monkeypatch.setattr(bfdesign.simon, "_reject_tensor", lambda *args: calls.append(args))
+    assert simon_search(0.2, 0.25, 0.05, 0.1, 150) is None
+    assert calls == []
+
+
+def test_tables_grow_no_further_than_n_max():
+    # an infeasible walk tables every size up to n_max; the capacity doubles
+    # 3, 6, ..., 192, so at n_max = 193 the last growth must stop at 194 rows
+    # and not take 384.  The peak holds the old tables and the new ones.
+    n_max = 193
+    block = 5 * (n_max + 1) * (n_max + 2) * 8
+    tracemalloc.start()
+    try:
+        assert simon_search(0.2, 0.25, 0.05, 0.1, n_max) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * block, (peak, block)
