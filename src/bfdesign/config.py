@@ -51,10 +51,10 @@ class RunConfig:
     b1: float = 1.0
     k: float = 1.0 / 3.0
     k_f: float = 3.0
-    f: Optional[float] = None
-    n_min: int = 5
-    n_max: int = 60
-    window: int = 10
+    f: Optional[float] = CalibrationConstraints.f
+    n_min: int = CalibrationConstraints.n_min
+    n_max: int = CalibrationConstraints.n_max
+    window: int = CalibrationConstraints.window
     output_format: str = "table"
 
     def hypotheses(self) -> Hypotheses:

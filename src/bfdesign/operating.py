@@ -60,13 +60,11 @@ from .bayesfactor import (
 )
 from .predictive import joint_predictive_matrix, predictive_vector
 from .priors import DesignPrior, PointMass
-from .special import log_factorials
+from .special import _BLOCK, log_factorials
 
 # Adjusted rates may dip this far below zero from rounding; anything worse
 # indicates inconsistent critical values and raises.
 _NEGATIVITY_TOL = 1e-12
-# Largest (interim size, t) block of erased-mass weights, as in `simon`.
-_BLOCK = 2**17
 
 
 class BranchProbabilities(NamedTuple):

@@ -1,7 +1,7 @@
 """Prior distributions over the latent success probability.
 
 Two kinds of design prior drive every predictive computation: a point mass
-(frequentist planning value) and a Beta law truncated to an interval.  Both
+(frequentist planning value) and a Beta law truncated to a tail.  Both
 are frozen dataclasses; a `TruncatedBeta` keys the cache of the log
 predictive kernel.  Every module above refuses a bad parameter by name
 with `ParameterError`, defined here.
@@ -38,15 +38,16 @@ def check_size(name: str, value: object) -> None:
 
 @dataclass(frozen=True)
 class TruncatedBeta:
-    """Beta(a, b) distribution restricted to [l, u] and renormalized.
+    """Beta(a, b) distribution restricted to a tail [0, u] or [l, 1] and renormalized.
 
-    The untruncated law (l, u) = (0, 1) is the common special case.  The
-    shapes must be positive numbers (NaN is rejected) no larger than
-    `MAX_SHAPE`, 1e5, and the Beta(a, b) mass on [l, u] must be above zero in
-    double precision, though the kernel itself works in logs.  A narrow
-    interior [l, u] loses precision: see `special.log_beta_integrals`.
-    `log_norm`, the log normalizer of the predictive pmfs, takes no part in
-    equality or hashing.
+    The untruncated law (l, u) = (0, 1) is the common special case; every
+    hypothesis region is a tail.  An interior [l, u] is refused by the
+    kernel, `special.log_beta_integrals`, because its mass would be a
+    cancelling difference of two tails.  The shapes must be positive
+    numbers (NaN is rejected) no larger than `MAX_SHAPE`, 1e5, and the
+    Beta(a, b) mass on [l, u] must be above zero in double precision, though
+    the kernel itself works in logs.  `log_norm`, the log normalizer of the
+    predictive pmfs, takes no part in equality or hashing.
     """
 
     a: float

@@ -42,7 +42,7 @@ than a margin of 1e-9, far above the rounding of any of these sums:
   minimax design, fixed at the first n2 with a design, stands too.
 
 A step splits its interim sizes into blocks whose tensors hold at most
-`_BLOCK` entries, so memory stays bounded at any n_max.
+`special._BLOCK` entries, so memory stays bounded at any n_max.
 """
 
 from __future__ import annotations
@@ -54,10 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .priors import ParameterError, check_size
-from .special import log_binom_pmf_vector
-
-# most entries of one rejection tensor; a search step splits its interim sizes to stay below it
-_BLOCK = 2**17
+from .special import _BLOCK, log_binom_pmf_vector
 
 
 @dataclass(frozen=True)
@@ -245,11 +242,8 @@ def simon_search(
             )
             if best_optimal is None or design.e_n_h0 < best_optimal.e_n_h0:
                 best_optimal = design
-            if best_minimax is None or (design.n2, design.e_n_h0) < (
-                best_minimax.n2,
-                best_minimax.e_n_h0,
-            ):
-                best_minimax = design
-    if best_optimal is None or best_minimax is None:
+        if best_minimax is None:
+            best_minimax = best_optimal
+    if best_optimal is None:
         return None
     return best_optimal, best_minimax

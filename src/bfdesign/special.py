@@ -18,6 +18,9 @@ import numpy as np
 _TINY = 1e-300
 _EPS = np.finfo(float).eps
 _MAX_ITER = 10_000
+# Most entries of one block of work: `operating` and `simon` split their
+# vectorized steps so no temporary holds more, and memory stays bounded.
+_BLOCK = 2**17
 
 # log y! from exact factorials up to 170! (171! overflows a double), and
 # Stirling's series for log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2,
@@ -121,23 +124,18 @@ def _log_lower_tails(a: float, b: float, u: float, n: int) -> np.ndarray:
 def log_beta_integrals(a: float, b: float, l: float, u: float, n: int) -> np.ndarray:
     """log of the integral of p^(a+s-1) (1-p)^(b+n-s-1) over [l, u], s = 0..n.
 
-    At n = 0, the log normalizer of Beta(a, b) on [l, u].  An upper tail runs
-    the recurrence under p -> 1 - p; an interior interval is the
-    log-difference of two lower or two upper tails, per entry on the side
-    where they cancel less.  A narrow interval still cancels, to a relative
-    error of about 1e-16 / (1 - I_l / I_u) or more (I_x the Beta cdf on that
-    side): for a = 1600, b = 160 on [0.5 - 1e-13, 0.5] the mass is off by 3e-4
-    relative to 60-digit mpmath.  Configs build only [0, p0] and [p0, 1].
+    At n = 0, the log normalizer of Beta(a, b) on [l, u].  [l, u] is a tail,
+    as every hypothesis region is: a lower tail [0, u], or an upper tail
+    [l, 1] run as a lower tail under p -> 1 - p.  On a tail no entry is a
+    cancelling difference.  An interior interval would be the difference of
+    two tails, which keeps no digits when they nearly cancel, so it is
+    refused here, for the kernel and every `TruncatedBeta` alike.
     """
     if l == 0.0:
         return _log_lower_tails(a, b, u, n)
     if u == 1.0:
         return _log_lower_tails(b, a, 1.0 - l, n)[::-1]
-    lower = _log_lower_tails(a, b, u, n), _log_lower_tails(a, b, l, n)
-    upper = _log_lower_tails(b, a, 1.0 - l, n)[::-1], _log_lower_tails(b, a, 1.0 - u, n)[::-1]
-    outer, inner = np.where(upper[1] - upper[0] < lower[1] - lower[0], upper, lower)
-    with np.errstate(divide="ignore"):
-        return outer + np.log(-np.expm1(inner - outer))
+    raise ValueError(f"truncation must be a tail [0, u] or [l, 1], got [{l}, {u}]")
 
 
 def log_binom_pmf_vector(n: int, p: float) -> np.ndarray:

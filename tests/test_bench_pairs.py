@@ -1,0 +1,79 @@
+"""The paired-run summary of tools/bench_pairs.py, on synthetic run entries."""
+
+import importlib.util
+import os
+import subprocess
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "bench_pairs.py")
+BOUNDS = {"setup_s": 0.25, "solve_s": 0.24, "peak_rss_mb": 0.15}
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("summary started a subprocess")
+
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def runs(parent, change, failed_change=0):
+    """Run entries of pairs whose (setup_s, solve_s, peak_rss_mb) are parent[i] and change[i]."""
+    entries = []
+    for pair, values in enumerate(zip(parent, change), start=1):
+        for side, (setup, solve, rss) in zip(("parent", "change"), values):
+            failed = int(side == "change" and pair <= failed_change)
+            entries.append({
+                "pair": pair, "side": side, "correct": True, "attempted": 100,
+                "failed": failed, "setup_s": setup, "solve_s": solve, "peak_rss_mb": rss,
+            })
+    return entries
+
+
+def verdicts(text):
+    return {line.split()[1].rstrip(":"): line.rsplit(": ", 1)[1] for line in text.splitlines()}
+
+
+def test_summary_verdicts(bench_pairs):
+    parent = [(0.10 + 0.001 * i, 1.0 + 0.01 * i, 30.0 + 0.1 * i) for i in range(10)]
+    change = [
+        # setup 10% slower, solve 20% faster, rss 20% larger
+        (1.1 * setup, 0.8 * solve, 1.2 * rss) for setup, solve, rss in parent
+    ]
+    text = bench_pairs.summary("search", runs(parent, change), BOUNDS)
+    assert verdicts(text) == {
+        "setup_s": "within bound", "solve_s": "gain", "peak_rss_mb": "worse"
+    }
+    first = text.splitlines()[0]
+    # parent setup quartiles (exclusive method) 0.10175 and 0.10725
+    assert "parent quartile spread 0.0055" in first
+    assert "failed runs parent 0 change 0" in first
+    assert "change lower in 0 of 10 pairs" in first
+
+
+def test_summary_gain_needs_pairs_spread_and_no_more_failures(bench_pairs):
+    parent = [(1.0, 1.0 + 0.1 * i, 30.0) for i in range(10)]
+    # lower in 9 of 10 pairs but by less than the parent's spread of 0.55
+    close = [(1.0, solve - 0.1, 30.0) for _, solve, _ in parent]
+    close[0] = (1.0, 1.5, 30.0)
+    assert verdicts(bench_pairs.summary("w", runs(parent, close), BOUNDS))["solve_s"] == (
+        "within bound"
+    )
+    # beyond the spread, lower in 8 of 10 pairs only
+    far = [(1.0, solve - 0.9, 30.0) for _, solve, _ in parent]
+    far[0] = far[1] = (1.0, 1.2, 30.0)
+    assert verdicts(bench_pairs.summary("w", runs(parent, far), BOUNDS))["solve_s"] == (
+        "within bound"
+    )
+    # lower in 9 of 10 pairs and beyond the spread: a gain, unless more runs failed
+    far[1] = (1.0, 0.2, 30.0)
+    assert verdicts(bench_pairs.summary("w", runs(parent, far), BOUNDS))["solve_s"] == "gain"
+    text = bench_pairs.summary("w", runs(parent, far, failed_change=2), BOUNDS)
+    assert verdicts(text)["solve_s"] == "within bound"
+    assert "failed runs parent 0 change 2" in text

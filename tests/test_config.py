@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from bfdesign import PointMass, TruncatedBeta
+from bfdesign import CalibrationConstraints, PointMass, TruncatedBeta
 from bfdesign.config import ConfigError, parse_config
 
 EXAMPLE1 = """
@@ -39,6 +39,8 @@ def test_defaults_applied():
     assert config.k == pytest.approx(1 / 3)
     assert config.k_f == 3.0
     assert (config.n_min, config.n_max, config.window) == (5, 60, 10)
+    # the search defaults are those of the library type, stated once
+    assert config.constraints() == CalibrationConstraints(0.1, 0.1)
 
 
 def test_beta_power_prior_truncated_to_alternative_region():

@@ -333,7 +333,7 @@ def test_erased_mass_column_blocks_bound_memory_and_keep_bits():
     # rows on both sides of every block boundary, and the two ends, give
     # the bits of their design alone, under each prior alone
     live = [i for i, y in enumerate(y_fut) if y is not None]
-    step = bfdesign.operating._BLOCK // (n2 - y_eff)
+    step = bfdesign.special._BLOCK // (n2 - y_eff)
     assert len(live) > step
     edges = {live[0], live[-1]}
     for start in range(step, len(live), step):

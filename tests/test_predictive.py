@@ -102,13 +102,14 @@ def test_predictive_domain_errors():
         TruncatedBeta(1e-15, 0.3, 0.2, 1.0),
         TruncatedBeta(1e-10, 2.0, 0.05, 1.0),
         TruncatedBeta(0.3, 1e-15, 0.0, 0.6),
-        TruncatedBeta(1e-15, 0.3, 0.2, 0.7),
+        TruncatedBeta(1e-15, 1e-15, 0.2, 1.0),
+        TruncatedBeta(1e-15, 1e-15, 0.0, 0.7),
     ],
 )
 def test_tiny_shape_pmf_normalizes(prior):
     # b + n - s rounds b away at s = n (to 0 for b = 1e-15 at n = 29), so
     # the kernel forms each shape with its integer part first; in the last
-    # four, nearly all of the untruncated Beta is a spike outside [l, u] that
+    # five, nearly all of the untruncated Beta is a spike outside [l, u] that
     # no normalizer may take as a cancelling difference
     assert abs(predictive_vector(prior, 29).sum() - 1.0) < 1e-12
 
@@ -148,8 +149,8 @@ def test_joint_point_mass_factorizes():
 
 
 def test_joint_against_quadrature():
-    prior = TruncatedBeta(3, 6, 0.15, 0.8)
-    norm = beta_dist.cdf(0.8, 3, 6) - beta_dist.cdf(0.15, 3, 6)
+    prior = TruncatedBeta(3, 6, 0.15, 1.0)
+    norm = beta_dist.sf(0.15, 3, 6)
     y1, y2, n1, m = 4, 2, 7, 5
     oracle, _ = integrate.quad(
         lambda t: binom.pmf(y1, n1, t)
@@ -157,7 +158,7 @@ def test_joint_against_quadrature():
         * beta_dist.pdf(t, 3, 6)
         / norm,
         0.15,
-        0.8,
+        1.0,
     )
     assert math.isclose(
         joint_predictive_matrix(n1, m, prior)[y1, y2], oracle, rel_tol=1e-10

@@ -9,6 +9,7 @@ exp(J - ln B(a, b)).
 import ast
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -29,18 +30,14 @@ from bfdesign.special import (
 
 
 def mp_log_integral(a, b, l, u):
-    """40-digit log of the integral of p^(a-1) (1-p)^(b-1) over [l, u].
+    """40-digit log of the integral of p^(a-1) (1-p)^(b-1) over [0, u] or [l, 1].
 
-    Also returns the share I_l / I_u it cancels.  Both are taken from lower
-    tails on the side of the mean where [l, u] lies, reflecting Beta(a, b)
-    on [l, u] to Beta(b, a) on [1 - u, 1 - l].
+    An upper tail is taken as the lower tail of Beta(b, a) on [0, 1 - l].
     """
     with mpmath.workdps(40):
-        if l > a / (a + b):
-            a, b, l, u = b, a, 1 - mpmath.mpf(u), 1 - mpmath.mpf(l)
-        lower = mpmath.betainc(a, b, 0, l)
-        upper = mpmath.betainc(a, b, 0, u)
-        return float(mpmath.log(upper - lower)), float(lower / upper)
+        if l == 0.0:
+            return float(mpmath.log(mpmath.betainc(a, b, 0, u)))
+        return float(mpmath.log(mpmath.betainc(b, a, 0, 1 - mpmath.mpf(l))))
 
 
 def log_integral(a, b, l, u):
@@ -104,7 +101,7 @@ def test_log_binom_coeff():
 
 
 def test_trunc_beta_mass_matches_cdf_difference():
-    cases = [(2.0, 3.0, 0.1, 0.7), (5.5, 1.2, 0.0, 0.4), (1.0, 1.0, 0.25, 1.0)]
+    cases = [(2.0, 3.0, 0.7, 1.0), (5.5, 1.2, 0.0, 0.4), (1.0, 1.0, 0.25, 1.0)]
     for a, b, l, u in cases:
         direct = math.exp(log_integral(a, b, 0.0, u))
         if l > 0.0:
@@ -130,24 +127,38 @@ def test_log_trunc_beta_mass_survives_double_underflow():
 @pytest.mark.parametrize(
     "a, b, l, u",
     [
-        (2.0, 3.0, 0.05, 0.15),  # below the mean
-        (2.0, 3.0, 0.8, 0.95),  # above the mean
-        (1600.0, 160.0, 0.3, 0.5),  # below the mean, mass ~ 1e-300
-        (160.0, 1600.0, 0.5, 0.7),  # above the mean, mass ~ 1e-300
-        (1.5, 4000.0, 0.2, 0.3),  # above the mean, mass ~ 1e-390
-        (4000.0, 1.5, 0.05, 0.8),  # below the mean, mass ~ 1e-390
-        (1600.0, 160.0, 0.4996, 0.5),  # below the mean, I_l / I_u ~ 0.32, ~ 1e-299
-        (5.0, 5000.0, 0.15, 0.1502),  # above the mean, I_l / I_u ~ 0.31, ~ 1e-343
+        (1600.0, 160.0, 0.0, 0.5),  # below the mean, mass ~ 1e-300
+        (160.0, 1600.0, 0.5, 1.0),  # above the mean, mass ~ 1e-300
+        (1.5, 4000.0, 0.2, 1.0),  # above the mean, mass ~ 1e-390
+        (4000.0, 1.5, 0.0, 0.8),  # below the mean, mass ~ 1e-390
+        (2.0, 3.0, 0.0, 0.15),  # below the mean
+        (2.0, 3.0, 0.8, 1.0),  # above the mean
     ],
 )
-def test_interior_interval_against_high_precision(a, b, l, u):
-    oracle, cancelled = mp_log_integral(a, b, l, u)
-    assert cancelled <= 0.5
+def test_tail_against_high_precision(a, b, l, u):
+    oracle = mp_log_integral(a, b, l, u)
     assert math.isclose(log_integral(a, b, l, u), oracle, rel_tol=1e-12)
     # the same integral as an inner entry of a vector: shapes (a - s, b - n + s)
     s, t = int(a) // 2, int(b) // 2
     vector = log_beta_integrals(a - s, b - t, l, u, s + t)
     assert math.isclose(vector[s], oracle, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, b, l, u, n",
+    [
+        (1e-15, 1e-15, 0.2, 0.7, 20),  # both tails hold a spike outside [l, u]
+        (1600.0, 160.0, 0.5 - 1e-13, 0.5, 0),  # the two tails agree to ~10 digits
+        (2.0, 3.0, 0.1, 0.7, 5),
+    ],
+)
+def test_interior_interval_refused_by_name(a, b, l, u, n):
+    # an interior mass is a difference of two tails that may keep no digits
+    named = re.escape(f"[{l}, {u}]")
+    with pytest.raises(ValueError, match=named):
+        log_beta_integrals(a, b, l, u, n)
+    with pytest.raises(ValueError, match=named):
+        TruncatedBeta(a, b, l, u)
 
 
 def test_lower_tail_refuses_unconverged_fraction(monkeypatch):

@@ -12,7 +12,9 @@ file's ``run_seconds``, once from the root of each checkout, one after the
 other; the parent goes first in odd pairs and the change first in even
 pairs, so a drift of the machine's speed during a pair favors neither side.  Every run's last stdout
 line (the harness's JSON result) is kept as one entry of ``runs``.  A summary
-of the medians and of the pairs the change wins is printed to stdout.
+is printed to stdout: per metric, the medians, the pairs the change wins,
+the parent's quartile spread, each side's failed runs and a verdict against
+the metric's ``bound`` in ``BENCHMARK.json`` (see ``summary``).
 Standard library only, so it runs wherever the benchmark does.
 """
 
@@ -98,15 +100,41 @@ def run_pairs(roots: dict, workload: str, seconds: float) -> list:
     return runs
 
 
-def summary(workload: str, runs: list) -> str:
+def summary(workload: str, runs: list, bounds: dict) -> str:
+    """One line per metric: medians, pairs won, the parent's spread, failed runs, verdict.
+
+    The spread is the distance between the quartiles of the parent's runs; a
+    run failed when it is not correct or any operation in it failed.  The
+    verdict is ``gain`` when the change is lower in at least nine tenths of
+    the pairs, its median is below the parent's by more than the spread and
+    no more of its runs failed; ``within bound`` when its median exceeds the
+    parent's by at most ``bounds[metric]`` of it; ``worse`` otherwise.
+    """
+    failed = {
+        s: sum(bool(r["failed"]) or not r["correct"] for r in runs if r["side"] == s)
+        for s in ("parent", "change")
+    }
     lines = []
     for metric in METRICS:
         side = {s: [r[metric] for r in runs if r["side"] == s] for s in ("parent", "change")}
+        parent, change = statistics.median(side["parent"]), statistics.median(side["change"])
+        low, _, high = statistics.quantiles(side["parent"], n=4)
         wins = sum(c < p for p, c in zip(side["parent"], side["change"]))
+        if (
+            wins >= 0.9 * len(side["change"])
+            and parent - change > high - low
+            and failed["change"] <= failed["parent"]
+        ):
+            verdict = "gain"
+        elif change <= parent * (1.0 + bounds[metric]):
+            verdict = "within bound"
+        else:
+            verdict = "worse"
         lines.append(
-            f"{workload} {metric}: parent median {statistics.median(side['parent']):.4g}, "
-            f"change median {statistics.median(side['change']):.4g}, "
-            f"change lower in {wins} of {len(side['change'])} pairs"
+            f"{workload} {metric}: parent median {parent:.4g}, change median {change:.4g}, "
+            f"change lower in {wins} of {len(side['change'])} pairs, "
+            f"parent quartile spread {high - low:.4g}, "
+            f"failed runs parent {failed['parent']} change {failed['change']}: {verdict}"
         )
     return "\n".join(lines)
 
@@ -135,11 +163,12 @@ def main(argv=None) -> int:
         "machine": machine(),
         "workloads": {},
     }
+    bounds = {entry["name"]: entry["bound"] for entry in benchmark["end_to_end"]}
     texts = []
     for workload in (entry["name"] for entry in benchmark["workloads"]):
         runs = run_pairs(roots, workload, seconds)
         report["workloads"][workload] = {"pairs": PAIRS, "runs": runs}
-        texts.append(summary(workload, runs))
+        texts.append(summary(workload, runs, bounds))
     out = args.out or os.path.join(roots["change"], f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1)
