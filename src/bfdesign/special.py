@@ -6,6 +6,11 @@ its integrals J(s) obey the backward recurrence (DLMF 8.17(iv))
 alpha J(s) = u^alpha (1-u)^(beta-1) + (beta-1) J(s+1), whose terms are all
 positive.  It runs from one anchor J(n), taken from the incomplete beta
 continued fraction, and stays finite far below the double range.
+
+The log factorials log y! for y = 0..3000 are one read-only table, built
+once at import: exact up to 170!, Stirling's series above.  It is a fixed
+constant, not a memo, and never grows; `log_factorials` hands out prefix
+views of it and extends a copy by the same series past 3000.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ _BLOCK = 2**17
 _LOG_FACT_EXACT = np.log([float(math.factorial(y)) for y in range(171)])
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# Largest y in the import-time table (24 KB): the largest final sizes the
+# tests and benchmark evaluate.  Past it, `log_factorials` extends a copy.
+_LOG_FACT_MAX = 3000
 
 
 def _stirling(x):
@@ -39,13 +47,32 @@ def _stirling(x):
     return series / x
 
 
+def _log_factorial_range(lo: int, hi: int) -> np.ndarray:
+    """log y! for y = lo..hi, lo >= 171, by Stirling's series at x = y + 1."""
+    x = np.arange(lo + 1.0, hi + 2.0)
+    return (x - 0.5) * np.log(x) - x + _HALF_LOG_2PI + _stirling(x)
+
+
+_LOG_FACT = np.concatenate(
+    (_LOG_FACT_EXACT, _log_factorial_range(_LOG_FACT_EXACT.size, _LOG_FACT_MAX))
+)
+_LOG_FACT.flags.writeable = False
+
+
 def log_factorials(n: int) -> np.ndarray:
-    """log y! for y = 0..n."""
-    if n < _LOG_FACT_EXACT.size:
-        return _LOG_FACT_EXACT[: n + 1].copy()
-    x = np.arange(_LOG_FACT_EXACT.size + 1.0, n + 2.0)
-    tail = (x - 0.5) * np.log(x) - x + _HALF_LOG_2PI + _stirling(x)
-    return np.concatenate((_LOG_FACT_EXACT, tail))
+    """log y! for y = 0..n, read-only.
+
+    Up to n = 3000 a prefix view of the import-time table; above it, that
+    table extended by the same Stirling series, so every prefix of a longer
+    result has the bits of a shorter one.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got n={n}")
+    if n < _LOG_FACT.size:
+        return _LOG_FACT[: n + 1]
+    out = np.concatenate((_LOG_FACT, _log_factorial_range(_LOG_FACT.size, n)))
+    out.flags.writeable = False
+    return out
 
 
 def log_binom_coeff_vector(n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Operating characteristics: closed form versus enumeration, hand cases."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -513,3 +514,76 @@ def test_adjusted_rate_free_function_consistency():
     via_evaluate = evaluate(design, hyp, ap, PointMass(0.3)).type_i_adjusted
     assert direct == via_evaluate
     assert round(direct, 4) == 0.0471
+
+
+# float.hex() of every float field of `evaluate`, pinned before the log
+# factorials became one import-time table: large designs like the benchmark's
+# tails bands, at p0 near 0, 1/2 and near 1
+TAILS_PINS = [
+    (
+        (0.035, 1190, 2980, (2.0, 20.0, 1.0, 1.0), (2.0, 10.0)),
+        {
+            "type_i_unadjusted": "0x1.37c9307789ba2p-7",
+            "type_i_adjusted": "0x1.973b82ebe2780p-8",
+            "power_unadjusted": "0x1.f25e293f8ef74p-1",
+            "power_adjusted": "0x1.ef7f9e970f27ep-1",
+            "futility_erased_power": "0x1.6f45543fe7b39p-8",
+            "futility_erased_type_i": "0x1.b0adbc0661f88p-9",
+            "pce_p0": "0x1.d4c391907fdd4p-1",
+            "e_n_h0": "0x1.4f4a1185f43e6p+10",
+            "e_n_h1": "0x1.6ea98709a2b3fp+11",
+            "branch_h0": ("0x1.13933e7e3d01cp-7", "0x1.37710bac3759cp-4", "0x1.d4c391907fdd4p-1"),
+            "branch_h1": ("0x1.e86885a1d95b2p-1", "0x1.47772c3352b96p-6", "0x1.ab781f9163d6bp-6"),
+        },
+    ),
+    (
+        (0.5, 780, 1975, (3.0, 3.0, 3.0, 3.0), (4.0, 4.0)),
+        {
+            "type_i_unadjusted": "0x1.ffa4ce35f0e7ep-3",
+            "type_i_adjusted": "0x1.ecdd3a831112ep-3",
+            "power_unadjusted": "0x1.eb46127ebbc14p-1",
+            "power_adjusted": "0x1.ea5740f81371fp-1",
+            "futility_erased_power": "0x1.dda30d509ea2ap-10",
+            "futility_erased_type_i": "0x1.2c793b2dfd502p-7",
+            "pce_p0": "0x1.fc3edc8883c6bp-3",
+            "e_n_h0": "0x1.a39c348476070p+10",
+            "e_n_h1": "0x1.ea4d4fe8afc48p+10",
+            "branch_h0": ("0x1.fc3edc8883b1ap-3", "0x1.01e091bbbf0c4p-1", "0x1.fc3edc8883c6bp-3"),
+            "branch_h1": ("0x1.def6ac0b4dcdcp-1", "0x1.b209223b896dap-5", "0x1.7a30743ea74f6p-7"),
+        },
+    ),
+    (
+        (0.92, 410, 1020, (20.0, 2.0, 1.0, 1.0), (10.0, 1.0)),
+        {
+            "type_i_unadjusted": "0x1.a97aab89ebe36p-3",
+            "type_i_adjusted": "0x1.9f60f161fbc55p-3",
+            "power_unadjusted": "0x1.dd64ce7aa1aaep-1",
+            "power_adjusted": "0x1.dc8ddee0e2589p-1",
+            "futility_erased_power": "0x1.addf337ea4936p-10",
+            "futility_erased_type_i": "0x1.433744fe03c23p-8",
+            "pce_p0": "0x1.f78bc77ae4b8bp-3",
+            "e_n_h0": "0x1.b3024eead2b00p+9",
+            "e_n_h1": "0x1.f9127a115f4bep+9",
+            "branch_h0": ("0x1.c20ded4a928e9p-3", "0x1.119992cea12eap-1", "0x1.f78bc77ae4b8bp-3"),
+            "branch_h1": ("0x1.caf3800bd2fafp-1", "0x1.66365cde9cc66p-4", "0x1.08b68b0b0f213p-6"),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("case, pinned", TAILS_PINS)
+def test_large_tails_designs_keep_their_bits(case, pinned):
+    p0, n1, n2, shapes, (a, b) = case
+    oc = evaluate(
+        TwoStageDesign(n1, n2, 1 / 3, 3.0),
+        Hypotheses(p0),
+        AnalysisPrior.from_shapes(p0, *shapes),
+        TruncatedBeta(a, b, p0, 1.0),
+    )
+    got = {}
+    for field in dataclasses.fields(oc):
+        value = getattr(oc, field.name)
+        got[field.name] = (
+            value.hex() if isinstance(value, float) else tuple(v.hex() for v in value)
+        )
+    assert got == pinned

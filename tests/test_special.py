@@ -71,6 +71,45 @@ def test_log_factorials_against_high_precision():
     assert np.array_equal(log_factorials(10), table[:11])
 
 
+def per_size_log_factorials(n):
+    """log y! for y = 0..n, built afresh for this one n: exact up to 170!,
+    Stirling's series for log Gamma(x) at x = y + 1 above."""
+    exact = np.log([float(math.factorial(y)) for y in range(171)])
+    if n < exact.size:
+        return exact[: n + 1].copy()
+    x = np.arange(exact.size + 1.0, n + 2.0)
+    r2 = 1.0 / (x * x)
+    coeffs = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+    series = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        series = c + r2 * series
+    tail = (x - 0.5) * np.log(x) - x + 0.5 * math.log(2.0 * math.pi) + series / x
+    return np.concatenate((exact, tail))
+
+
+def test_log_factorial_table_matches_per_size_build_bit_for_bit():
+    table = special._LOG_FACT
+    for n in list(range(3001)) + [3001, 4000, 6000]:
+        got = log_factorials(n)
+        assert np.array_equal(got, per_size_log_factorials(n)), n
+        assert not got.flags.writeable, n
+    with pytest.raises(ValueError):
+        log_factorials(10)[3] = 0.0
+    with pytest.raises(ValueError):
+        log_factorials(4000)[3500] = 0.0
+    # extending past the table leaves the table itself alone
+    log_factorials(6000)
+    assert special._LOG_FACT is table and table.size == 3001
+    assert not table.flags.writeable
+
+
+def test_negative_sizes_are_refused():
+    with pytest.raises(ValueError, match="n=-5"):
+        log_factorials(-5)
+    with pytest.raises(ValueError, match="n=-3"):
+        log_binom_coeff_vector(-3)
+
+
 def test_reg_inc_beta_endpoints_and_uniform():
     assert log_integral(3.2, 4.5, 0.0, 1.0) == log_beta(3.2, 4.5)
     assert math.isclose(math.exp(log_integral(1, 1, 0.0, 0.5)), 0.5, rel_tol=1e-15)
