@@ -20,22 +20,35 @@ keys by E[N|H0] from the tabled stop probabilities, and `calibrate` by a
 constant, so the first feasible design in the order (n2, n1) wins.  The only
 per-design work is the erased mass, one vectorized call for both design
 priors for a set of interim sizes of one final size (`DesignGrid.rows`).
-Three cuts spare it without changing the answer.  A final size whose
-single-look power misses the target is skipped, since the interim
-adjustment only lowers power.  Once a feasible design is known, a later
-final size can only win with a strictly smaller key, so only interim sizes
-below the incumbent's key get rates: a short prefix for E[N|H0] >= n1, none
-for a constant key.  And the walk ends at the incumbent's horizon, the first
-n2 where no interim size's key is below the incumbent's:
-E[N|H0] = n1 + (1 - p_stop)(n2 - n1) never falls as n2 grows, and interim
-sizes added later have E[N|H0] >= n1 >= n2, beyond the incumbent's n2 and
-so its E[N|H0] (`_past_horizon` allows for rounding).  A constant key ends
-the walk at the first hit.
+Four cuts spare it without changing the answer.
 
-The grid tables each size as the walk reaches it, so no kernel is built
-past the horizon.  A search also needs an interim size in [n_min, n_max - 1]
-that can stop for futility, and one can if and only if n_max - 1 can: log
-BF01 at zero successes never falls as n grows.  Its derivative in n is
+- Interim sizes that no final size can make feasible are dropped before
+  any key is read.  The PCE must exceed f, the very comparison
+  `GridColumn.feasible` makes.  And adjusted power is
+  P1(reject at n2, no stop at n1) <= 1 - P1(stop at n1), so a futility mass
+  under the power prior above beta + 1e-9 rules n1 out; the margin dwarfs
+  the rounding of both masses.  Simon's PET(p1) cap is the same bound.
+- A final size whose single-look power misses the target is skipped,
+  since the interim adjustment only lowers power.
+- Once a feasible design is known, a later final size can only win with a
+  strictly smaller key, so only interim sizes below the incumbent's key get
+  rates: a short prefix for E[N|H0] >= n1, none for a constant key.
+- The walk ends at the incumbent's horizon, the first n2 where no interim
+  size's key is below the incumbent's: E[N|H0] = n1 + (1 - p_stop)(n2 - n1)
+  never falls as n2 grows, and interim sizes added later have
+  E[N|H0] >= n1 >= n2, beyond the incumbent's n2 and so its E[N|H0]
+  (`_past_horizon` allows for rounding).  A constant key ends the walk at
+  the first hit.
+
+The grid tables a block of at most `_WALK_BLOCK` consecutive sizes in one
+pass when the walk reaches an untabled size.  Once a design is known, the
+block also ends just past the last final size at which an interim size
+below the incumbent's key could stay below it, so little is built past the
+horizon; only this waste, never the answer, depends on where blocks end.
+
+A search also needs an interim size in [n_min, n_max - 1] that can stop
+for futility, and one can if and only if n_max - 1 can: log BF01 at zero
+successes never falls as n grows.  Its derivative in n is
 E0[log(1 - p)] - E1[log(1 - p)], the means under each region's analysis
 prior tilted by (1 - p)^n, and log(1 - p) is at least log(1 - p0) on
 [0, p0] and at most that on [p0, 1].  So the check, after the walk, tables
@@ -56,6 +69,10 @@ import numpy as np
 from .bayesfactor import AnalysisPrior, Hypotheses, ParameterError, check_size
 from .operating import DesignGrid, OperatingCharacteristics, TwoStageDesign, expected_size
 from .priors import DesignPrior
+
+# Most sizes the search walk tables in one block; past the walk's end they
+# are waste, so a block stops at the incumbent's horizon as well.
+_WALK_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -133,7 +150,7 @@ def base_sample_size(
     """
     grid = DesignGrid(range(1, cons.window + 1), k, math.inf, hyp, ap, power_prior, null_prior)
     for n in range(1, cons.n_max + 1):
-        grid.add(n + cons.window)
+        grid.add([n + cons.window])
         power_ok = grid.power[n : n + cons.window + 1] >= 1.0 - cons.beta
         if power_ok.all() and grid.type_i[n] <= cons.alpha:
             return n
@@ -158,6 +175,37 @@ def _past_horizon(keys: np.ndarray, best: float, n_max: int) -> bool:
     return bool(np.all(keys >= best * (1.0 + 2e-9 * n_max)))
 
 
+def _can_be_feasible(grid: DesignGrid, n1: np.ndarray, cons: CalibrationConstraints) -> np.ndarray:
+    """Mask of the interim sizes that some final size might make feasible.
+
+    Both tests read only n1 (module docstring): the PCE floor is the very
+    comparison `GridColumn.feasible` makes, and adjusted power is at most
+    1 minus the futility mass at n1 under the power prior, which must not
+    exceed beta by more than 1e-9.
+    """
+    ok = grid.h1[n1, 2] <= cons.beta + 1e-9
+    if cons.f is not None:
+        ok &= grid.pce[n1] > cons.f
+    return ok
+
+
+def _horizon(grid: DesignGrid, n1: np.ndarray, best: float, n_max: int) -> int:
+    """A final size past which none of the interim sizes n1 has a key below best.
+
+    E[N|H0] = n1 + (1 - p_stop)(n2 - n1) < best needs
+    n2 < n1 + (best - n1) / (1 - p_stop); a size that always stops keeps
+    its key n1 at every n2, so its bound is n_max.  The walk tables no
+    block past this size plus 1 and ends by `_past_horizon`, so only the
+    waste depends on the bound.
+    """
+    if n1.size == 0:
+        return 0
+    p_stop = grid.p_stop[n1]
+    if np.any(p_stop >= 1.0):
+        return n_max
+    return int(np.max(n1 + (best - n1) / (1.0 - p_stop)))
+
+
 def _search(
     cons: CalibrationConstraints,
     key: Callable[[DesignGrid, np.ndarray, int], np.ndarray],
@@ -171,22 +219,32 @@ def _search(
     """Feasible design with the smallest (key, n2, n1), or None.
 
     `key(grid, n1, n2)` reads the grid's tables for an array of interim
-    sizes; it is either a constant or E[N|H0].  Only final sizes whose
+    sizes; it is either a constant or E[N|H0].  Interim sizes that no final
+    size can make feasible are dropped first.  Only final sizes whose
     single-look power meets the target, and interim sizes whose key is below
     the incumbent's, get rates computed, and the walk ends at the
-    incumbent's horizon.  The grid tables each size as the walk reaches it.
+    incumbent's horizon.  The grid tables a block of at most `_WALK_BLOCK`
+    sizes when the walk reaches an untabled size, capped at n_max and, once
+    a design is known, at the horizon of the interim sizes still below its
+    key.
     """
-    grid = DesignGrid((cons.n_min,), k, k_f, hyp, ap, power_prior, null_prior)
+    first = range(cons.n_min, min(cons.n_min + _WALK_BLOCK, cons.n_max + 1))
+    grid = DesignGrid(first, k, k_f, hyp, ap, power_prior, null_prior)
     best: Optional[tuple[float, int, int]] = None
     for n2 in range(cons.n_min + 1, cons.n_max + 1):
         n1 = np.arange(cons.n_min, n2)
+        n1 = n1[_can_be_feasible(grid, n1, cons)]
         keys = key(grid, n1, n2)
         if best is not None:
             if _past_horizon(keys, best[0], cons.n_max):
                 break
             below = keys < best[0]
             n1, keys = n1[below], keys[below]
-        grid.add(n2)
+        if n2 not in grid.y_eff:
+            end = min(n2 + _WALK_BLOCK, cons.n_max + 1)
+            if best is not None:
+                end = max(n2 + 1, min(end, _horizon(grid, n1, best[0], cons.n_max) + 2))
+            grid.add(range(n2, end))
         if n1.size == 0 or grid.power[n2] < 1.0 - cons.beta:
             continue
         ok = np.flatnonzero(grid.rows(n2, n1).feasible(cons))
@@ -195,9 +253,11 @@ def _search(
             best = (float(keys[i]), n2, int(n1[i]))
     if best is None:
         return None
+    last = cons.n_max - 1
     if all(grid.y_fut[n] is None for n in range(cons.n_min, cons.n_max) if n in grid.y_fut):
-        grid.add(cons.n_max - 1)  # some size can stop iff n_max - 1 can (module docstring)
-        if grid.y_fut[cons.n_max - 1] is None:
+        if last not in grid.y_fut:
+            grid.add([last])  # some size can stop iff n_max - 1 can (module docstring)
+        if grid.y_fut[last] is None:
             return None  # no interim size can stop: no two-stage design exists
     _, n2, n1 = best
     oc = grid.oc(n1, n2)

@@ -31,9 +31,13 @@ sizes of a final size (`erased_mass_column`), with no two-batch joint table.
 
 `DesignGrid` is the one closed-form route from a design to its operating
 characteristics.  It tables the critical counts and branch masses of each
-size once and adds the erased masses one final size at a time.  The
-searches table each size as their walk reaches it; `evaluate` builds it
-over a design's two sizes and reads it at (n1, n2).
+size once and adds the erased masses one final size at a time.  It tables
+a block of consecutive sizes in one vectorized pass per prior: one log
+predictive block per distinct prior, whose rows have the bits of each size
+alone (see `special`), one log BF01 block for the critical counts, and one
+`split_branches` per size on its own row.  The searches table a block of
+sizes as their walk reaches it; `evaluate` builds the grid over a design's
+two sizes, two one-row blocks, and reads it at (n1, n2).
 
 The two-batch joint table is the oracle's alone.  `enumerate_oracle`
 classifies all its (y1, y2) cells at once by direct Bayes factor
@@ -52,14 +56,13 @@ import numpy as np
 from .bayesfactor import (
     AnalysisPrior,
     Hypotheses,
+    _check_regions,
     check_size,
     check_thresholds,
-    critical_efficacy,
-    critical_futility,
     log_bf01_curve,
 )
-from .predictive import joint_predictive_matrix, predictive_vector
-from .priors import DesignPrior, PointMass
+from .predictive import joint_predictive_matrix, log_predictive_rows
+from .priors import DesignPrior, ParameterError, PointMass
 from .special import _BLOCK, log_factorials
 
 # Adjusted rates may dip this far below zero from rounding; anything worse
@@ -120,27 +123,28 @@ def erased_mass_column(
     y_fut: Sequence[Optional[int]],
     n2: int,
     y_eff: Optional[int],
-    priors: Sequence[DesignPrior],
+    pmfs: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Erased mass of every interim size n1[i] at one final size n2.
 
-    Entry [j, i] is the erased mass of n1[i] under priors[j].  y_fut[i] is
-    the futility critical count at n1[i] and y_eff the efficacy critical
-    count at n2; None marks an unreachable threshold, which erases nothing.
-    Rows take the telescoped sum of the module docstring in blocks of at most
-    `_BLOCK` (row, t) weights.  The weights do not depend on the prior, so a
-    block serves every prior, and each (prior, row) is reduced along its own
-    axis over all of t = y_eff..n2 - 1: a design gives the same bits alone
-    as inside its column, and under one prior as under several.
+    Entry [j, i] is the erased mass of n1[i] under the design prior whose
+    predictive pmf at n2 is pmfs[j].  y_fut[i] is the futility critical
+    count at n1[i] and y_eff the efficacy critical count at n2; None marks
+    an unreachable threshold, which erases nothing.  Rows take the
+    telescoped sum of the module docstring in blocks of at most `_BLOCK`
+    (row, t) weights.  The weights do not depend on the prior, so a block
+    serves every prior, and each (prior, row) is reduced along its own axis
+    over all of t = y_eff..n2 - 1: a design gives the same bits alone as
+    inside its column, and under one prior as under several.
     """
     n1 = np.asarray(n1, dtype=np.int64)
     y_fut = np.array([-1 if y is None else y for y in y_fut], dtype=np.int64)
     if np.any(n1 < 1) or np.any(n1 >= n2):
         raise ValueError(f"need 1 <= n1 < n2 = {n2} for every interim size")
-    erased = np.zeros((len(priors), n1.size))
+    erased = np.zeros((len(pmfs), n1.size))
     if y_eff is None:
         return erased
-    pmfs = [predictive_vector(prior, n2)[y_eff:] for prior in priors]
+    pmfs = [pmf[y_eff:] for pmf in pmfs]
     cdfs = [np.cumsum(pmf[:-1]) for pmf in pmfs]
     log_fact = log_factorials(n2)
     t = np.arange(y_eff, n2)
@@ -225,23 +229,31 @@ class GridColumn(NamedTuple):
 class DesignGrid:
     """Every design (n1, n2) with n1 < n2 drawn from a set of tabled sizes.
 
-    Tabling a size n (`add`) finds its critical counts `y_eff[n]` and
-    `y_fut[n]` (None when k or k_f is out of reach) and cuts each design
-    prior's pmf at n there once: `h1[n]` holds the three branch masses under
-    the power prior and `h0[n]` under the null prior.  Their efficacy columns
-    are the single-look `power` and `type_i`, the null futility column the
-    stop probability `p_stop`, and `pce` the futility mass under a point
-    prior at p0 (`p_stop` itself when the null prior is that point).  Tables
-    are indexed by n itself.  The counts are looked up by size, so reading a
+    Tabling a size n finds its critical counts `y_eff[n]` and `y_fut[n]`
+    (None when k or k_f is out of reach) and cuts each design prior's pmf
+    at n there once: `h1[n]` holds the three branch masses under the power
+    prior and `h0[n]` under the null prior.  Their efficacy columns are the
+    single-look `power` and `type_i`, the null futility column the stop
+    probability `p_stop`, and `pce` the futility mass under a point prior
+    at p0 (`p_stop` itself when the null prior is that point).  Tables are
+    indexed by n itself.  The counts are looked up by size, so reading a
     size the grid has not tabled raises KeyError.
 
-    The constructor tables `sizes` at once, as `evaluate` and `scan` need.
-    A walk over final sizes starts from a few and adds each size as it
-    reaches it, so nothing past the point where the walk ends is built.
+    `add` tables exactly the sizes it is given, each run of consecutive
+    sizes as blocks of at most `_BLOCK` entries (`_table`).  A block takes
+    one log predictive block per distinct prior among the analysis and
+    design priors, the critical counts of all its sizes from one log BF01
+    block, and one `split_branches` per size and design prior on that
+    size's own row, so every size has the bits it has alone.  A lone size
+    is a one-row block.  The constructor adds `sizes`, as `evaluate` and
+    `scan` need; a walk over final sizes adds a block at a time as it
+    reaches them, so little past the point where the walk ends is built.
 
     `rows` adds the erased mass of a set of interim sizes at one final size,
-    one `erased_mass_column` call for both design priors, and keeps nothing;
-    `oc` reads one design's full characteristics off the tables and one row.
+    one `erased_mass_column` call for both design priors, and keeps nothing.
+    It reads the pmfs at the final size off the latest block, and builds
+    them as a one-row block for a size tabled before it.  `oc` reads one
+    design's full characteristics off the tables and one row.
     """
 
     def __init__(
@@ -254,6 +266,8 @@ class DesignGrid:
         power_prior: DesignPrior,
         null_prior: Optional[DesignPrior] = None,
     ) -> None:
+        check_thresholds(k, k_f)
+        _check_regions(hyp, ap)
         self.k, self.k_f, self.hyp, self.ap = k, k_f, hyp, ap
         self.power_prior = power_prior
         self.null_prior = null_prior if null_prior is not None else PointMass(hyp.p0)
@@ -265,22 +279,57 @@ class DesignGrid:
         self.y_eff: dict[int, Optional[int]] = {}
         self.y_fut: dict[int, Optional[int]] = {}
         self._masses = np.full((0, len(self._priors), 3), np.nan)
-        for n in sizes:
-            self.add(n)
+        # (first size, power pmf rows, null pmf rows) of the latest block
+        self._latest: tuple[int, np.ndarray, np.ndarray] = (0, np.empty((0, 0)), np.empty((0, 0)))
+        self.add(sizes)
 
-    def add(self, n: int) -> None:
-        """Table size n, unless it is tabled already; rows stay NaN until tabled."""
-        if n in self.y_eff:
-            return
-        self.y_eff[n] = critical_efficacy(n, self.k, self.hyp, self.ap)
-        self.y_fut[n] = critical_futility(n, self.k_f, self.hyp, self.ap)
+    def add(self, sizes: Iterable[int]) -> None:
+        """Table each of sizes; rows stay NaN until tabled."""
+        block: list[int] = []
+        for n in sorted(sizes):
+            check_size("n", n)
+            if n < 1:
+                raise ParameterError("n", f"must be at least 1, got {n}")
+            if block and (n != block[-1] + 1 or (len(block) + 1) * (n + 1) > _BLOCK):
+                self._table(np.array(block))
+                block = []
+            block.append(n)
+        if block:
+            self._table(np.array(block))
+
+    def _table(self, sizes: np.ndarray) -> None:
+        """Table one block of consecutive sizes (class docstring)."""
+        # a prior both analysis and design use (a flat power prior is the H1
+        # analysis prior) is built once
+        logs: dict[DesignPrior, np.ndarray] = {}
+        for prior in (self.ap.h0, self.ap.h1) + self._priors:
+            if prior not in logs:
+                logs[prior] = log_predictive_rows(prior, sizes)
+        log_h0, log_h1 = logs[self.ap.h0], logs[self.ap.h1]
+        top = log_h0.shape[1] - 1
+        if sizes.size == 1:
+            log_bf = log_h0 - log_h1
+        else:  # padding is -inf in both rows: left NaN, it compares False
+            log_bf = np.full(log_h0.shape, np.nan)
+            np.subtract(log_h0, log_h1, out=log_bf, where=np.arange(top + 1) <= sizes[:, None])
+        # y_eff is the first count with BF01 < k and y_fut the last with BF01 > k_f
+        efficacy = log_bf < math.log(self.k)
+        futility = log_bf > math.log(self.k_f)
+        first = efficacy.argmax(axis=1).tolist()
+        last = (top - futility[:, ::-1].argmax(axis=1)).tolist()
+        y_eff = [y if hit else None for y, hit in zip(first, efficacy.any(axis=1).tolist())]
+        y_fut = [y if hit else None for y, hit in zip(last, futility.any(axis=1).tolist())]
+        pmfs = {prior: np.exp(logs[prior]) for prior in self._priors}
         size = len(self._masses)
-        if n >= size:  # double the capacity, so a walk copies O(n) rows in all
-            grown = np.full((max(n + 1, 2 * size),) + self._masses.shape[1:], np.nan)
+        if top >= size:  # double the capacity, so a walk copies O(n) rows in all
+            grown = np.full((max(top + 1, 2 * size),) + self._masses.shape[1:], np.nan)
             grown[:size] = self._masses
             self._masses = grown
-        for row, prior in zip(self._masses[n], self._priors):
-            row[:] = split_branches(predictive_vector(prior, n), self.y_eff[n], self.y_fut[n])
+        for i, n in enumerate(sizes.tolist()):
+            self.y_eff[n], self.y_fut[n] = y_eff[i], y_fut[i]
+            for row, prior in zip(self._masses[n], self._priors):
+                row[:] = split_branches(pmfs[prior][i, : n + 1], y_eff[i], y_fut[i])
+        self._latest = (int(sizes[0]), pmfs[self.power_prior], pmfs[self.null_prior])
 
     @property
     def h1(self) -> np.ndarray:
@@ -310,9 +359,14 @@ class DesignGrid:
         """Rates of the designs (n1[i], n2)."""
         n1 = np.asarray(n1, dtype=np.int64)
         y_fut = [self.y_fut[i] for i in n1]
-        erased_power, erased_type_i = erased_mass_column(
-            n1, y_fut, n2, self.y_eff[n2], (self.power_prior, self.null_prior)
-        )
+        y_eff = self.y_eff[n2]
+        first, power_rows, null_rows = self._latest
+        i = n2 - first
+        if 0 <= i < len(power_rows):
+            pmfs = (power_rows[i, : n2 + 1], null_rows[i, : n2 + 1])
+        else:
+            pmfs = [np.exp(log_predictive_rows(p, n2)) for p in (self.power_prior, self.null_prior)]
+        erased_power, erased_type_i = erased_mass_column(n1, y_fut, n2, y_eff, pmfs)
         return GridColumn(
             n1=n1,
             power_adjusted=checked_adjusted(self.power[n2], erased_power),

@@ -19,7 +19,9 @@ product B(p, q) * M(p, q) is the integral of t^(p-1) (1-t)^(q-1) over
 [l, u].  `special.log_beta_integrals` gives its log for every y at once from
 one recurrence, so the kernel stays finite and accurate for counts in the
 thousands.  The normalizer is the same integral at n = 0, kept on the prior
-as `TruncatedBeta.log_norm`.
+as `TruncatedBeta.log_norm`.  `log_predictive_rows` tables a block of sizes
+in one pass, one left-aligned row per size (see `special`); the cached
+per-size vector is its one-row case.
 """
 
 from __future__ import annotations
@@ -34,11 +36,22 @@ from .special import log_beta_integrals, log_binom_coeff_vector, log_binom_pmf_v
 _CACHE_SIZE = 4096
 
 
+def log_predictive_rows(prior: DesignPrior, n) -> np.ndarray:
+    """Log predictive pmf over y = 0..n under a design prior.
+
+    n is one size, or a block of sorted distinct sizes: then one row per
+    size, left-aligned and -inf past its size.
+    """
+    if isinstance(prior, PointMass):
+        return log_binom_pmf_vector(n, prior.p)
+    kernel = log_beta_integrals(prior.a, prior.b, prior.l, prior.u, n)
+    return log_binom_coeff_vector(n) + kernel - prior.log_norm
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def log_predictive_vector(prior: TruncatedBeta, n: int) -> np.ndarray:
     """Log predictive pmf over y = 0..n under a truncated Beta (read-only, cached)."""
-    kernel = log_beta_integrals(prior.a, prior.b, prior.l, prior.u, n)
-    out = log_binom_coeff_vector(n) + kernel - prior.log_norm
+    out = log_predictive_rows(prior, n)
     out.flags.writeable = False
     return out
 

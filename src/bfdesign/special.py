@@ -7,6 +7,16 @@ alpha J(s) = u^alpha (1-u)^(beta-1) + (beta-1) J(s+1), whose terms are all
 positive.  It runs from one anchor J(n), taken from the incomplete beta
 continued fraction, and stays finite far below the double range.
 
+The kernel, `log_binom_coeff_vector` and `log_binom_pmf_vector` take one
+size n or a block: a sorted array of distinct sizes, tabled in one
+vectorized pass with one row per size.  Rows are left-aligned, entry y of a
+row being the value at y, and padded with -inf past their size, so a
+reversed `logaddexp.accumulate` passes the padding unchanged.  Every entry
+is formed by the same operations in the same order as for its size alone,
+and each size keeps its own continued-fraction anchor, so a row has the
+bits of its one-size result.  A single size is the one-row block, which
+uses no mask or gather.
+
 The log factorials log y! for y = 0..3000 are one read-only table, built
 once at import: exact up to 170!, Stirling's series above.  It is a fixed
 constant, not a memo, and never grows; `log_factorials` hands out prefix
@@ -75,10 +85,45 @@ def log_factorials(n: int) -> np.ndarray:
     return out
 
 
-def log_binom_coeff_vector(n: int) -> np.ndarray:
-    """log C(n, y) for y = 0..n."""
-    log_fact = log_factorials(n)
-    return log_fact[n] - log_fact - log_fact[::-1]
+def _sizes(n) -> tuple[int, int | np.ndarray]:
+    """The largest size, and the sizes as they broadcast against counts y.
+
+    One size, an int or a one-row block, is an int, so its rows are
+    vectors and take no mask or gather; several sizes are a column.
+    """
+    if not isinstance(n, np.ndarray):
+        return n, n
+    top = int(n[-1])
+    return top, (top if n.size == 1 else n[:, None])
+
+
+def _shaped(n, rows: np.ndarray) -> np.ndarray:
+    """rows as n asks for them: a vector for an int, one row per size for an array."""
+    return rows[None] if isinstance(n, np.ndarray) and n.size == 1 else rows
+
+
+def _mirror(rows: np.ndarray, m, fill: float) -> np.ndarray:
+    """Each row reversed over its first m + 1 entries, fill past them.
+
+    One size (int m) is a reversed view; several (column m) take one
+    gather from the reversed rows followed by fill.
+    """
+    if not isinstance(m, np.ndarray):
+        return rows[..., ::-1]
+    top = rows.shape[-1] - 1
+    rows = np.broadcast_to(rows, (m.size, top + 1))
+    shifted = np.concatenate((rows[:, ::-1], np.full((m.size, top), fill)), axis=1)
+    return np.take_along_axis(shifted, (top - m) + np.arange(top + 1), axis=1)
+
+
+def _log_binom_coeff(top: int, m) -> np.ndarray:
+    log_fact = log_factorials(top)
+    return log_fact[m] - log_fact - _mirror(log_fact, m, np.inf)
+
+
+def log_binom_coeff_vector(n) -> np.ndarray:
+    """log C(n, y) for y = 0..n; for a block of sizes, rows padded with -inf."""
+    return _shaped(n, _log_binom_coeff(*_sizes(n)))
 
 
 def log_beta(a: float, b: float) -> float:
@@ -118,58 +163,86 @@ def _log_fraction(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"continued fraction unconverged after {_MAX_ITER} steps")
 
 
-def _log_lower_tails(a: float, b: float, u: float, n: int) -> np.ndarray:
-    """log J(s), s = 0..n, on [0, u], 0 < u <= 1.
+def _lower_anchor(a: float, b: float, u: float, n: int) -> float:
+    """log J(n) on [0, u].
+
+    Above the fraction's regime the anchor is B(a+n, b) less the upper
+    tail, unless that tail holds over half of it (b tiny): then the
+    fraction runs there, slowly as u nears 1.
+    """
+    top = a + n
+    if u < (top + 1.0) / (top + b + 2.0):
+        return _log_fraction(top, b, u)
+    anchor = log_beta(top, b)
+    share = math.exp(_log_fraction(b, top, 1.0 - u) - anchor) if u < 1.0 else 0.0
+    return _log_fraction(top, b, u) if share > 0.5 else anchor + math.log1p(-share)
+
+
+def _log_lower_tails(a: float, b: float, u: float, top: int, m) -> np.ndarray:
+    """log J(s), s = 0..n, on [0, u], 0 < u <= 1, for the sizes m (`_sizes`).
 
     With P(s) the sum of log((beta-1)/alpha) below s, J(s) exp(P(s)) is the
     sum over j >= s of exp(P(j)) u^alpha (1-u)^(beta-1) / alpha, plus
-    exp(P(n)) J(n): one reversed logaddexp accumulation.  beta - 1 is formed
-    as b + (n - s - 1), so a tiny b is not rounded away.  Above the fraction's
-    regime the anchor is B(a+n, b) less the upper tail, unless that tail
-    holds over half of it (b tiny): then the fraction runs there, slowly
-    as u nears 1.
+    exp(P(n)) J(n): one reversed logaddexp accumulation per row.  beta - 1
+    is formed as b + (n - s - 1), so a tiny b is not rounded away.  In a
+    block it is clipped to b past a row's size, which keeps the padding
+    finite until it is set to -inf.
     """
-    s = np.arange(n, dtype=float)
-    alpha, beta_m1 = a + s, b + (n - 1 - s)
+    padded = isinstance(m, np.ndarray)
+    s = np.arange(top, dtype=float)
+    alpha = a + s
     log_alpha = np.log(alpha)
-    log_p = np.zeros(n + 1)
-    np.cumsum(np.log(beta_m1) - log_alpha, out=log_p[1:])
+    gap = m - 1 - s
+    if padded:
+        np.maximum(gap, 0.0, out=gap)
+    beta_m1 = b + gap
+    log_p = np.zeros(gap.shape[:-1] + (top + 1,))
+    np.cumsum(np.log(beta_m1) - log_alpha, axis=-1, out=log_p[..., 1:])
     log_1mu = math.log1p(-u) if u < 1.0 else -math.inf
-    terms = np.empty(n + 1)
-    terms[:n] = log_p[:n] + alpha * math.log(u) + beta_m1 * log_1mu - log_alpha
-    top = a + n
-    if u < (top + 1.0) / (top + b + 2.0):
-        anchor = _log_fraction(top, b, u)
+    terms = np.empty_like(log_p)
+    terms[..., :top] = log_p[..., :top] + alpha * math.log(u) + beta_m1 * log_1mu - log_alpha
+    if padded:
+        sizes, rows = m[:, 0], np.arange(m.size)
+        anchors = [_lower_anchor(a, b, u, n) for n in sizes.tolist()]
+        terms[rows, sizes] = log_p[rows, sizes] + anchors
+        terms[np.arange(top + 1) > m] = -np.inf
     else:
-        anchor = log_beta(top, b)
-        share = math.exp(_log_fraction(b, top, 1.0 - u) - anchor) if u < 1.0 else 0.0
-        anchor = _log_fraction(top, b, u) if share > 0.5 else anchor + math.log1p(-share)
-    terms[n] = log_p[n] + anchor
-    return np.logaddexp.accumulate(terms[::-1])[::-1] - log_p
+        terms[top] = log_p[top] + _lower_anchor(a, b, u, top)
+    return np.logaddexp.accumulate(terms[..., ::-1], axis=-1)[..., ::-1] - log_p
 
 
-def log_beta_integrals(a: float, b: float, l: float, u: float, n: int) -> np.ndarray:
+def log_beta_integrals(a: float, b: float, l: float, u: float, n) -> np.ndarray:
     """log of the integral of p^(a+s-1) (1-p)^(b+n-s-1) over [l, u], s = 0..n.
 
-    At n = 0, the log normalizer of Beta(a, b) on [l, u].  [l, u] is a tail,
-    as every hypothesis region is: a lower tail [0, u], or an upper tail
-    [l, 1] run as a lower tail under p -> 1 - p.  On a tail no entry is a
-    cancelling difference.  An interior interval would be the difference of
-    two tails, which keeps no digits when they nearly cancel, so it is
-    refused here, for the kernel and every `TruncatedBeta` alike.
+    n is one size, or a block of sorted distinct sizes with one row each
+    (module docstring).  At n = 0, the log normalizer of Beta(a, b) on
+    [l, u].  [l, u] is a tail, as every hypothesis region is: a lower tail
+    [0, u], or an upper tail [l, 1] run as a lower tail under p -> 1 - p.
+    On a tail no entry is a cancelling difference.  An interior interval
+    would be the difference of two tails, which keeps no digits when they
+    nearly cancel, so it is refused here, for the kernel and every
+    `TruncatedBeta` alike.
     """
+    top, m = _sizes(n)
     if l == 0.0:
-        return _log_lower_tails(a, b, u, n)
-    if u == 1.0:
-        return _log_lower_tails(b, a, 1.0 - l, n)[::-1]
-    raise ValueError(f"truncation must be a tail [0, u] or [l, 1], got [{l}, {u}]")
+        rows = _log_lower_tails(a, b, u, top, m)
+    elif u == 1.0:
+        rows = _mirror(_log_lower_tails(b, a, 1.0 - l, top, m), m, -np.inf)
+    else:
+        raise ValueError(f"truncation must be a tail [0, u] or [l, 1], got [{l}, {u}]")
+    return _shaped(n, rows)
 
 
-def log_binom_pmf_vector(n: int, p: float) -> np.ndarray:
-    """log Bin(y; n, p) for y = 0..n, with exact handling of p in {0, 1}."""
+def log_binom_pmf_vector(n, p: float) -> np.ndarray:
+    """log Bin(y; n, p) for y = 0..n, with exact handling of p in {0, 1}.
+
+    For a block of sizes, one row per size, padded with -inf.
+    """
+    top, m = _sizes(n)
+    y = np.arange(top + 1)
     if p in (0.0, 1.0):
-        out = np.full(n + 1, -np.inf)
-        out[0 if p == 0.0 else n] = 0.0
-        return out
-    y = np.arange(n + 1)
-    return log_binom_coeff_vector(n) + y * math.log(p) + (n - y) * math.log1p(-p)
+        # all mass at y = n, or at y = 0 in every row
+        rows = np.where(y == (m if p == 1.0 else 0 * m), 0.0, -np.inf)
+    else:
+        rows = _log_binom_coeff(top, m) + y * math.log(p) + (m - y) * math.log1p(-p)
+    return _shaped(n, rows)

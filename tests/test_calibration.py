@@ -24,7 +24,7 @@ from bfdesign import (
     scan,
 )
 from bfdesign.bayesfactor import ParameterError, log_bf01_curve
-from bfdesign.calibration import _past_horizon
+from bfdesign.calibration import _can_be_feasible, _past_horizon
 from bfdesign.config import load_config
 from bfdesign.operating import DesignGrid, expected_size
 
@@ -38,13 +38,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def count_tabled_sizes(monkeypatch):
     """Record every size a design grid tables from now on, in order."""
     tabled = []
-    original = bfdesign.operating.critical_efficacy
+    original = DesignGrid._table
 
-    def counted(n, *args):
-        tabled.append(n)
-        return original(n, *args)
+    def counted(self, sizes):
+        tabled.extend(sizes.tolist())
+        return original(self, sizes)
 
-    monkeypatch.setattr(bfdesign.operating, "critical_efficacy", counted)
+    monkeypatch.setattr(DesignGrid, "_table", counted)
     return tabled
 
 
@@ -216,12 +216,37 @@ def test_prune_never_changes_the_argmin(monkeypatch):
             EX1_AP,
             TruncatedBeta(1, 1, 0.1, 1.0),
         ),
+        # the futility mass under the power prior rules out interim sizes
+        (
+            CalibrationConstraints(alpha=0.1, beta=0.1, n_min=5, n_max=60),
+            1 / 3,
+            3.0,
+            EX2_HYP,
+            EX2_AP,
+            TruncatedBeta(1, 1, 0.2, 1.0),
+        ),
     ]
+    # interim sizes each cut drops, per setting: the PCE floor fires in the
+    # third setting and the power bound in the last
+    dropped = {"pce": 0, "power": 0}
+    can_be_feasible = bfdesign.calibration._can_be_feasible
+
+    def counted(grid, n1, cons):
+        ok = can_be_feasible(grid, n1, cons)
+        dropped["power"] += int(np.sum(~ok & (grid.h1[n1, 2] > cons.beta + 1e-9)))
+        if cons.f is not None:
+            dropped["pce"] += int(np.sum(~ok & (grid.pce[n1] <= cons.f)))
+        return ok
+
+    monkeypatch.setattr(bfdesign.calibration, "_can_be_feasible", counted)
+    fired = []
     tabled = count_tabled_sizes(monkeypatch)
     for cons, k, k_f, hyp, ap, prior in settings:
         tabled.clear()
+        dropped.update(pce=0, power=0)
         result = optimal_calibrate(cons, k, k_f, hyp, ap, prior)
         first = calibrate(cons, k, k_f, hyp, ap, prior)
+        fired.append(dict(dropped))
         if cons.n_max >= 100:
             assert max(tabled) < cons.n_max // 4, max(tabled)
         # exhaustive reference: every row of every final size, in scan order
@@ -238,6 +263,28 @@ def test_prune_never_changes_the_argmin(monkeypatch):
             e_n_h0, n2, n1 = reference[1]
             assert (first.design.n1, first.design.n2) == (n1, n2)
             assert first.objective == e_n_h0
+    assert fired[2]["pce"] > 0 and fired[-1]["power"] > 0, fired
+
+
+@pytest.mark.parametrize("name", ["example1", "example2_bayes", "example2_pce"])
+def test_interim_size_cuts_are_sound(name):
+    # on every scan row at n_max 120, under the point and a flat null prior:
+    # adjusted power never exceeds 1 minus the futility mass at n1 under the
+    # power prior, and no row of an interim size either cut drops is feasible
+    config = load_config(str(CONFIGS / f"{name}.cfg"))
+    cons = dataclasses.replace(config.constraints(), n_max=120)
+    hyp, ap = config.hypotheses(), config.analysis_prior()
+    for null_prior in (None, TruncatedBeta(1.0, 1.0, 0.0, config.p0)):
+        args = (config.k, config.k_f, hyp, ap, config.power_prior, null_prior)
+        grid = DesignGrid(range(cons.n_min, cons.n_max + 1), *args)
+        rows = scan(range(cons.n_min + 1, cons.n_max + 1), cons, *args)
+        n1 = np.array([row.n1 for row in rows])
+        power = np.array([row.power_adjusted for row in rows])
+        feasible = np.array([row.feasible for row in rows])
+        assert (power <= 1.0 - grid.h1[n1, 2] + 1e-12).all()
+        dropped = ~_can_be_feasible(grid, n1, cons)
+        assert dropped.any() == (name != "example1")
+        assert not feasible[dropped].any()
 
 
 @pytest.mark.parametrize("name", ["example1", "example2_bayes", "example2_pce"])

@@ -175,30 +175,66 @@ def test_closed_form_never_builds_a_joint_matrix(monkeypatch):
 
 
 def test_evaluate_finds_critical_counts_once_per_size(monkeypatch):
-    # the grid behind evaluate tables only the design's two sizes, so one
-    # evaluate looks up each critical count once at n1 and once at n2,
-    # whatever the null design prior
+    # the grid behind evaluate tables only the design's two sizes, each as a
+    # one-row block, so one evaluate finds each critical count once at n1
+    # and once at n2, whatever the null design prior
     calls = []
-    for name in ("critical_efficacy", "critical_futility"):
-        original = getattr(bfdesign.operating, name)
+    original = DesignGrid._table
 
-        def counted(n, *args, _original=original, _name=name):
-            calls.append((_name, n))
-            return _original(n, *args)
+    def counted(self, sizes):
+        calls.append(tuple(sizes.tolist()))
+        return original(self, sizes)
 
-        monkeypatch.setattr(bfdesign.operating, name, counted)
+    monkeypatch.setattr(DesignGrid, "_table", counted)
     design = TwoStageDesign(400, 1000, 1 / 10, 10.0)
     hyp, ap = Hypotheses(0.05), AnalysisPrior.flat(0.05)
     power_prior = TruncatedBeta(3.0, 2.0, 0.05, 1.0)
     for null_prior in (None, TruncatedBeta(1.0, 1.0, 0.0, 0.05)):
         calls.clear()
         evaluate(design, hyp, ap, power_prior, null_prior)
-        assert sorted(calls) == [
-            ("critical_efficacy", 400),
-            ("critical_efficacy", 1000),
-            ("critical_futility", 400),
-            ("critical_futility", 1000),
-        ]
+        assert sorted(calls) == [(400,), (1000,)]
+
+
+@pytest.mark.parametrize("null", ["point", "flat"])
+@pytest.mark.parametrize(
+    "p0, shapes, power_prior",
+    [
+        # the power prior is the H1 analysis prior, so one kernel serves both
+        (0.2, (1.0, 1.0, 1.0, 1.0), TruncatedBeta(1.0, 1.0, 0.2, 1.0)),
+        (0.05, (2.0, 20.0, 1.0, 1.0), PointMass(0.15)),
+    ],
+)
+def test_block_tabled_grid_keeps_the_bits_of_each_size(p0, shapes, power_prior, null, monkeypatch):
+    # blocks across the exact-factorial edge at 170/171, a run at n 2985-3000
+    # split by the entry cap, and the baseline's k_f = inf, where no size
+    # can stop, against the same sizes tabled one at a time
+    hyp, ap = Hypotheses(p0), AnalysisPrior.from_shapes(p0, *shapes)
+    null_prior = None if null == "point" else TruncatedBeta(1.0, 1.0, 0.0, p0)
+    blocks = []
+    original = DesignGrid._table
+
+    def recorded(self, sizes):
+        blocks.append(sizes.tolist())
+        return original(self, sizes)
+
+    monkeypatch.setattr(DesignGrid, "_table", recorded)
+    monkeypatch.setattr(bfdesign.operating, "_BLOCK", 5 * 3001)
+    for sizes, k_f in [(range(160, 182), 3.0), (range(2985, 3001), 3.0), (range(1, 40), math.inf)]:
+        args = (1 / 3, k_f, hyp, ap, power_prior, null_prior)
+        blocks.clear()
+        grid = DesignGrid(sizes, *args)
+        assert [n for block in blocks for n in block] == list(sizes)
+        assert max(map(len, blocks)) == (5 if sizes[0] > 2000 else len(sizes))
+        alone = DesignGrid((), *args)
+        for n in sizes:
+            alone.add([n])
+        assert grid.y_eff == alone.y_eff and grid.y_fut == alone.y_fut
+        assert np.array_equal(grid._masses[sizes], alone._masses[sizes])
+        # the pmfs of the last block, and of an earlier size built alone
+        for n2 in (sizes[-1], sizes[len(sizes) // 2]):
+            n1 = np.arange(sizes[0], n2)
+            for got, want in zip(grid.rows(n2, n1), alone.rows(n2, n1)):
+                assert np.array_equal(got, want)
 
 
 def test_grid_read_at_a_size_it_did_not_build_raises():
@@ -250,7 +286,7 @@ def test_erased_mass_column_matches_enumeration():
         y_eff = critical_efficacy(n2, k, hyp, ap)
         saw_no_futility |= None in y_fut
         saw_no_efficacy |= y_eff is None
-        (column,) = erased_mass_column(n1, y_fut, n2, y_eff, [prior])
+        (column,) = erased_mass_column(n1, y_fut, n2, y_eff, [predictive_vector(prior, n2)])
         assert column.shape == n1.shape
         unreachable = np.array([y is None for y in y_fut]) | (y_eff is None)
         assert not column[unreachable].any()
@@ -302,7 +338,7 @@ def test_erased_mass_column_is_exact_at_large_n2():
         y_eff = critical_efficacy(n2, 1 / 3, hyp, ap)
         for y, eff in [(y_fut, y_eff), (0, y_eff), (n1, y_eff), (n1 + 3, y_eff),
                        (y_fut, n2), (n1, n2)]:
-            got = erased_mass_column([n1], [y], n2, eff, [prior])[0, 0]
+            got = erased_mass_column([n1], [y], n2, eff, [pmf])[0, 0]
             want = exact_erased(n1, y, n2, eff, pmf)
             assert abs(got - want) <= 1e-11 * want, (p0, n1, n2, y, eff)
 
@@ -318,11 +354,10 @@ def test_erased_mass_column_blocks_bound_memory_and_keep_bits():
     n1 = np.arange(1, n2)
     y_fut = [critical_futility(int(i), 3.0, hyp, ap) for i in n1]
     y_eff = critical_efficacy(n2, 1 / 3, hyp, ap)
-    for prior in priors:
-        predictive_vector(prior, n2)  # the kernel cache is not the column's
+    pmfs = [predictive_vector(prior, n2) for prior in priors]  # not the column's memory
     tracemalloc.start()
     try:
-        column = erased_mass_column(n1, y_fut, n2, y_eff, priors)
+        column = erased_mass_column(n1, y_fut, n2, y_eff, pmfs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -340,8 +375,8 @@ def test_erased_mass_column_blocks_bound_memory_and_keep_bits():
     for start in range(step, len(live), step):
         edges |= {live[start - 1], live[start]}
     for i in sorted(edges):
-        for j, prior in enumerate(priors):
-            alone = erased_mass_column([n1[i]], [y_fut[i]], n2, y_eff, [prior])[0, 0]
+        for j, pmf in enumerate(pmfs):
+            alone = erased_mass_column([n1[i]], [y_fut[i]], n2, y_eff, [pmf])[0, 0]
             assert alone == column[j, i], (j, int(n1[i]))
 
 

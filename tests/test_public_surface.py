@@ -12,6 +12,10 @@ NO_CALLER = {
     "base_sample_size": "user entry point: the single-look baseline with its window",
     "bf01": "user entry point: the Bayes factor of one observed count",
     "calibrate": "user entry point: the first calibrated design in search order",
+    "critical_efficacy": "user entry point: the efficacy count at one size; the design "
+    "grid finds its counts for a block of sizes at once",
+    "critical_futility": "user entry point: the futility count at one size; the design "
+    "grid finds its counts for a block of sizes at once",
     "enumerate_oracle": "oracle: brute-force figures the closed form is checked against",
     "evaluate": "user entry point: the characteristics of one given design",
     "predictive_pmf": "user entry point: one predictive mass of the kernel",

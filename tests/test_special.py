@@ -25,6 +25,7 @@ from bfdesign.special import (
     log_beta,
     log_beta_integrals,
     log_binom_coeff_vector,
+    log_binom_pmf_vector,
     log_factorials,
 )
 
@@ -198,6 +199,59 @@ def test_interior_interval_refused_by_name(a, b, l, u, n):
         log_beta_integrals(a, b, l, u, n)
     with pytest.raises(ValueError, match=named):
         TruncatedBeta(a, b, l, u)
+
+
+# runs of sizes: from 1, across the exact-factorial edge at 170/171, across
+# the end of the log-factorial table at 3000, a lone size as a one-row
+# block, and gaps between sizes
+BLOCKS = [
+    range(1, 17),
+    range(160, 182),
+    range(2985, 3001),
+    range(2995, 3006),
+    [1200],
+    [3, 40, 41, 129],
+    [1000, 1200, 2950],
+]
+
+
+def assert_rows_keep_their_bits(rows, sizes, one_size):
+    """Row i is one_size(sizes[i]) bit for bit, then -inf to the block's end."""
+    assert rows.shape == (len(sizes), sizes[-1] + 1)
+    for row, n in zip(rows, sizes):
+        assert np.array_equal(row[: n + 1], one_size(n)), n
+        assert (row[n + 1 :] == -np.inf).all(), n
+
+
+@pytest.mark.parametrize(
+    "a, b, l, u",
+    [
+        (1.0, 1.0, 0.0, 0.1),
+        (1.0, 1.0, 0.1, 1.0),
+        (2.0, 20.0, 0.0, 0.01),
+        (20.0, 2.0, 0.99, 1.0),
+        (0.5, 0.5, 0.0, 0.3),
+        (1e-3, 2.0, 0.0, 0.5),
+        (4.0, 1e-3, 0.5, 1.0),
+        (10.33, 15.0, 0.2, 1.0),
+        (1.0, 1.0, 0.0, 1.0),
+    ],
+)
+def test_kernel_blocks_keep_the_bits_of_each_size(a, b, l, u):
+    for block in BLOCKS:
+        sizes = np.array(block)
+        rows = log_beta_integrals(a, b, l, u, sizes)
+        assert_rows_keep_their_bits(rows, sizes, lambda n: log_beta_integrals(a, b, l, u, n))
+
+
+def test_binomial_blocks_keep_the_bits_of_each_size():
+    for block in BLOCKS + [[0, 1, 2]]:
+        sizes = np.array(block)
+        rows = log_binom_coeff_vector(sizes)
+        assert_rows_keep_their_bits(rows, sizes, log_binom_coeff_vector)
+        for p in (0.0, 1e-3, 0.3, 0.999, 1.0):
+            rows = log_binom_pmf_vector(sizes, p)
+            assert_rows_keep_their_bits(rows, sizes, lambda n: log_binom_pmf_vector(n, p))
 
 
 def test_lower_tail_refuses_unconverged_fraction(monkeypatch):
