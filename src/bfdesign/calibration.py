@@ -20,7 +20,7 @@ keys by E[N|H0] from the tabled stop probabilities, and `calibrate` by a
 constant, so the first feasible design in the order (n2, n1) wins.  The only
 per-design work is the erased mass, one vectorized call for both design
 priors for a set of interim sizes of one final size (`DesignGrid.rows`).
-Four cuts spare it without changing the answer.
+Five cuts spare it without changing the answer.
 
 - Interim sizes that no final size can make feasible are dropped before
   any key is read.  The PCE must exceed f, the very comparison
@@ -30,6 +30,11 @@ Four cuts spare it without changing the answer.
   the rounding of both masses.  Simon's PET(p1) cap is the same bound.
 - A final size whose single-look power misses the target is skipped,
   since the interim adjustment only lowers power.
+- An interim size whose Harris-FKG floor on the adjusted type-I error,
+  (1 - p_stop[n1]) type_i[n2], exceeds alpha + 1e-9 is skipped at that
+  final size; `_type_i_floor` proves the floor.  When no interim size is
+  left the final size is skipped, so a search with no design pays for
+  tabling and for no erased mass.
 - Once a feasible design is known, a later final size can only win with a
   strictly smaller key, so only interim sizes below the incumbent's key get
   rates: a short prefix for E[N|H0] >= n1, none for a constant key.
@@ -189,6 +194,25 @@ def _can_be_feasible(grid: DesignGrid, n1: np.ndarray, cons: CalibrationConstrai
     return ok
 
 
+def _type_i_floor(grid: DesignGrid, n1: np.ndarray, n2: int) -> np.ndarray:
+    """Harris-FKG lower bound on the adjusted type-I error of each design (n1[i], n2).
+
+    The adjusted type-I error is P0(Y1 > y_fut(n1), S >= y_eff(n2)) for the
+    interim count Y1 and the pooled count S.  Given p, both events are
+    increasing in the Bernoulli outcomes, so they are positively correlated
+    (Harris 1960; Fortuin, Kasteleyn and Ginibre 1971), and both
+    conditional probabilities increase in p.  Chebyshev's sum inequality
+    carries the product bound through any null design prior:
+    E[f(p) g(p)] >= E[f(p)] E[g(p)] for f, g increasing.  So the adjusted
+    type-I error is at least (1 - p_stop[n1]) type_i[n2].  A size that
+    cannot stop (p_stop 0) gets the single-look rate, which it has
+    exactly; a size with no efficacy count gets 0.  The search compares
+    the floor with alpha + 1e-9, a margin far above the rounding of the
+    masses.
+    """
+    return (1.0 - grid.p_stop[n1]) * grid.type_i[n2]
+
+
 def _horizon(grid: DesignGrid, n1: np.ndarray, best: float, n_max: int) -> int:
     """A final size past which none of the interim sizes n1 has a key below best.
 
@@ -222,11 +246,11 @@ def _search(
     sizes; it is either a constant or E[N|H0].  Interim sizes that no final
     size can make feasible are dropped first.  Only final sizes whose
     single-look power meets the target, and interim sizes whose key is below
-    the incumbent's, get rates computed, and the walk ends at the
-    incumbent's horizon.  The grid tables a block of at most `_WALK_BLOCK`
-    sizes when the walk reaches an untabled size, capped at n_max and, once
-    a design is known, at the horizon of the interim sizes still below its
-    key.
+    the incumbent's and whose type-I floor (`_type_i_floor`) meets alpha,
+    get rates computed, and the walk ends at the incumbent's horizon.  The
+    grid tables a block of at most `_WALK_BLOCK` sizes when the walk reaches
+    an untabled size, capped at n_max and, once a design is known, at the
+    horizon of the interim sizes still below its key.
     """
     first = range(cons.n_min, min(cons.n_min + _WALK_BLOCK, cons.n_max + 1))
     grid = DesignGrid(first, k, k_f, hyp, ap, power_prior, null_prior)
@@ -247,6 +271,11 @@ def _search(
             grid.add(range(n2, end))
         if n1.size == 0 or grid.power[n2] < 1.0 - cons.beta:
             continue
+        if grid.type_i[n2] > cons.alpha + 1e-9:  # else the floor, at most type_i[n2], cuts none
+            below = _type_i_floor(grid, n1, n2) <= cons.alpha + 1e-9
+            if not below.any():
+                continue
+            n1, keys = n1[below], keys[below]
         ok = np.flatnonzero(grid.rows(n2, n1).feasible(cons))
         if ok.size:
             i = ok[np.argmin(keys[ok])]

@@ -9,11 +9,14 @@ the optimal design under frequentist power and moderate evidence thresholds.
 
 A search walks the final size n2 upward in one vectorized step each:
 `_reject_tensor` gives P(X1 > r1, X1 + X2 > r) for every live (n1, r1, r)
-at once.  Each entry is the same sequential sum from x1 = n1 down, so
-`simon_oc` gives a design the same bits alone as in the search.  Bin(n, p)
-is tabled once per success rate as the walk reaches n, from the log-space
-kernel in `special`: the reversed pmf, the upper tail and, under p0, the PET
-of every futility bound.  The tables grow by doubling in rows and width, so
+at once, from one gather of the tails and a read-only strided view of it.
+Each entry is the same sequential sum from x1 = n1 down, so `simon_oc`
+gives a design the same bits alone as in the search.  Bin(n, p) is tabled
+once per success rate, a block of up to 16 consecutive sizes in one pass
+when the walk reaches an untabled size (`_table_block`): one log-space pmf
+block from `special`, whose rows have the bits of each size alone, gives
+the reversed pmf, the upper tail and, under p0, the PET of every futility
+bound.  The tables grow by doubling in rows and width up to n_max, so
 memory follows the walk and not n_max.  Four cuts spare work without
 changing an answer; each skips only when a bound misses its target by more
 than a margin of 1e-9, far above the rounding of any of these sums:
@@ -51,10 +54,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .priors import ParameterError, check_size
-from .special import _BLOCK, log_binom_pmf_vector
+from .special import _BLOCK, _mirror, log_binom_pmf_vector
+
+# Most rows of the binomial tables built in one vectorized pass; a walk
+# tables a block when it reaches an untabled row.
+_TABLE_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -79,33 +86,65 @@ def _binomial_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     return pmf, tail
 
 
-def _table_row(n: int, p: float, top: np.ndarray, tails: np.ndarray) -> None:
-    """Write row n of the tables of Bin(n, p), from `_binomial_table`.
-
-    top[n, d] = P(X = n - d) and tails[n, t + 1] = P(X > t) for t = -1..n;
-    entries beyond stay 0.
-    """
-    pmf, tails[n, : n + 2] = _binomial_table(n, p)
-    top[n, : n + 1] = pmf[::-1]
-
-
 def _pets(top: np.ndarray) -> np.ndarray:
-    """pets[n, d] = P(X <= n - 1 - d), the PET of r1 = n - 1 - d: the running sum clipped at 1."""
-    return np.minimum(np.cumsum(top[:, :0:-1], axis=1)[:, ::-1], 1.0)
+    """pets[..., n, d] = P(X <= n - 1 - d), the PET of r1 = n - 1 - d.
+
+    The running sum of each row of `top` from its far end, clipped at 1.
+    """
+    return np.minimum(np.cumsum(top[..., :0:-1], axis=-1)[..., ::-1], 1.0)
+
+
+def _table_block(
+    tables: np.ndarray, capped: np.ndarray, n_max: int, p0: float, p1: float, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tables, capped) with the next block of at most `_TABLE_ROWS` rows tabled.
+
+    tables stacks top0, tails0, pets, top1, tails1, indexed by the size n:
+    top[n, d] = P(X = n - d) and tails[n, t + 1] = P(X > t) for t = -1..n
+    under p0 and p1, pets[n, d] the PET of r1 = n - 1 - d under p0, and
+    entries past a row's size 0.  capped[n] counts the rows d whose
+    PET(p1) exceeds beta, and its length is the number of rows tabled.
+    The capacity doubles up to n_max + 1 when a block does not fit.  Row n
+    has the bits of `_binomial_table(n, p)` alone: the pmf block's rows
+    have them (`special`), the reversals only move them, and a row-wise
+    cumsum runs from x = n down as the one-size sum does, the zeros past a
+    row adding exactly.
+    """
+    lo = capped.size
+    hi = min(lo + _TABLE_ROWS, n_max + 1)
+    size = tables.shape[1]
+    if hi > size:  # a walk copies O(n_max^2) entries in all
+        cap = min(max(hi, 2 * size), n_max + 1)
+        grown = np.zeros((5, cap, cap + 1))
+        grown[:, :size, : size + 1] = tables
+        tables = grown
+    sizes = np.arange(lo, hi)
+    for i, p in ((0, p0), (3, p1)):
+        top = _mirror(np.exp(log_binom_pmf_vector(sizes, p)), sizes[:, None], 0.0)
+        tables[i, lo:hi, :hi] = top
+        tables[i + 1, lo:hi, :hi] = _mirror(np.cumsum(top, axis=1), sizes[:, None], 0.0)
+    pets = _pets(tables[0:4:3, lo:hi, :hi])  # under p0 and p1
+    tables[2, lo:hi, : hi - 1] = pets[0]
+    return tables, np.append(capped, np.count_nonzero(pets[1] > beta + 1e-9, axis=1))
 
 
 def _reject_tensor(top: np.ndarray, tails: np.ndarray, n1s: np.ndarray, cols: int) -> np.ndarray:
     """rej[d, i, r] = P(X1 > n1s[i] - 1 - d, X1 + X2 > r) for d < top.shape[1], r < cols.
 
-    Row i of `top` and `tails` are `_tables` rows of the first-stage count
-    X1 ~ Bin(n1s[i], p) and of the second-stage count X2; r - x1 is clipped
-    into [-1, tails.shape[1] - 2].  Every entry is the sequential sum from
-    x1 = n1 down, so it has the same bits whatever the depth, cols or batch.
+    Row i of `top` and `tails` are `_table_block` rows of the first-stage
+    count X1 ~ Bin(n1s[i], p) and of the second-stage count X2; r - x1 is
+    clipped into [-1, tails.shape[1] - 2].  One gather lays out, per row,
+    the tail at r - x1 for every d + r, and a read-only strided view reads
+    it as windows[d, i, r].  Every entry is the sequential sum from x1 = n1
+    down, so it has the same bits whatever the depth, cols or batch.
     """
-    depth = top.shape[1]
-    shift = np.arange(depth + cols - 1) - n1s[:, None]  # at d + r: r - x1
-    ext = np.take_along_axis(tails, np.clip(shift, -1, tails.shape[1] - 2) + 1, axis=1)
-    windows = sliding_window_view(ext, cols, axis=1).transpose(1, 0, 2)
+    depth, width = top.shape[1], tails.shape[1]
+    index = np.arange(1, depth + cols) - n1s[:, None]  # at d + r: r - x1 + 1
+    np.maximum(index, 0, out=index)
+    np.minimum(index, width - 1, out=index)
+    ext = tails[np.arange(n1s.size)[:, None], index]
+    row, step = ext.strides
+    windows = as_strided(ext, (depth, n1s.size, cols), (step, row, step), writeable=False)
     rej = np.multiply(top.T[:, :, None], windows, out=np.empty((depth, n1s.size, cols)))
     return np.cumsum(rej, axis=0, out=rej)
 
@@ -174,24 +213,15 @@ def simon_search(
         if not 0.0 < value < 1.0:
             raise ParameterError(name, f"must lie in (0, 1), got {value}")
 
-    tables = np.zeros((5, 0, 1))  # top0, tails0, pets, top1, tails1, rows and width grown together
+    tables = np.zeros((5, 0, 1))  # top0, tails0, pets, top1, tails1 (`_table_block`)
     capped = np.zeros(0, dtype=np.int64)  # rows d < capped[n1] have PET(p1) > beta
     best_optimal: Optional[SimonDesign] = None
     best_minimax: Optional[SimonDesign] = None
     for n2 in range(2, n_max + 1):
-        size = capped.size
-        if n2 >= size:  # double the capacity up to n_max, so a walk copies O(n2^2) entries
-            cap = min(max(n2 + 1, 2 * size), n_max + 1)
-            grown = np.zeros((5, cap, cap + 1))
-            grown[:, :size, : size + 1] = tables
-            tables, capped = grown, np.append(capped, np.zeros(cap - size, dtype=np.int64))
+        # a step reads top rows n1 < n2, tails rows n2 - n1 and row n2
+        if n2 >= capped.size:
+            tables, capped = _table_block(tables, capped, n_max, p0, p1, beta)
             top0, tails0, pets, top1, tails1 = tables
-        # a step reads top rows n1 < n2, tails rows n2 - n1 and row n2: table each once
-        for n in range(1 if n2 == 2 else n2, n2 + 1):
-            _table_row(n, p0, top0, tails0)
-            _table_row(n, p1, top1, tails1)
-            pets[n, :-1] = _pets(top0[n : n + 1])[0]
-            capped[n] = np.count_nonzero(_pets(top1[n : n + 1]) > beta + 1e-9)
         if _ump_short(
             top0[n2, n2::-1], tails0[n2], top1[n2, n2::-1], tails1[n2], alpha, 1.0 - beta - 1e-9
         ):
@@ -202,7 +232,7 @@ def simon_search(
         n1s = np.arange(1, n2)
         n1s = n1s[n1s < bound]  # E[N|p0] >= n1
         e_n = n1s[:, None] + (1.0 - pets[n1s, : n2 - 1]) * (n2 - n1s)[:, None]
-        live = np.minimum(np.count_nonzero(e_n < bound, axis=1), n1s)  # rows d < live
+        live = np.minimum((e_n < bound).sum(axis=1), n1s)  # rows d < live
         keep = live > capped[n1s]
         if best_optimal is not None and not keep.any():
             break  # the horizon: no row here or later can win
@@ -225,11 +255,11 @@ def simon_search(
             # within an n1 the largest PET wins, then the first r1 (the last d);
             # across n1 the smallest E[N|p0], then the first n1
             pet = np.where(rows, pets[n1b, :depth].T, -1.0)
-            best_d = depth - 1 - np.argmax(pet[::-1], axis=0)
+            best_d = depth - 1 - pet[::-1].argmax(axis=0)
             e_best = e_n[np.arange(lo, lo + n1b.size), best_d]
-            i = int(np.argmin(np.where(rows.any(axis=0), e_best, np.inf)))
+            i = int(np.where(rows.any(axis=0), e_best, np.inf).argmin())
             d, n1 = int(best_d[i]), int(n1b[i])
-            r = int(np.argmax(feasible[d, i]))
+            r = int(feasible[d, i].argmax())
             design = SimonDesign(
                 r1=n1 - 1 - d,
                 n1=n1,

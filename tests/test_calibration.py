@@ -24,7 +24,7 @@ from bfdesign import (
     scan,
 )
 from bfdesign.bayesfactor import ParameterError, log_bf01_curve
-from bfdesign.calibration import _can_be_feasible, _past_horizon
+from bfdesign.calibration import _can_be_feasible, _past_horizon, _type_i_floor
 from bfdesign.config import load_config
 from bfdesign.operating import DesignGrid, expected_size
 
@@ -270,7 +270,8 @@ def test_prune_never_changes_the_argmin(monkeypatch):
 def test_interim_size_cuts_are_sound(name):
     # on every scan row at n_max 120, under the point and a flat null prior:
     # adjusted power never exceeds 1 minus the futility mass at n1 under the
-    # power prior, and no row of an interim size either cut drops is feasible
+    # power prior, the Harris-FKG floor never exceeds the adjusted type-I
+    # error, and no row of an interim size either cut drops is feasible
     config = load_config(str(CONFIGS / f"{name}.cfg"))
     cons = dataclasses.replace(config.constraints(), n_max=120)
     hyp, ap = config.hypotheses(), config.analysis_prior()
@@ -279,12 +280,54 @@ def test_interim_size_cuts_are_sound(name):
         grid = DesignGrid(range(cons.n_min, cons.n_max + 1), *args)
         rows = scan(range(cons.n_min + 1, cons.n_max + 1), cons, *args)
         n1 = np.array([row.n1 for row in rows])
+        n2 = np.array([row.n2 for row in rows])
         power = np.array([row.power_adjusted for row in rows])
+        type_i = np.array([row.type_i_adjusted for row in rows])
         feasible = np.array([row.feasible for row in rows])
         assert (power <= 1.0 - grid.h1[n1, 2] + 1e-12).all()
+        assert (_type_i_floor(grid, n1, n2) <= type_i).all()
         dropped = ~_can_be_feasible(grid, n1, cons)
         assert dropped.any() == (name != "example1")
         assert not feasible[dropped].any()
+
+
+def test_type_i_floor_never_changes_a_search(monkeypatch):
+    # with and without the Harris-FKG cut both searches give the same
+    # answer, and the cut fires in every setting: example1 has no design at
+    # alpha 0.001 under either null prior, and at alpha 0.02 both searches
+    # find (9, 67); example2_bayes at alpha 0.01 and beta 0.2 under a flat
+    # null finds (7, 23)
+    flat1, flat2 = TruncatedBeta(1.0, 1.0, 0.0, 0.1), TruncatedBeta(1.0, 1.0, 0.0, 0.2)
+    settings = [
+        ("example1", {"alpha": 0.001, "n_max": 150}, None, None),
+        ("example1", {"alpha": 0.001, "n_max": 150}, flat1, None),
+        ("example1", {"alpha": 0.02, "n_max": 150}, None, (9, 67)),
+        ("example2_bayes", {"alpha": 0.01, "beta": 0.2, "n_max": 100}, flat2, (7, 23)),
+    ]
+    cut = []
+
+    def counted(grid, n1, n2):
+        floor = _type_i_floor(grid, n1, n2)
+        cut.append(int((floor > alpha + 1e-9).sum()))
+        return floor
+
+    for name, changes, null_prior, design in settings:
+        config = load_config(str(CONFIGS / f"{name}.cfg"))
+        cons = dataclasses.replace(config.constraints(), **changes)
+        alpha = cons.alpha
+        args = (cons, config.k, config.k_f, config.hypotheses(), config.analysis_prior(),
+                config.power_prior, null_prior)
+        for search in (optimal_calibrate, calibrate):
+            cut.clear()
+            monkeypatch.setattr(bfdesign.calibration, "_type_i_floor", counted)
+            with_cut = search(*args)
+            assert sum(cut) > 0, (name, changes, search.__name__)
+            monkeypatch.setattr(
+                bfdesign.calibration, "_type_i_floor", lambda grid, n1, n2: np.zeros(n1.size)
+            )
+            assert search(*args) == with_cut, (name, changes, search.__name__)
+            found = with_cut and (with_cut.design.n1, with_cut.design.n2)
+            assert found == design, (name, changes, search.__name__)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2_bayes", "example2_pce"])

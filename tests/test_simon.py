@@ -15,7 +15,16 @@ import bfdesign
 import bfdesign.simon
 from bfdesign import simon_oc, simon_search
 from bfdesign.priors import ParameterError
-from bfdesign.simon import SimonDesign, _binomial_table, _ump_short
+from numpy.lib.stride_tricks import sliding_window_view
+
+from bfdesign.simon import (
+    SimonDesign,
+    _binomial_table,
+    _pets,
+    _reject_tensor,
+    _table_block,
+    _ump_short,
+)
 
 
 def brute_force_oc(r1, n1, r, n2, p):
@@ -101,6 +110,10 @@ def _reference_settings():
     settings.append((0.2, 0.25, 0.05, 0.1, 15))
     # the optimum has n2 = 29 and E[N|p0] 15.01: the walk ends long before n_max
     settings.append((0.1, 0.3, 0.05, 0.2, 60))
+    # tables of one block, of one row past it and two (blocks hold 16 rows)
+    for n_max in (2, 3, 17, 18):
+        settings.append((0.011, 0.489, 0.05, 0.2, n_max))
+        settings.append((0.3, 0.75, 0.1, 0.2, n_max))
     return settings
 
 
@@ -161,6 +174,92 @@ def test_binomial_tables(p):
             shown = want > 1e-300
             assert np.allclose(got[shown], want[shown], rtol=1e-12, atol=0.0), n
         assert tail[-1] == 0.0
+
+
+@pytest.mark.parametrize("p0, p1", [(0.011, 0.3), (0.3, 0.99), (0.99, 0.011)])
+def test_block_tables_match_each_size_alone(p0, p1):
+    # every row of every block, right after its block and after the last
+    # capacity doubling, has the bits of the size tabled alone
+    n_max, beta = 200, 0.2
+    tables, capped = np.zeros((5, 0, 1)), np.zeros(0, dtype=np.int64)
+    blocks, capacities = [], []
+    while capped.size <= n_max:
+        lo = capped.size
+        tables, capped = _table_block(tables, capped, n_max, p0, p1, beta)
+        blocks.append((lo, capped.size))
+        capacities.append(tables.shape[1])
+        for n in range(lo, capped.size):
+            assert_row_alone(tables, capped, n, p0, p1, beta)
+    assert blocks == [(lo, lo + 16) for lo in range(0, 192, 16)] + [(192, 201)]
+    assert sorted(set(capacities)) == [16, 32, 64, 128, 201]
+    for n in range(n_max + 1):
+        assert_row_alone(tables, capped, n, p0, p1, beta)
+
+
+def assert_row_alone(tables, capped, n, p0, p1, beta):
+    """Row n of the walk's tables against `_binomial_table(n, p)` alone, zeros past it."""
+    width = tables.shape[2]
+    rows = []
+    for p in (p0, p1):
+        pmf, tail = _binomial_table(n, p)
+        top, tails = np.zeros(width), np.zeros(width)
+        top[: n + 1], tails[: n + 2] = pmf[::-1], tail
+        rows += [top, tails]
+    pets = np.zeros(width)
+    pets[:-1] = _pets(rows[0][None])[0]
+    for got, want in zip(tables[:, n], (rows[0], rows[1], pets, rows[2], rows[3])):
+        assert np.array_equal(got, want), n
+    assert capped[n] == np.count_nonzero(_pets(rows[2][None]) > beta + 1e-9), n
+
+
+def _sliding_reject_tensor(top, tails, n1s, cols):
+    """`_reject_tensor` by a clipped take_along_axis and sliding windows."""
+    depth = top.shape[1]
+    shift = np.arange(depth + cols - 1) - n1s[:, None]  # at d + r: r - x1
+    ext = np.take_along_axis(tails, np.clip(shift, -1, tails.shape[1] - 2) + 1, axis=1)
+    windows = sliding_window_view(ext, cols, axis=1).transpose(1, 0, 2)
+    rej = np.multiply(top.T[:, :, None], windows, out=np.empty((depth, n1s.size, cols)))
+    return np.cumsum(rej, axis=0, out=rej)
+
+
+def test_strided_reject_tensor_matches_sliding_windows():
+    rng = np.random.default_rng(21)
+    # (batch, depth, width, cols): depth 1, one n1, cols wider than the tails
+    shapes = [(1, 1, 2, 1), (1, 5, 4, 12), (3, 1, 6, 3), (1, 9, 3, 1)]
+    shapes += [tuple(int(v) for v in rng.integers(1, [8, 12, 14, 30])) for _ in range(40)]
+    for batch, depth, width, cols in shapes:
+        width = max(width, 2)
+        top = rng.random((batch, depth))
+        tails = rng.random((batch, width))
+        n1s = rng.integers(1, depth + width + 3, size=batch)
+        got = _reject_tensor(top, tails, n1s, cols)
+        assert got.shape == (depth, batch, cols)
+        assert np.array_equal(got, _sliding_reject_tensor(top, tails, n1s, cols))
+    # rows of the walk's own tables, zero past each size
+    empty = np.zeros((5, 0, 1)), np.zeros(0, dtype=np.int64)
+    tables, _ = _table_block(*empty, 40, 0.2, 0.4, 0.1)
+    n1s = np.array([3, 5, 8])
+    top, tails = tables[0, n1s, :6], tables[1, 12 - n1s]
+    assert np.array_equal(
+        _reject_tensor(top, tails, n1s, 13), _sliding_reject_tensor(top, tails, n1s, 13)
+    )
+
+
+def test_walk_tables_sixteen_rows_a_block(monkeypatch):
+    # each block is one pmf build per rate: at most 2 ceil(rows / 16) in all
+    sizes = []
+    original = bfdesign.simon.log_binom_pmf_vector
+
+    def counted(n, p):
+        sizes.append(np.atleast_1d(n).tolist())
+        return original(n, p)
+
+    monkeypatch.setattr(bfdesign.simon, "log_binom_pmf_vector", counted)
+    setting, optimal, minimax = PINNED_SEARCHES[0]
+    assert simon_search(*setting) == (optimal, minimax)
+    rows = len({n for block in sizes for n in block})
+    assert len(sizes) <= 2 * math.ceil(rows / 16), (len(sizes), rows)
+    assert rows == 48  # three blocks: the walk ends before n2 = 48, far below n_max 120
 
 
 def test_import_does_not_load_scipy_stats():
@@ -436,8 +535,8 @@ def test_infeasible_search_builds_no_tensor(monkeypatch):
 
 def test_tables_grow_no_further_than_n_max():
     # an infeasible walk tables every size up to n_max; the capacity doubles
-    # 3, 6, ..., 192, so at n_max = 193 the last growth must stop at 194 rows
-    # and not take 384.  The peak holds the old tables and the new ones.
+    # 16, 32, 64, 128, so at n_max = 193 the last growth must stop at 194 rows
+    # and not take 256.  The peak holds the old tables and the new ones.
     n_max = 193
     block = 5 * (n_max + 1) * (n_max + 2) * 8
     tracemalloc.start()
