@@ -12,8 +12,10 @@ Decision thresholds act on BF01 directly: values below k count as compelling
 evidence for H1 (efficacy), values above k_f as compelling evidence for H0
 (futility).  Because the marginal likelihood ratio decreases as successes
 accumulate, each threshold corresponds to a critical success count, found
-here by exhaustive scan rather than root-finding so that no monotonicity
-assumption is baked in.
+by exhaustive scan rather than root-finding so that no monotonicity
+assumption is baked in.  `critical_counts` is the one scan: it finds both
+counts of every row of a log BF01 block, for one size here and for a block
+of sizes in `operating.DesignGrid`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .predictive import log_predictive_vector
+from .predictive import log_predictive_rows
 from .priors import ParameterError, TruncatedBeta, check_size
 
 
@@ -90,7 +92,7 @@ def log_bf01_curve(n: int, hyp: Hypotheses, ap: AnalysisPrior) -> np.ndarray:
     if n < 1:
         raise ParameterError("n", f"must be at least 1, got {n}")
     _check_regions(hyp, ap)
-    return log_predictive_vector(ap.h0, n) - log_predictive_vector(ap.h1, n)
+    return log_predictive_rows(ap.h0, n) - log_predictive_rows(ap.h1, n)
 
 
 def bf01(y_s: int, n: int, hyp: Hypotheses, ap: AnalysisPrior) -> float:
@@ -109,6 +111,23 @@ def bf01(y_s: int, n: int, hyp: Hypotheses, ap: AnalysisPrior) -> float:
         return math.inf
 
 
+def critical_counts(log_bf: np.ndarray, log_k: float, log_k_f: float) -> tuple[list, list]:
+    """Lists (y_eff, y_fut) of the critical counts of each row of a 2-d log BF01 block.
+
+    y_eff is the first count with log BF01 < log_k and y_fut the last with
+    log BF01 > log_k_f, None where no count qualifies; NaN, as in the
+    padding of a block, matches neither, and so do log_k = -inf and
+    log_k_f = inf.
+    """
+    efficacy = log_bf < log_k
+    futility = log_bf > log_k_f
+    first = efficacy.argmax(axis=1).tolist()
+    last = (log_bf.shape[1] - 1 - futility[:, ::-1].argmax(axis=1)).tolist()
+    y_eff = [y if hit else None for y, hit in zip(first, efficacy.any(axis=1).tolist())]
+    y_fut = [y if hit else None for y, hit in zip(last, futility.any(axis=1).tolist())]
+    return y_eff, y_fut
+
+
 def critical_efficacy(
     n: int, k: float, hyp: Hypotheses, ap: AnalysisPrior
 ) -> Optional[int]:
@@ -117,8 +136,7 @@ def critical_efficacy(
     None means no count up to n can produce evidence for H1 past k.
     """
     check_thresholds(k=k)
-    below = np.flatnonzero(log_bf01_curve(n, hyp, ap) < math.log(k))
-    return int(below[0]) if below.size else None
+    return critical_counts(log_bf01_curve(n, hyp, ap)[None], math.log(k), math.inf)[0][0]
 
 
 def critical_futility(
@@ -130,5 +148,4 @@ def critical_futility(
     past k_f, so a futility stop is impossible at this size.
     """
     check_thresholds(k_f=k_f)
-    above = np.flatnonzero(log_bf01_curve(n, hyp, ap) > math.log(k_f))
-    return int(above[-1]) if above.size else None
+    return critical_counts(log_bf01_curve(n, hyp, ap)[None], -math.inf, math.log(k_f))[1][0]

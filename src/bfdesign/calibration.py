@@ -20,30 +20,14 @@ keys by E[N|H0] from the tabled stop probabilities, and `calibrate` by a
 constant, so the first feasible design in the order (n2, n1) wins.  The only
 per-design work is the erased mass, one vectorized call for both design
 priors for a set of interim sizes of one final size (`DesignGrid.rows`).
-Five cuts spare it without changing the answer.
+Five cuts spare it without changing the answer; each is proved, with its
+margin for rounding, where it is made.  They skip:
 
-- Interim sizes that no final size can make feasible are dropped before
-  any key is read.  The PCE must exceed f, the very comparison
-  `GridColumn.feasible` makes.  And adjusted power is
-  P1(reject at n2, no stop at n1) <= 1 - P1(stop at n1), so a futility mass
-  under the power prior above beta + 1e-9 rules n1 out; the margin dwarfs
-  the rounding of both masses.  Simon's PET(p1) cap is the same bound.
-- A final size whose single-look power misses the target is skipped,
-  since the interim adjustment only lowers power.
-- An interim size whose Harris-FKG floor on the adjusted type-I error,
-  (1 - p_stop[n1]) type_i[n2], exceeds alpha + 1e-9 is skipped at that
-  final size; `_type_i_floor` proves the floor.  When no interim size is
-  left the final size is skipped, so a search with no design pays for
-  tabling and for no erased mass.
-- Once a feasible design is known, a later final size can only win with a
-  strictly smaller key, so only interim sizes below the incumbent's key get
-  rates: a short prefix for E[N|H0] >= n1, none for a constant key.
-- The walk ends at the incumbent's horizon, the first n2 where no interim
-  size's key is below the incumbent's: E[N|H0] = n1 + (1 - p_stop)(n2 - n1)
-  never falls as n2 grows, and interim sizes added later have
-  E[N|H0] >= n1 >= n2, beyond the incumbent's n2 and so its E[N|H0]
-  (`_past_horizon` allows for rounding).  A constant key ends the walk at
-  the first hit.
+- interim sizes that no final size can make feasible (`_can_be_feasible`);
+- final sizes whose single-look power misses, as the interim only lowers it;
+- interim sizes whose type-I floor exceeds alpha (`_type_i_floor`);
+- once a design is known, interim sizes whose key is not below its key;
+- final sizes past the incumbent's horizon (`_past_horizon`, `_horizon`).
 
 The grid tables a block of at most `_WALK_BLOCK` consecutive sizes in one
 pass when the walk reaches an untabled size.  Once a design is known, the
@@ -183,10 +167,12 @@ def _past_horizon(keys: np.ndarray, best: float, n_max: int) -> bool:
 def _can_be_feasible(grid: DesignGrid, n1: np.ndarray, cons: CalibrationConstraints) -> np.ndarray:
     """Mask of the interim sizes that some final size might make feasible.
 
-    Both tests read only n1 (module docstring): the PCE floor is the very
-    comparison `GridColumn.feasible` makes, and adjusted power is at most
-    1 minus the futility mass at n1 under the power prior, which must not
-    exceed beta by more than 1e-9.
+    Both tests read only n1, so they hold at every final size.  The PCE must
+    exceed f, the very comparison `GridColumn.feasible` makes.  And adjusted
+    power is P1(reject at n2, no stop at n1) <= 1 - P1(stop at n1), so a
+    futility mass under the power prior above beta + 1e-9 rules n1 out; the
+    margin dwarfs the rounding of both masses.  Simon's PET(p1) cap is the
+    same bound.
     """
     ok = grid.h1[n1, 2] <= cons.beta + 1e-9
     if cons.f is not None:
@@ -243,14 +229,8 @@ def _search(
     """Feasible design with the smallest (key, n2, n1), or None.
 
     `key(grid, n1, n2)` reads the grid's tables for an array of interim
-    sizes; it is either a constant or E[N|H0].  Interim sizes that no final
-    size can make feasible are dropped first.  Only final sizes whose
-    single-look power meets the target, and interim sizes whose key is below
-    the incumbent's and whose type-I floor (`_type_i_floor`) meets alpha,
-    get rates computed, and the walk ends at the incumbent's horizon.  The
-    grid tables a block of at most `_WALK_BLOCK` sizes when the walk reaches
-    an untabled size, capped at n_max and, once a design is known, at the
-    horizon of the interim sizes still below its key.
+    sizes; it is either a constant or E[N|H0].  The cuts and the blocks
+    tabled are those of the module docstring.
     """
     first = range(cons.n_min, min(cons.n_min + _WALK_BLOCK, cons.n_max + 1))
     grid = DesignGrid(first, k, k_f, hyp, ap, power_prior, null_prior)
@@ -304,9 +284,8 @@ def calibrate(
 ) -> Optional[CalibratedDesign]:
     """First calibrated design in the order (n2, n1), both ascending.
 
-    The search walk with a constant key: the power skip spares final sizes
-    that cannot be feasible, and the walk ends at the first hit.  None when
-    no design with n2 <= n_max qualifies, and when no interim size in
+    The search walk with a constant key, which ends at the first hit.  None
+    when no design with n2 <= n_max qualifies, and when no interim size in
     [n_min, n_max - 1] can stop for futility at k_f.
     """
     def first(grid, n1, n2):
@@ -327,9 +306,8 @@ def optimal_calibrate(
     """Feasible design minimizing the expected sample size under H0.
 
     The search walk keyed by E[N|H0], read off the tabled stop
-    probabilities; ties go to the smaller n2, then the smaller n1.  The
-    power skip, the key bound and the walk end leave the argmin unchanged;
-    since E[N|H0] >= n1 the bound keeps a short prefix of interim sizes, and
+    probabilities; ties go to the smaller n2, then the smaller n1.  Since
+    E[N|H0] >= n1, the key bound keeps a short prefix of interim sizes, and
     the walk ends soon after n2 passes the optimum's E[N|H0].  None when no
     design with n2 <= n_max is feasible, and when no interim size in
     [n_min, n_max - 1] can stop for futility at k_f.

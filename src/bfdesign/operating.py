@@ -59,6 +59,7 @@ from .bayesfactor import (
     _check_regions,
     check_size,
     check_thresholds,
+    critical_counts,
     log_bf01_curve,
 )
 from .predictive import joint_predictive_matrix, log_predictive_rows
@@ -243,11 +244,12 @@ class DesignGrid:
     sizes as blocks of at most `_BLOCK` entries (`_table`).  A block takes
     one log predictive block per distinct prior among the analysis and
     design priors, the critical counts of all its sizes from one log BF01
-    block, and one `split_branches` per size and design prior on that
-    size's own row, so every size has the bits it has alone.  A lone size
-    is a one-row block.  The constructor adds `sizes`, as `evaluate` and
-    `scan` need; a walk over final sizes adds a block at a time as it
-    reaches them, so little past the point where the walk ends is built.
+    block (`critical_counts`, which `critical_efficacy` uses too), and one
+    `split_branches` per size and design prior on that size's own row, so
+    every size has the bits it has alone.  A lone size is a one-row block.
+    The constructor adds `sizes`, as `evaluate` and `scan` need; a walk
+    over final sizes adds a block at a time as it reaches them, so little
+    past the point where the walk ends is built.
 
     `rows` adds the erased mass of a set of interim sizes at one final size,
     one `erased_mass_column` call for both design priors, and keeps nothing.
@@ -305,22 +307,12 @@ class DesignGrid:
         for prior in (self.ap.h0, self.ap.h1) + self._priors:
             if prior not in logs:
                 logs[prior] = log_predictive_rows(prior, sizes)
-        log_h0, log_h1 = logs[self.ap.h0], logs[self.ap.h1]
-        top = log_h0.shape[1] - 1
-        if sizes.size == 1:
-            log_bf = log_h0 - log_h1
-        else:  # padding is -inf in both rows: left NaN, it compares False
-            log_bf = np.full(log_h0.shape, np.nan)
-            np.subtract(log_h0, log_h1, out=log_bf, where=np.arange(top + 1) <= sizes[:, None])
-        # y_eff is the first count with BF01 < k and y_fut the last with BF01 > k_f
-        efficacy = log_bf < math.log(self.k)
-        futility = log_bf > math.log(self.k_f)
-        first = efficacy.argmax(axis=1).tolist()
-        last = (top - futility[:, ::-1].argmax(axis=1)).tolist()
-        y_eff = [y if hit else None for y, hit in zip(first, efficacy.any(axis=1).tolist())]
-        y_fut = [y if hit else None for y, hit in zip(last, futility.any(axis=1).tolist())]
+        with np.errstate(invalid="ignore"):  # padding is -inf in both rows: NaN
+            log_bf = logs[self.ap.h0] - logs[self.ap.h1]
+        y_eff, y_fut = critical_counts(log_bf, math.log(self.k), math.log(self.k_f))
         pmfs = {prior: np.exp(logs[prior]) for prior in self._priors}
         size = len(self._masses)
+        top = log_bf.shape[1] - 1
         if top >= size:  # double the capacity, so a walk copies O(n) rows in all
             grown = np.full((max(top + 1, 2 * size),) + self._masses.shape[1:], np.nan)
             grown[:size] = self._masses

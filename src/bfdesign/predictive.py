@@ -20,20 +20,17 @@ product B(p, q) * M(p, q) is the integral of t^(p-1) (1-t)^(q-1) over
 one recurrence, so the kernel stays finite and accurate for counts in the
 thousands.  The normalizer is the same integral at n = 0, kept on the prior
 as `TruncatedBeta.log_norm`.  `log_predictive_rows` tables a block of sizes
-in one pass, one left-aligned row per size (see `special`); the cached
-per-size vector is its one-row case.
+in one pass, one left-aligned row per size (see `special`), and is the one
+route from the kernel: a single size is its one-row case, and nothing is
+cached.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .priors import DesignPrior, ParameterError, PointMass, TruncatedBeta, check_size
+from .priors import DesignPrior, ParameterError, PointMass, check_size
 from .special import log_beta_integrals, log_binom_coeff_vector, log_binom_pmf_vector
-
-_CACHE_SIZE = 4096
 
 
 def log_predictive_rows(prior: DesignPrior, n) -> np.ndarray:
@@ -48,22 +45,12 @@ def log_predictive_rows(prior: DesignPrior, n) -> np.ndarray:
     return log_binom_coeff_vector(n) + kernel - prior.log_norm
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def log_predictive_vector(prior: TruncatedBeta, n: int) -> np.ndarray:
-    """Log predictive pmf over y = 0..n under a truncated Beta (read-only, cached)."""
-    out = log_predictive_rows(prior, n)
-    out.flags.writeable = False
-    return out
-
-
 def predictive_vector(prior: DesignPrior, n: int) -> np.ndarray:
     """Predictive pmf over y = 0..n."""
     check_size("n", n)
     if n < 1:
         raise ParameterError("n", f"must be at least 1, got {n}")
-    if isinstance(prior, PointMass):
-        return np.exp(log_binom_pmf_vector(n, prior.p))
-    return np.exp(log_predictive_vector(prior, n))
+    return np.exp(log_predictive_rows(prior, n))
 
 
 def predictive_pmf(y_s: int, n: int, prior: DesignPrior) -> float:
@@ -80,10 +67,8 @@ def joint_predictive_matrix(n1: int, m: int, prior: DesignPrior) -> np.ndarray:
     Entry [y1, y2] is the probability of y1 successes in the first batch of
     n1 trials and y2 in the second batch of m trials, with the success
     probability shared between batches.  Under a point mass the batches are
-    independent and the matrix is an outer product of binomial pmfs.  It is
-    not cached: only the path oracle needs it, and a cache of these matrices
-    would hold far more memory than the predictive vectors they are built
-    from.
+    independent and the matrix is an outer product of binomial pmfs.  Only
+    the path oracle needs it.
     """
     check_size("n1", n1)
     check_size("m", m)

@@ -2,9 +2,9 @@
 
 Two kinds of design prior drive every predictive computation: a point mass
 (frequentist planning value) and a Beta law truncated to a tail.  Both
-are frozen dataclasses; a `TruncatedBeta` keys the cache of the log
-predictive kernel.  Every module above refuses a bad parameter by name
-with `ParameterError`, defined here.
+are frozen, hashable dataclasses, so a design grid builds each distinct
+prior's log predictive block once.  Every module above refuses a bad
+parameter by name with `ParameterError`, defined here.
 """
 
 from __future__ import annotations

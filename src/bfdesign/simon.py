@@ -21,13 +21,9 @@ memory follows the walk and not n_max.  Four cuts spare work without
 changing an answer; each skips only when a bound misses its target by more
 than a margin of 1e-9, far above the rounding of any of these sums:
 
-- Neyman-Pearson ceiling.  A design at n2 rejects on an event of the n2
-  outcomes, so it is a non-randomized test of p0 against p1 > p0, and its
-  power is at most that of the randomized UMP level-alpha binomial test at
-  n2 (the Neyman-Pearson lemma): reject when S > c and with probability
-  gamma when S = c, where c is the least count with P0(S > c) <= alpha and
-  gamma P0(S = c) = alpha - P0(S > c).  A step whose UMP power is below
-  1 - beta builds no tensor (`_ump_short`).  Its rows still fill the tables.
+- Neyman-Pearson ceiling.  A step whose randomized UMP test misses the
+  power target builds no tensor (`_ump_short`).  Its rows still fill the
+  tables.
 - Power cap.  P(X1 > r1, X1 + X2 > r) <= P(X1 + X2 > r) = P(Bin(n2, p1) > r),
   so a feasible r has single-look power >= 1 - beta: a step takes only the
   r whose single-look tail reaches it, and is skipped when there is none.
@@ -158,7 +154,10 @@ def _ump_short(
     pmf[x] = P(S = x) and tail[t + 1] = P(S > t) of one Bin(n, p) under p0
     and p1, as `_binomial_table` gives them.  The test rejects when S > c,
     and with probability gamma when S = c, where c is the least count with
-    P0(S > c) <= alpha and gamma P0(S = c) = alpha - P0(S > c).  Its power
+    P0(S > c) <= alpha and gamma P0(S = c) = alpha - P0(S > c).  A Simon
+    design at n rejects on an event of the n outcomes, so it is a
+    non-randomized level-alpha test of p0 against p1, and its power is at
+    most this test's (the Neyman-Pearson lemma).  The UMP power
     P1(S > c) + gamma P1(S = c) is compared times P0(S = c), so a zero mass
     never divides; c = -1, a test that always rejects, is never short.
     """

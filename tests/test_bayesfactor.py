@@ -17,6 +17,7 @@ from bfdesign import (
     predictive_pmf,
 )
 from bfdesign.bayesfactor import ParameterError
+from bfdesign.operating import DesignGrid
 
 
 def quadrature_marginal(y, n, prior):
@@ -202,7 +203,8 @@ def test_hypotheses_validation():
 # Critical counts at n = 1, 10, 60, 120, 1000, 3000, each row
 # (critical_efficacy at k = 1/3, at k = 1/30, critical_futility at k_f = 3,
 # at k_f = 30), for analysis shapes (a0, b0, a1, b1); integers only, so a
-# kernel change that moves no decision keeps this table.
+# kernel change that moves no decision keeps this table.  The design grid
+# reads the same counts off its blocks.
 PINNED_SIZES = (1, 10, 60, 120, 1000, 3000)
 PINNED_COUNTS = {
     (0.01, (1, 1, 1, 1)): [
@@ -253,3 +255,11 @@ def test_pinned_critical_counts(p0, shapes):
         for n in PINNED_SIZES
     ]
     assert got == PINNED_COUNTS[(p0, shapes)]
+    # each size tabled beside its neighbours, so a row has padding after it
+    sizes = sorted({m for n in PINNED_SIZES for m in (n - 1, n, n + 1) if m >= 1})
+    strict = DesignGrid(sizes, 1 / 30, 30.0, hyp, ap, ap.h1)
+    loose = DesignGrid(sizes, 1 / 3, 3.0, hyp, ap, ap.h1)
+    from_grid = [
+        (loose.y_eff[n], strict.y_eff[n], loose.y_fut[n], strict.y_fut[n]) for n in PINNED_SIZES
+    ]
+    assert from_grid == PINNED_COUNTS[(p0, shapes)]

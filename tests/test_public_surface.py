@@ -12,10 +12,10 @@ NO_CALLER = {
     "base_sample_size": "user entry point: the single-look baseline with its window",
     "bf01": "user entry point: the Bayes factor of one observed count",
     "calibrate": "user entry point: the first calibrated design in search order",
-    "critical_efficacy": "user entry point: the efficacy count at one size; the design "
-    "grid finds its counts for a block of sizes at once",
-    "critical_futility": "user entry point: the futility count at one size; the design "
-    "grid finds its counts for a block of sizes at once",
+    "critical_efficacy": "user entry point: the efficacy count at one size; it and the "
+    "design grid share bayesfactor.critical_counts",
+    "critical_futility": "user entry point: the futility count at one size; it and the "
+    "design grid share bayesfactor.critical_counts",
     "enumerate_oracle": "oracle: brute-force figures the closed form is checked against",
     "evaluate": "user entry point: the characteristics of one given design",
     "predictive_pmf": "user entry point: one predictive mass of the kernel",
@@ -43,3 +43,22 @@ def test_every_export_has_a_caller_or_a_reason():
     # the allowlist names only exports that still lack a caller
     assert set(NO_CALLER) <= set(bfdesign.__all__)
     assert not set(NO_CALLER) & referenced
+
+
+def test_every_import_is_used():
+    # a module other than __init__ imports only what it uses, so a removal
+    # leaves no dead import behind
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in sorted(imported - used)]
+    assert unused == []

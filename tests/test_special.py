@@ -297,30 +297,23 @@ def test_no_module_imports_scipy():
     assert importers == set()
 
 
-def test_only_the_kernel_is_cached():
-    # the design grid is the one per-size store of everything derived from
-    # the kernel, so lru_cache memoizes the kernel and nothing above it
+def test_nothing_is_cached():
+    # every route from the kernel builds fresh arrays (the design grid is the
+    # one per-size store), so no module memoizes anything or imports functools
     package = os.path.dirname(bfdesign.__file__)
-    cached = []
+    found = []
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(package, name), encoding="utf-8") as handle:
             tree = ast.parse(handle.read())
-        uses = [
-            node
-            for node in ast.walk(tree)
-            if getattr(node, "id", None) == "lru_cache"
-            or getattr(node, "attr", None) == "lru_cache"
-        ]
-        decorated = [
-            node.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef)
-            for decorator in node.decorator_list
-            if ast.unparse(getattr(decorator, "func", decorator)).endswith("lru_cache")
-        ]
-        # every use is a decorator on a named function
-        assert len(uses) == len(decorated), name
-        cached += [(name, function) for function in decorated]
-    assert sorted(cached) == [("predictive.py", "log_predictive_vector")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [(name, a.name) for a in node.names if a.name == "functools"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found.append((name, "functools"))
+            elif getattr(node, "id", getattr(node, "attr", None)) in (
+                "lru_cache", "cache", "cached_property"
+            ):
+                found.append((name, ast.unparse(node)))
+    assert found == []
