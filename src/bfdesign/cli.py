@@ -15,15 +15,25 @@ import argparse
 import sys
 from typing import Optional
 
-from .calibration import CalibratedDesign, optimal_calibrate, scan
+from .calibration import optimal_calibrate, scan
 from .config import ConfigError, RunConfig, load_config
-from .operating import DesignGrid, OperatingCharacteristics, TwoStageDesign
+from .operating import DesignGrid
 from .priors import PointMass
-from .simon import SimonDesign, simon_search
+from .simon import simon_search
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
+
+
+def _fail(message: str, code: int = EXIT_CONFIG) -> int:
+    print(message, file=sys.stderr)
+    return code
+
+
+def _model(config: RunConfig) -> tuple:
+    """(k, k_f, hypotheses, analysis prior, power prior): the arguments every search shares."""
+    return config.k, config.k_f, config.hypotheses(), config.analysis_prior(), config.power_prior
 
 
 def _prob(value: float, fmt: str) -> str:
@@ -34,16 +44,8 @@ def _size(value: float, fmt: str) -> str:
     return f"{value:.6f}" if fmt == "csv" else f"{value:.2f}"
 
 
-def _print_design_row(result: CalibratedDesign, fmt: str) -> None:
-    d, oc = result.design, result.oc
-    fields = [
-        ("n1", str(d.n1)),
-        ("n2", str(d.n2)),
-        ("type_i", _prob(oc.type_i_adjusted, fmt)),
-        ("power", _prob(oc.power_adjusted, fmt)),
-        ("en_h0", _size(oc.e_n_h0, fmt)),
-        ("pce", _prob(oc.pce_p0, fmt)),
-    ]
+def _print_record(fields: list[tuple[str, str]], fmt: str) -> None:
+    """A header line and a value line, comma-separated or aligned under the names."""
     if fmt == "csv":
         print(",".join(name for name, _ in fields))
         print(",".join(value for _, value in fields))
@@ -52,100 +54,70 @@ def _print_design_row(result: CalibratedDesign, fmt: str) -> None:
         print("  ".join(value.rjust(len(name)) for name, value in fields))
 
 
-def cmd_calibrate(config: RunConfig, fmt: str) -> int:
-    result = optimal_calibrate(
-        config.constraints(),
-        config.k,
-        config.k_f,
-        config.hypotheses(),
-        config.analysis_prior(),
-        config.power_prior,
-    )
+def cmd_calibrate(config: RunConfig, args: argparse.Namespace) -> int:
+    result = optimal_calibrate(config.constraints(), *_model(config))
     if result is None:
-        print(
+        return _fail(
             "no feasible design: the constraints cannot be calibrated for "
             f"this choice of thresholds (k, k_f) with n2 <= {config.n_max}",
-            file=sys.stderr,
+            EXIT_INFEASIBLE,
         )
-        return EXIT_INFEASIBLE
-    _print_design_row(result, fmt)
+    d, oc, fmt = result.design, result.oc, args.format
+    _print_record([
+        ("n1", str(d.n1)),
+        ("n2", str(d.n2)),
+        ("type_i", _prob(oc.type_i_adjusted, fmt)),
+        ("power", _prob(oc.power_adjusted, fmt)),
+        ("en_h0", _size(oc.e_n_h0, fmt)),
+        ("pce", _prob(oc.pce_p0, fmt)),
+    ], fmt)
     return EXIT_OK
 
 
-def _print_oc(
-    design: TwoStageDesign, oc: OperatingCharacteristics, stop_possible: bool, fmt: str
-) -> None:
-    rows = [
-        ("n1", str(design.n1)),
-        ("n2", str(design.n2)),
-        ("type_i_unadjusted", _prob(oc.type_i_unadjusted, fmt)),
-        ("type_i_adjusted", _prob(oc.type_i_adjusted, fmt)),
-        ("power_unadjusted", _prob(oc.power_unadjusted, fmt)),
-        ("power_adjusted", _prob(oc.power_adjusted, fmt)),
-        ("futility_erased_type_i", _prob(oc.futility_erased_type_i, fmt)),
-        ("futility_erased_power", _prob(oc.futility_erased_power, fmt)),
+_OC_RATES = (
+    "type_i_unadjusted", "type_i_adjusted", "power_unadjusted", "power_adjusted",
+    "futility_erased_type_i", "futility_erased_power",
+)
+
+
+def cmd_oc(config: RunConfig, args: argparse.Namespace) -> int:
+    n1, n2, fmt = args.n1, args.n2, args.format
+    if not 1 <= n1 < n2 <= config.n_max:
+        return _fail(
+            f"usage error: need 1 <= n1 < n2 <= n_max, got n1={n1}, n2={n2}, "
+            f"n_max={config.n_max}"
+        )
+    grid = DesignGrid((n1, n2), *_model(config))
+    oc = grid.oc(n1, n2)
+    rows = [("n1", str(n1)), ("n2", str(n2))]
+    rows += [(name, _prob(getattr(oc, name), fmt)) for name in _OC_RATES]
+    rows += [
         ("pce", _prob(oc.pce_p0, fmt)),
         ("en_h0", _size(oc.e_n_h0, fmt)),
         ("en_h1", _size(oc.e_n_h1, fmt)),
-        ("branch_h0_efficacy", _prob(oc.branch_h0.efficacy, fmt)),
-        ("branch_h0_indecisive", _prob(oc.branch_h0.indecisive, fmt)),
-        ("branch_h0_futility", _prob(oc.branch_h0.futility, fmt)),
-        ("branch_h1_efficacy", _prob(oc.branch_h1.efficacy, fmt)),
-        ("branch_h1_indecisive", _prob(oc.branch_h1.indecisive, fmt)),
-        ("branch_h1_futility", _prob(oc.branch_h1.futility, fmt)),
     ]
-    if not stop_possible:
+    rows += [
+        (f"branch_{h}_{branch}", _prob(getattr(getattr(oc, f"branch_{h}"), branch), fmt))
+        for h in ("h0", "h1") for branch in ("efficacy", "indecisive", "futility")
+    ]
+    # without a futility count at n1 the interim look can never stop the trial
+    if grid.y_fut[n1] is None:
         rows.append(("interim_stop_possible", "false"))
     if fmt == "csv":
-        print(",".join(name for name, _ in rows))
-        print(",".join(value for _, value in rows))
+        _print_record(rows, fmt)
     else:
         width = max(len(name) for name, _ in rows)
         for name, value in rows:
             print(f"{name.ljust(width)}  {value}")
-
-
-def cmd_oc(config: RunConfig, n1: int, n2: int, fmt: str) -> int:
-    if not 1 <= n1 < n2 <= config.n_max:
-        print(
-            f"usage error: need 1 <= n1 < n2 <= n_max, got n1={n1}, n2={n2}, "
-            f"n_max={config.n_max}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    design = TwoStageDesign(n1, n2, config.k, config.k_f)
-    grid = DesignGrid(
-        (n1, n2),
-        config.k,
-        config.k_f,
-        config.hypotheses(),
-        config.analysis_prior(),
-        config.power_prior,
-    )
-    # without a futility count at n1 the interim look can never stop the trial
-    stop_possible = grid.y_fut[n1] is not None
-    _print_oc(design, grid.oc(n1, n2), stop_possible, fmt)
     return EXIT_OK
 
 
-def cmd_scan(config: RunConfig, n2: int) -> int:
+def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
+    n2 = args.n2
     if not 1 <= n2 <= config.n_max:
-        print(
-            f"usage error: need 1 <= n2 <= n_max, got n2={n2}, n_max={config.n_max}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    rows = scan(
-        n2,
-        config.constraints(),
-        config.k,
-        config.k_f,
-        config.hypotheses(),
-        config.analysis_prior(),
-        config.power_prior,
-    )
+        return _fail(f"usage error: need 1 <= n2 <= n_max, got n2={n2}, n_max={config.n_max}")
     print("n1,power_adj,typeI_adj,pce,en_h0,feasible")
-    for row in rows:
+    for row in scan(n2, config.constraints(), *_model(config)):
         print(
             f"{row.n1},{row.power_adjusted:.6f},{row.type_i_adjusted:.6f},"
             f"{row.pce:.6f},{row.e_n_h0:.6f},{'true' if row.feasible else 'false'}"
@@ -153,45 +125,36 @@ def cmd_scan(config: RunConfig, n2: int) -> int:
     return EXIT_OK
 
 
-def _print_simon(label: str, design: SimonDesign, fmt: str) -> None:
-    fields = [
-        ("design", label),
-        ("r1", str(design.r1)),
-        ("n1", str(design.n1)),
-        ("r", str(design.r)),
-        ("n2", str(design.n2)),
-        ("type_i", _prob(design.alpha_attained, fmt)),
-        ("power", _prob(design.power_attained, fmt)),
-        ("en_h0", _size(design.e_n_h0, fmt)),
-        ("pet", _prob(design.pet_p0, fmt)),
-    ]
-    if fmt == "csv":
-        print(",".join(value for _, value in fields))
-    else:
-        print("  ".join(f"{name}={value}" for name, value in fields))
-
-
-def cmd_simon(config: RunConfig, fmt: str) -> int:
+def cmd_simon(config: RunConfig, args: argparse.Namespace) -> int:
     if not isinstance(config.power_prior, PointMass):
-        print(
+        return _fail(
             "usage error: the Simon search requires a point alternative "
-            "(power_prior = point <p1>)",
-            file=sys.stderr,
+            "(power_prior = point <p1>)"
         )
-        return EXIT_CONFIG
     result = simon_search(
         config.p0, config.power_prior.p, config.alpha, config.beta, config.n_max
     )
     if result is None:
-        print(
-            f"no feasible Simon design with n2 <= {config.n_max}", file=sys.stderr
-        )
-        return EXIT_INFEASIBLE
-    optimal, minimax = result
+        return _fail(f"no feasible Simon design with n2 <= {config.n_max}", EXIT_INFEASIBLE)
+    fmt = args.format
     if fmt == "csv":
         print("design,r1,n1,r,n2,type_i,power,en_h0,pet")
-    _print_simon("optimal", optimal, fmt)
-    _print_simon("minimax", minimax, fmt)
+    for label, d in zip(("optimal", "minimax"), result):
+        fields = [
+            ("design", label),
+            ("r1", str(d.r1)),
+            ("n1", str(d.n1)),
+            ("r", str(d.r)),
+            ("n2", str(d.n2)),
+            ("type_i", _prob(d.alpha_attained, fmt)),
+            ("power", _prob(d.power_attained, fmt)),
+            ("en_h0", _size(d.e_n_h0, fmt)),
+            ("pet", _prob(d.pet_p0, fmt)),
+        ]
+        if fmt == "csv":
+            print(",".join(value for _, value in fields))
+        else:
+            print("  ".join(f"{name}={value}" for name, value in fields))
     return EXIT_OK
 
 
@@ -202,53 +165,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_format: bool = True) -> None:
+    def command(
+        name: str, handler, summary: str, with_format: bool = True
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, format=None)
         p.add_argument("--config", required=True, help="path to a key = value config file")
         if with_format:
             p.add_argument(
                 "--format",
                 choices=("table", "csv"),
-                default=None,
                 help="output format (defaults to the config's output_format)",
             )
+        return p
 
-    add_common(sub.add_parser("calibrate", help="search for the optimal two-stage design"))
-
-    oc = sub.add_parser("oc", help="operating characteristics of a fixed design")
-    add_common(oc)
+    command("calibrate", cmd_calibrate, "search for the optimal two-stage design")
+    oc = command("oc", cmd_oc, "operating characteristics of a fixed design")
     oc.add_argument("--n1", type=int, required=True, help="interim sample size")
     oc.add_argument("--n2", type=int, required=True, help="final sample size")
-
-    scan_p = sub.add_parser("scan", help="sweep the interim size at a fixed final size (CSV)")
-    add_common(scan_p, with_format=False)
+    scan_p = command(
+        "scan", cmd_scan, "sweep the interim size at a fixed final size (CSV)", with_format=False
+    )
     scan_p.add_argument("--n2", type=int, required=True, help="final sample size")
-
-    add_common(sub.add_parser("simon", help="classical optimal/minimax two-stage search"))
+    command("simon", cmd_simon, "classical optimal/minimax two-stage search")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(f"config error: {exc}")
     except OSError as exc:
-        print(f"config error: cannot read '{args.config}': {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    fmt = getattr(args, "format", None) or config.output_format
-
-    if args.command == "calibrate":
-        return cmd_calibrate(config, fmt)
-    if args.command == "oc":
-        return cmd_oc(config, args.n1, args.n2, fmt)
-    if args.command == "scan":
-        return cmd_scan(config, args.n2)
-    if args.command == "simon":
-        return cmd_simon(config, fmt)
-    raise AssertionError(f"unhandled command {args.command}")
+        return _fail(f"config error: cannot read '{args.config}': {exc}")
+    args.format = args.format or config.output_format
+    return args.handler(config, args)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """The paired-run summary of tools/bench_pairs.py, on synthetic run entries."""
 
 import importlib.util
+import json
 import os
 import subprocess
 
@@ -76,4 +77,67 @@ def test_summary_gain_needs_pairs_spread_and_no_more_failures(bench_pairs):
     assert verdicts(bench_pairs.summary("w", runs(parent, far), BOUNDS))["solve_s"] == "gain"
     text = bench_pairs.summary("w", runs(parent, far, failed_change=2), BOUNDS)
     assert verdicts(text)["solve_s"] == "within bound"
+    assert "failed runs parent 0 change 2" in text
+
+
+def test_failed_run_is_kept_and_the_campaign_goes_on(bench_pairs, tmp_path, monkeypatch):
+    # the change side exits 1 in pair 7; its entry keeps the exit code and
+    # the stderr tail, the other 19 runs still land in the file, and the
+    # summary counts the failure instead of comparing its pair
+    roots = {side: tmp_path / side for side in ("parent", "change")}
+    for root in roots.values():
+        root.mkdir()
+    benchmark = {
+        "run_seconds": 1,
+        "workloads": [{"name": "simon"}],
+        "end_to_end": [{"name": name, "bound": bound} for name, bound in BOUNDS.items()],
+    }
+    (roots["change"] / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    stderr = "x" * 3000 + "RuntimeError: the speed probe took no sample\n"
+    calls = []
+
+    def fake_run(command, cwd=None, **kwargs):
+        if command[0] == "git":
+            return subprocess.CompletedProcess(command, 128, "", "")
+        side = os.path.basename(cwd)
+        calls.append(side)
+        if len(calls) == 14:  # pair 7 runs the parent first, then the change
+            return subprocess.CompletedProcess(command, 1, "", stderr)
+        value = 1.0 if side == "parent" else 0.5
+        result = {
+            "correct": True, "attempted": 10, "failed": 0,
+            "metrics": {name: {"value": value} for name in BOUNDS},
+        }
+        return subprocess.CompletedProcess(command, 0, "log\n" + json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "machine", dict)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+            "--pr", "1", "--note", "test", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    runs = json.loads(out.read_text())["workloads"]["simon"]["runs"]
+    assert len(runs) == 20 and len(calls) == 20
+    broken = [r for r in runs if not r["correct"]]
+    assert broken == [{
+        "pair": 7, "seed": bench_pairs.SEED, "side": "change", "ran_first": "parent",
+        "exit_code": 1, "stderr": stderr[-2000:], "correct": False,
+    }]
+    text = bench_pairs.summary("simon", runs, BOUNDS)
+    # lower in the nine pairs it finished, beyond the spread, but with one
+    # more failed run than the parent: no gain
+    assert verdicts(text) == dict.fromkeys(BOUNDS, "within bound")
+    assert "change lower in 9 of 10 pairs" in text
+    assert "failed runs parent 0 change 1" in text
+
+
+def test_summary_without_enough_measured_runs(bench_pairs):
+    entries = runs([(1.0, 1.0, 30.0)] * 3, [(1.0, 1.0, 30.0)] * 3)
+    for entry in entries:
+        if entry["side"] == "change" and entry["pair"] > 1:
+            for metric in BOUNDS:
+                del entry[metric]
+            entry.update(correct=False, exit_code=1, stderr="")
+    text = bench_pairs.summary("w", entries, BOUNDS)
+    assert verdicts(text) == dict.fromkeys(BOUNDS, "no verdict")
     assert "failed runs parent 0 change 2" in text

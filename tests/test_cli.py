@@ -28,6 +28,11 @@ n_max = 40
 window = 10
 """
 
+# at n1 = 1 no count reaches k_f, so the interim look cannot stop
+NO_STOP = (
+    "p0=0.3\nalpha=0.1\nbeta=0.2\npower_prior=point 0.5\nk=1/3\nk_f=100\nn_min=1\nn_max=20\n"
+)
+
 EXAMPLE2_PCE = """
 p0 = 0.2
 alpha = 0.1
@@ -201,10 +206,7 @@ def test_oc_toy_design_matches_enumeration(tmp_path, capsys):
 
 def test_oc_unreachable_futility_flagged(tmp_path, capsys):
     path = tmp_path / "nofut.cfg"
-    path.write_text(
-        "p0=0.3\nalpha=0.1\nbeta=0.2\npower_prior=point 0.5\nk=1/3\nk_f=100\n"
-        "n_min=1\nn_max=20\n"
-    )
+    path.write_text(NO_STOP)
     assert main(["oc", "--config", str(path), "--n1", "1", "--n2", "12"]) == 0
     out = capsys.readouterr().out
     report = {line.split()[0]: line.split()[1] for line in out.strip().splitlines()}
@@ -332,6 +334,178 @@ def test_golden_cli_bytes(golden, monkeypatch, capsys):
     assert main(golden["argv"]) == golden["exit_code"]
     want = (GOLDEN_DIR / golden["stdout"]).read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == want
+
+
+# Configs for the pinned bytes below: "narrow.cfg" has no design with
+# n2 <= 8, and "short_simon.cfg" no Simon design with n2 <= 8.
+PIN_CONFIGS = {
+    "no_stop.cfg": NO_STOP,
+    "narrow.cfg": "p0=0.2\nalpha=0.1\nbeta=0.1\npower_prior=point 0.4\nf=0.6\n"
+    "k=1/3\nk_f=80\nn_min=5\nn_max=8\n",
+    "short_simon.cfg": "p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\nn_max=8\n",
+    "beta_alternative.cfg": "p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=beta 1 1\nn_max=40\n",
+    "zero_alpha.cfg": "p0=0.1\nalpha=0\nbeta=0.2\npower_prior=point 0.3\n",
+}
+OC_HEADER = (
+    "n1,n2,type_i_unadjusted,type_i_adjusted,power_unadjusted,power_adjusted,"
+    "futility_erased_type_i,futility_erased_power,pce,en_h0,en_h1,branch_h0_efficacy,"
+    "branch_h0_indecisive,branch_h0_futility,branch_h1_efficacy,branch_h1_indecisive,"
+    "branch_h1_futility"
+)
+# (argv, exit code, stdout, stderr), run from a directory that holds
+# PIN_CONFIGS and a copy of configs/example1.cfg
+PINNED_RUNS = {
+    "calibrate-csv": (
+        ["calibrate", "--config", "example1.cfg", "--format", "csv"], 0,
+        "n1,n2,type_i,power,en_h0,pce\n10,29,0.047086,0.805063,15.014120,0.736099\n", "",
+    ),
+    "oc-csv": (
+        ["oc", "--config", "example1.cfg", "--n1", "10", "--n2", "29", "--format", "csv"], 0,
+        OC_HEADER + "\n10,29,0.063717,0.047086,0.906820,0.805063,0.016631,0.101757,"
+        "0.736099,15.014120,26.163141,0.070191,0.193710,0.736099,0.617217,0.233474,"
+        "0.149308\n",
+        "",
+    ),
+    "simon-csv": (
+        ["simon", "--config", "example1.cfg", "--format", "csv"], 0,
+        "design,r1,n1,r,n2,type_i,power,en_h0,pet\n"
+        "optimal,1,10,5,29,0.047086,0.805063,15.014120,0.736099\n"
+        "minimax,1,15,5,25,0.032809,0.801701,19.509570,0.549043\n",
+        "",
+    ),
+    "oc-no-stop-table": (
+        ["oc", "--config", "no_stop.cfg", "--n1", "1", "--n2", "12"], 0,
+        "n1                      1\n"
+        "n2                      12\n"
+        "type_i_unadjusted       0.1178\n"
+        "type_i_adjusted         0.1178\n"
+        "power_unadjusted        0.6128\n"
+        "power_adjusted          0.6128\n"
+        "futility_erased_type_i  0.0000\n"
+        "futility_erased_power   0.0000\n"
+        "pce                     0.0000\n"
+        "en_h0                   12.00\n"
+        "en_h1                   12.00\n"
+        "branch_h0_efficacy      0.3000\n"
+        "branch_h0_indecisive    0.7000\n"
+        "branch_h0_futility      0.0000\n"
+        "branch_h1_efficacy      0.5000\n"
+        "branch_h1_indecisive    0.5000\n"
+        "branch_h1_futility      0.0000\n"
+        "interim_stop_possible   false\n",
+        "",
+    ),
+    "oc-no-stop-csv": (
+        ["oc", "--config", "no_stop.cfg", "--n1", "1", "--n2", "12", "--format", "csv"], 0,
+        OC_HEADER + ",interim_stop_possible\n1,12,0.117849,0.117849,0.612793,0.612793,"
+        "0.000000,0.000000,0.000000,12.000000,12.000000,0.300000,0.700000,0.000000,"
+        "0.500000,0.500000,0.000000,false\n",
+        "",
+    ),
+    "calibrate-infeasible": (
+        ["calibrate", "--config", "narrow.cfg"], 3, "",
+        "no feasible design: the constraints cannot be calibrated for this choice of "
+        "thresholds (k, k_f) with n2 <= 8\n",
+    ),
+    "simon-infeasible": (
+        ["simon", "--config", "short_simon.cfg"], 3, "",
+        "no feasible Simon design with n2 <= 8\n",
+    ),
+    "oc-sizes-out-of-order": (
+        ["oc", "--config", "example1.cfg", "--n1", "29", "--n2", "10"], 2, "",
+        "usage error: need 1 <= n1 < n2 <= n_max, got n1=29, n2=10, n_max=40\n",
+    ),
+    "scan-size-below-one": (
+        ["scan", "--config", "example1.cfg", "--n2", "0"], 2, "",
+        "usage error: need 1 <= n2 <= n_max, got n2=0, n_max=40\n",
+    ),
+    "simon-beta-alternative": (
+        ["simon", "--config", "beta_alternative.cfg"], 2, "",
+        "usage error: the Simon search requires a point alternative "
+        "(power_prior = point <p1>)\n",
+    ),
+    "config-error": (
+        ["calibrate", "--config", "zero_alpha.cfg"], 2, "",
+        "config error: config field 'alpha': must lie in (0, 1), got 0.0\n",
+    ),
+    "config-unreadable": (
+        ["calibrate", "--config", "missing.cfg"], 2, "",
+        "config error: cannot read 'missing.cfg': [Errno 2] No such file or directory: "
+        "'missing.cfg'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_pinned_cli_bytes(name, tmp_path, monkeypatch, capsys):
+    # formats, flags and error lines the shipped goldens do not cover
+    for file_name, text in PIN_CONFIGS.items():
+        (tmp_path / file_name).write_text(text)
+    (tmp_path / "example1.cfg").write_bytes((REPO_ROOT / "configs" / "example1.cfg").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    argv, code, out, err = PINNED_RUNS[name]
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+FORMAT_HELP = "  --format {table,csv}  output format (defaults to the config's output_format)\n"
+PINNED_HELP = {
+    "bfdesign": (
+        [],
+        "usage: bfdesign [-h] {calibrate,oc,scan,simon} ...\n\n"
+        "Exact two-stage Bayes factor trial designs with binary endpoints\n\n"
+        "positional arguments:\n"
+        "  {calibrate,oc,scan,simon}\n"
+        "    calibrate           search for the optimal two-stage design\n"
+        "    oc                  operating characteristics of a fixed design\n"
+        "    scan                sweep the interim size at a fixed final size (CSV)\n"
+        "    simon               classical optimal/minimax two-stage search\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+    ),
+    "calibrate": (
+        ["calibrate"],
+        "usage: bfdesign calibrate [-h] --config CONFIG [--format {table,csv}]\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --config CONFIG       path to a key = value config file\n" + FORMAT_HELP,
+    ),
+    "oc": (
+        ["oc"],
+        "usage: bfdesign oc [-h] --config CONFIG [--format {table,csv}] --n1 N1 --n2 N2\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --config CONFIG       path to a key = value config file\n" + FORMAT_HELP
+        + "  --n1 N1               interim sample size\n"
+        "  --n2 N2               final sample size\n",
+    ),
+    "scan": (
+        ["scan"],
+        "usage: bfdesign scan [-h] --config CONFIG --n2 N2\n\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --config CONFIG  path to a key = value config file\n"
+        "  --n2 N2          final sample size\n",
+    ),
+    "simon": (
+        ["simon"],
+        "usage: bfdesign simon [-h] --config CONFIG [--format {table,csv}]\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --config CONFIG       path to a key = value config file\n" + FORMAT_HELP,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HELP))
+def test_pinned_help_text(name, monkeypatch, capsys):
+    # argparse wraps at the terminal width, so fix it
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, want = PINNED_HELP[name]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (want, "")
 
 
 # Fuzzed config values: plain settings per key, and the wild values that

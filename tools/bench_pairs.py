@@ -10,8 +10,10 @@ Every workload named in the change checkout's ``BENCHMARK.json`` gets
 ``bench/run.py --workload W --seed 9 --seconds T --trace 0``, with T the
 file's ``run_seconds``, once from the root of each checkout, one after the
 other; the parent goes first in odd pairs and the change first in even
-pairs, so a drift of the machine's speed during a pair favors neither side.  Every run's last stdout
-line (the harness's JSON result) is kept as one entry of ``runs``.  A summary
+pairs, so a drift of the machine's speed during a pair favors neither side.
+Every run's last stdout line (the harness's JSON result) is kept as one
+entry of ``runs``; a run that exits nonzero is kept as a failed entry with
+its exit code and the tail of its stderr, and the campaign goes on.  A summary
 is printed to stdout: per metric, the medians, the pairs the change wins,
 the parent's quartile spread, each side's failed runs and a verdict against
 the metric's ``bound`` in ``BENCHMARK.json`` (see ``summary``).
@@ -67,7 +69,13 @@ def machine() -> dict:
 
 
 def run_once(root: str, workload: str, seconds: float) -> dict:
-    """One harness run from the root of a checkout: its JSON result line."""
+    """One harness run from the root of a checkout, as the fields of its ``runs`` entry.
+
+    A run that exits 0 gives ``correct``, ``attempted``, ``failed`` and each
+    of ``METRICS`` from its last stdout line (the harness's JSON result).
+    Any other run gives its ``exit_code``, the last 2000 characters of its
+    stderr and ``correct`` false, and no metrics.
+    """
     command = [
         sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
         "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0",
@@ -75,8 +83,11 @@ def run_once(root: str, workload: str, seconds: float) -> dict:
     done = subprocess.run(command, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        raise RuntimeError(f"{root}: {workload} failed:\n{done.stderr[-2000:]}")
-    return json.loads(lines[-1])
+        return {"exit_code": done.returncode, "stderr": done.stderr[-2000:], "correct": False}
+    result = json.loads(lines[-1])
+    fields = {key: result[key] for key in ("correct", "attempted", "failed")}
+    fields.update({m: result["metrics"][m]["value"] for m in METRICS})
+    return fields
 
 
 def run_pairs(roots: dict, workload: str, seconds: float) -> list:
@@ -84,17 +95,8 @@ def run_pairs(roots: dict, workload: str, seconds: float) -> list:
     for pair in range(1, PAIRS + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            result = run_once(roots[side], workload, seconds)
-            entry = {
-                "pair": pair,
-                "seed": SEED,
-                "side": side,
-                "ran_first": order[0],
-                "correct": result["correct"],
-                "attempted": result["attempted"],
-                "failed": result["failed"],
-            }
-            entry.update({m: result["metrics"][m]["value"] for m in METRICS})
+            entry = {"pair": pair, "seed": SEED, "side": side, "ran_first": order[0]}
+            entry.update(run_once(roots[side], workload, seconds))
             runs.append(entry)
             print(json.dumps(entry), file=sys.stderr, flush=True)
     return runs
@@ -103,25 +105,38 @@ def run_pairs(roots: dict, workload: str, seconds: float) -> list:
 def summary(workload: str, runs: list, bounds: dict) -> str:
     """One line per metric: medians, pairs won, the parent's spread, failed runs, verdict.
 
-    The spread is the distance between the quartiles of the parent's runs; a
-    run failed when it is not correct or any operation in it failed.  The
-    verdict is ``gain`` when the change is lower in at least nine tenths of
-    the pairs, its median is below the parent's by more than the spread and
-    no more of its runs failed; ``within bound`` when its median exceeds the
-    parent's by at most ``bounds[metric]`` of it; ``worse`` otherwise.
+    A run failed when it is not correct or any operation in it failed; a run
+    that exited nonzero has no metrics, so it is left out of the medians and
+    the spread, and its pair counts as not won.  Runs are matched by their
+    ``pair`` number.  The spread is the distance between the quartiles of the
+    parent's runs.  The verdict is ``gain`` when the change is lower in at
+    least nine tenths of the pairs, its median is below the parent's by more
+    than the spread and no more of its runs failed; ``within bound`` when its
+    median exceeds the parent's by at most ``bounds[metric]`` of it; ``worse``
+    otherwise, and ``no verdict`` when a side has fewer than two measured runs.
     """
+    sides = ("parent", "change")
     failed = {
-        s: sum(bool(r["failed"]) or not r["correct"] for r in runs if r["side"] == s)
-        for s in ("parent", "change")
+        s: sum(not r["correct"] or bool(r["failed"]) for r in runs if r["side"] == s)
+        for s in sides
     }
+    pairs = len({r["pair"] for r in runs})
     lines = []
     for metric in METRICS:
-        side = {s: [r[metric] for r in runs if r["side"] == s] for s in ("parent", "change")}
-        parent, change = statistics.median(side["parent"]), statistics.median(side["change"])
-        low, _, high = statistics.quantiles(side["parent"], n=4)
-        wins = sum(c < p for p, c in zip(side["parent"], side["change"]))
+        side = {s: {r["pair"]: r[metric] for r in runs if r["side"] == s and metric in r}
+                for s in sides}
+        tally = f"failed runs parent {failed['parent']} change {failed['change']}"
+        if min(len(side[s]) for s in sides) < 2:
+            lines.append(f"{workload} {metric}: too few measured runs, {tally}: no verdict")
+            continue
+        parent = statistics.median(side["parent"].values())
+        change = statistics.median(side["change"].values())
+        low, _, high = statistics.quantiles(side["parent"].values(), n=4)
+        wins = sum(
+            p in side["parent"] and c < side["parent"][p] for p, c in side["change"].items()
+        )
         if (
-            wins >= 0.9 * len(side["change"])
+            wins >= 0.9 * pairs
             and parent - change > high - low
             and failed["change"] <= failed["parent"]
         ):
@@ -132,9 +147,8 @@ def summary(workload: str, runs: list, bounds: dict) -> str:
             verdict = "worse"
         lines.append(
             f"{workload} {metric}: parent median {parent:.4g}, change median {change:.4g}, "
-            f"change lower in {wins} of {len(side['change'])} pairs, "
-            f"parent quartile spread {high - low:.4g}, "
-            f"failed runs parent {failed['parent']} change {failed['change']}: {verdict}"
+            f"change lower in {wins} of {pairs} pairs, "
+            f"parent quartile spread {high - low:.4g}, {tally}: {verdict}"
         )
     return "\n".join(lines)
 
