@@ -26,7 +26,6 @@ from .operating import (
     BranchProbabilities,
     OperatingCharacteristics,
     TwoStageDesign,
-    enumerate_oracle,
     evaluate,
 )
 from .predictive import (
@@ -55,7 +54,6 @@ __all__ = [
     "calibrate",
     "critical_efficacy",
     "critical_futility",
-    "enumerate_oracle",
     "evaluate",
     "joint_predictive_matrix",
     "optimal_calibrate",

@@ -197,7 +197,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = load_config(args.config)
     except ConfigError as exc:
         return _fail(f"config error: {exc}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"config error: cannot read '{args.config}': {exc}")
     args.format = args.format or config.output_format
     return args.handler(config, args)

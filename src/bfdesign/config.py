@@ -182,5 +182,5 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_config(handle.read(), source=path)

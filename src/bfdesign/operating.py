@@ -31,18 +31,12 @@ sizes of a final size (`erased_mass_column`), with no two-batch joint table.
 
 `DesignGrid` is the one closed-form route from a design to its operating
 characteristics.  It tables the critical counts and branch masses of each
-size once and adds the erased masses one final size at a time.  It tables
-a block of consecutive sizes in one vectorized pass per prior: one log
-predictive block per distinct prior, whose rows have the bits of each size
-alone (see `special`), one log BF01 block for the critical counts, and one
-`split_branches` per size on its own row.  The searches table a block of
-sizes as their walk reaches it; `evaluate` builds the grid over a design's
-two sizes, two one-row blocks, and reads it at (n1, n2).
+size once, a block of consecutive sizes per vectorized pass (see its
+docstring), and adds the erased masses one final size at a time.  The
+searches table a block of sizes as their walk reaches it; `evaluate` builds
+the grid over a design's two sizes and reads it at (n1, n2).
 
-The two-batch joint table is the oracle's alone.  `enumerate_oracle`
-classifies all its (y1, y2) cells at once by direct Bayes factor
-comparisons, as boolean masks over the table, and never touches critical
-values; it serves as an independent check of the same quantities.
+`bfdesign.oracle` checks all of this by enumerating every sample path.
 """
 
 from __future__ import annotations
@@ -60,9 +54,8 @@ from .bayesfactor import (
     check_size,
     check_thresholds,
     critical_counts,
-    log_bf01_curve,
 )
-from .predictive import joint_predictive_matrix, log_predictive_rows
+from .predictive import log_predictive_rows
 from .priors import DesignPrior, ParameterError, PointMass
 from .special import _BLOCK, log_factorials
 
@@ -270,10 +263,10 @@ class DesignGrid:
     ) -> None:
         check_thresholds(k, k_f)
         _check_regions(hyp, ap)
-        self.k, self.k_f, self.hyp, self.ap = k, k_f, hyp, ap
+        self.k, self.k_f, self.ap = k, k_f, ap
         self.power_prior = power_prior
-        self.null_prior = null_prior if null_prior is not None else PointMass(hyp.p0)
         point_null = PointMass(hyp.p0)
+        self.null_prior = null_prior if null_prior is not None else point_null
         # the last prior tabled is always the point null at p0, behind pce
         self._priors = (power_prior, self.null_prior)
         if self.null_prior != point_null:
@@ -405,74 +398,3 @@ def evaluate(
     grid = DesignGrid((n1, n2), design.k, design.k_f, hyp, ap, power_prior, null_prior)
     return grid.oc(n1, n2)
 
-
-def _enumerate_side(
-    design: TwoStageDesign, log_bf1: np.ndarray, log_bf2: np.ndarray, prior: DesignPrior
-) -> tuple[float, float, float, BranchProbabilities]:
-    """Unadjusted, erased and adjusted rejection mass and the interim branches.
-
-    Every cell (y1, y2) of the joint predictive table under prior is
-    classified by direct Bayes factor comparisons at the interim and final
-    sizes; no critical values and no rectangle algebra are involved.  The
-    adjusted mass is summed over its own cells, not taken as unadjusted -
-    erased, so it checks `checked_adjusted` independently.
-    """
-    n1, m = design.n1, design.n2 - design.n1
-    log_k = math.log(design.k)
-    joint = joint_predictive_matrix(n1, m, prior)
-    efficacy = log_bf1 < log_k
-    stops = log_bf1 > math.log(design.k_f)
-    reject = log_bf2[np.add.outer(np.arange(n1 + 1), np.arange(m + 1))] < log_k
-    rows = joint.sum(axis=1)
-    return (
-        float(joint[reject].sum()),
-        float(joint[reject & stops[:, None]].sum()),
-        float(joint[reject & ~stops[:, None]].sum()),
-        BranchProbabilities(
-            float(rows[efficacy].sum()),
-            float(rows[~efficacy & ~stops].sum()),
-            float(rows[stops].sum()),
-        ),
-    )
-
-
-def enumerate_oracle(
-    design: TwoStageDesign,
-    hyp: Hypotheses,
-    ap: AnalysisPrior,
-    power_prior: DesignPrior,
-    null_prior: Optional[DesignPrior] = None,
-) -> OperatingCharacteristics:
-    """Full operating characteristics by brute-force enumeration of all paths.
-
-    The independent oracle the closed form is tested against.  The null
-    design prior defaults to a point mass at p0, whose interim futility mass
-    is also the PCE.
-    """
-    n1, n2 = design.n1, design.n2
-    point_null = PointMass(hyp.p0)
-    if null_prior is None:
-        null_prior = point_null
-    curves = (log_bf01_curve(n1, hyp, ap), log_bf01_curve(n2, hyp, ap))
-    type_i, erased_type_i, type_i_adjusted, branch_h0 = _enumerate_side(
-        design, *curves, null_prior
-    )
-    power, erased_power, power_adjusted, branch_h1 = _enumerate_side(
-        design, *curves, power_prior
-    )
-    pce = branch_h0.futility
-    if null_prior != point_null:
-        pce = _enumerate_side(design, *curves, point_null)[-1].futility
-    return OperatingCharacteristics(
-        type_i_unadjusted=type_i,
-        type_i_adjusted=type_i_adjusted,
-        power_unadjusted=power,
-        power_adjusted=power_adjusted,
-        futility_erased_power=erased_power,
-        futility_erased_type_i=erased_type_i,
-        pce_p0=pce,
-        e_n_h0=expected_size(n1, n2, branch_h0.futility),
-        e_n_h1=expected_size(n1, n2, branch_h1.futility),
-        branch_h0=branch_h0,
-        branch_h1=branch_h1,
-    )

@@ -7,12 +7,11 @@ incomplete-beta masses:
     P(Y = y) = C(n, y) * B(a+y, b+n-y) * M(a+y, b+n-y) / (B(a, b) * M(a, b))
 
 where M(p, q) is the Beta(p, q) probability mass on the truncation interval
-[l, u].  The same kernel serves two further purposes.  Under a region prior
-of the analysis (a Beta truncated to [0, p0] or [p0, 1]) it is the marginal
-likelihood behind the Bayes factor, so BF01 is the difference of two log
-predictive pmfs.  Evaluated at the pooled success count, it yields the joint
-law of the two batch counts of a split sample, because both batches share
-one latent success probability.
+[l, u].  Under a region prior of the analysis (a Beta truncated to [0, p0]
+or [p0, 1]) the same kernel is the marginal likelihood behind the Bayes
+factor, so BF01 is the difference of two log predictive pmfs.  The joint law
+of the two batch counts of a split sample, `joint_predictive_matrix`, serves
+the path oracle in `bfdesign.oracle`.
 
 All evaluation is in log space with a single final exponentiation.  Each
 product B(p, q) * M(p, q) is the integral of t^(p-1) (1-t)^(q-1) over
@@ -67,8 +66,7 @@ def joint_predictive_matrix(n1: int, m: int, prior: DesignPrior) -> np.ndarray:
     Entry [y1, y2] is the probability of y1 successes in the first batch of
     n1 trials and y2 in the second batch of m trials, with the success
     probability shared between batches.  Under a point mass the batches are
-    independent and the matrix is an outer product of binomial pmfs.  Only
-    the path oracle needs it.
+    independent and the matrix is an outer product of binomial pmfs.
     """
     check_size("n1", n1)
     check_size("m", m)

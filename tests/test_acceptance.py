@@ -20,7 +20,6 @@ from bfdesign import (
     TruncatedBeta,
     TwoStageDesign,
     base_sample_size,
-    enumerate_oracle,
     evaluate,
     joint_predictive_matrix,
     optimal_calibrate,
@@ -29,6 +28,7 @@ from bfdesign import (
     simon_search,
 )
 from bfdesign.bayesfactor import log_bf01_curve
+from bfdesign.oracle import enumerate_oracle
 
 
 def _passed(number, message):

@@ -337,7 +337,8 @@ def test_golden_cli_bytes(golden, monkeypatch, capsys):
 
 
 # Configs for the pinned bytes below: "narrow.cfg" has no design with
-# n2 <= 8, and "short_simon.cfg" no Simon design with n2 <= 8.
+# n2 <= 8, "short_simon.cfg" no Simon design with n2 <= 8, "latin1.cfg" is
+# not UTF-8 and "bom.cfg" is example1 saved with a UTF-8 byte order mark.
 PIN_CONFIGS = {
     "no_stop.cfg": NO_STOP,
     "narrow.cfg": "p0=0.2\nalpha=0.1\nbeta=0.1\npower_prior=point 0.4\nf=0.6\n"
@@ -345,6 +346,8 @@ PIN_CONFIGS = {
     "short_simon.cfg": "p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\nn_max=8\n",
     "beta_alternative.cfg": "p0=0.1\nalpha=0.05\nbeta=0.2\npower_prior=beta 1 1\nn_max=40\n",
     "zero_alpha.cfg": "p0=0.1\nalpha=0\nbeta=0.2\npower_prior=point 0.3\n",
+    "latin1.cfg": b"p0 = 0.1\xff\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\n",
+    "bom.cfg": b"\xef\xbb\xbf" + (REPO_ROOT / "configs" / "example1.cfg").read_bytes(),
 }
 OC_HEADER = (
     "n1,n2,type_i_unadjusted,type_i_adjusted,power_unadjusted,power_adjusted,"
@@ -428,6 +431,15 @@ PINNED_RUNS = {
         ["calibrate", "--config", "zero_alpha.cfg"], 2, "",
         "config error: config field 'alpha': must lie in (0, 1), got 0.0\n",
     ),
+    "config-undecodable": (
+        ["calibrate", "--config", "latin1.cfg"], 2, "",
+        "config error: cannot read 'latin1.cfg': 'utf-8' codec can't decode byte 0xff "
+        "in position 8: invalid start byte\n",
+    ),
+    "calibrate-bom": (
+        ["calibrate", "--config", "bom.cfg", "--format", "csv"], 0,
+        "n1,n2,type_i,power,en_h0,pce\n10,29,0.047086,0.805063,15.014120,0.736099\n", "",
+    ),
     "config-unreadable": (
         ["calibrate", "--config", "missing.cfg"], 2, "",
         "config error: cannot read 'missing.cfg': [Errno 2] No such file or directory: "
@@ -440,7 +452,7 @@ PINNED_RUNS = {
 def test_pinned_cli_bytes(name, tmp_path, monkeypatch, capsys):
     # formats, flags and error lines the shipped goldens do not cover
     for file_name, text in PIN_CONFIGS.items():
-        (tmp_path / file_name).write_text(text)
+        (tmp_path / file_name).write_bytes(text if isinstance(text, bytes) else text.encode())
     (tmp_path / "example1.cfg").write_bytes((REPO_ROOT / "configs" / "example1.cfg").read_bytes())
     monkeypatch.chdir(tmp_path)
     argv, code, out, err = PINNED_RUNS[name]

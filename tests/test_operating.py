@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bfdesign.operating
+import bfdesign.oracle
 from bfdesign import (
     AnalysisPrior,
     CalibrationConstraints,
@@ -18,13 +19,13 @@ from bfdesign import (
     TwoStageDesign,
     critical_efficacy,
     critical_futility,
-    enumerate_oracle,
     evaluate,
     optimal_calibrate,
     predictive_vector,
 )
 from bfdesign.bayesfactor import ParameterError, log_bf01_curve
 from bfdesign.operating import DesignGrid, erased_mass_column
+from bfdesign.oracle import enumerate_oracle
 
 FLAT01 = TruncatedBeta(1, 1, 0.0, 1.0)
 
@@ -160,7 +161,7 @@ def test_closed_form_never_builds_a_joint_matrix(monkeypatch):
     ]
     example1 = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=40)
     with monkeypatch.context() as patch:
-        patch.setattr(bfdesign.operating, "joint_predictive_matrix", refuse)
+        patch.setattr(bfdesign.oracle, "joint_predictive_matrix", refuse)
         closed = [evaluate(*args) for args in designs]
         best = optimal_calibrate(
             example1, 1 / 3, 3.0, Hypotheses(0.1), AnalysisPrior.flat(0.1), PointMass(0.3)

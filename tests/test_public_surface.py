@@ -1,6 +1,9 @@
 """The public surface: every exported name has a caller or a stated reason."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bfdesign
@@ -16,7 +19,6 @@ NO_CALLER = {
     "design grid share bayesfactor.critical_counts",
     "critical_futility": "user entry point: the futility count at one size; it and the "
     "design grid share bayesfactor.critical_counts",
-    "enumerate_oracle": "oracle: brute-force figures the closed form is checked against",
     "evaluate": "user entry point: the characteristics of one given design",
     "predictive_pmf": "user entry point: one predictive mass of the kernel",
     "simon_oc": "user entry point: characteristics of a given Simon design",
@@ -62,3 +64,30 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.name, name) for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_the_oracle_stays_off_the_import_path():
+    # a fresh interpreter, so no other test has imported the oracle yet
+    script = "import sys, bfdesign, bfdesign.cli; print('bfdesign.oracle' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
+
+
+def test_only_the_oracle_names_the_joint_matrix():
+    # predictive defines it and __init__ re-exports it; the closed form
+    # never builds the two-batch joint table
+    naming = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.FunctionDef):
+                names = {node.name}
+            else:
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if "joint_predictive_matrix" in names:
+                naming.add(path.name)
+    assert naming == {"__init__.py", "oracle.py", "predictive.py"}
