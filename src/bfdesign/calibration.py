@@ -16,18 +16,20 @@ oscillation.
 Both two-stage searches are one walk over the final sizes n2 upward, which
 returns the feasible design with the smallest (key, n2, n1); the key is read
 off the per-size tables of one `operating.DesignGrid`.  `optimal_calibrate`
-keys by E[N|H0] from the tabled stop probabilities, and `calibrate` by a
+keys by E[N|H0] from the tabled stop probabilities, formed as
+`operating.walk_key` forms it for Simon's search too, and `calibrate` by a
 constant, so the first feasible design in the order (n2, n1) wins.  The only
 per-design work is the erased mass, one vectorized call for both design
 priors for a set of interim sizes of one final size (`DesignGrid.rows`).
-Five cuts spare it without changing the answer; each is proved, with its
-margin for rounding, where it is made.  They skip:
+Five cuts spare it without changing the answer; each is proved where it is
+made.  They skip:
 
 - interim sizes that no final size can make feasible (`_can_be_feasible`);
 - final sizes whose single-look power misses, as the interim only lowers it;
 - interim sizes whose type-I floor exceeds alpha (`_type_i_floor`);
 - once a design is known, interim sizes whose key is not below its key;
-- final sizes past the incumbent's horizon (`_past_horizon`, `_horizon`).
+- once a design is known, every final size from the first at which no key
+  is below its key (`operating.walk_key`).
 
 The grid tables a block of at most `_WALK_BLOCK` consecutive sizes in one
 pass when the walk reaches an untabled size.  Once a design is known, the
@@ -51,12 +53,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .bayesfactor import AnalysisPrior, Hypotheses, ParameterError, check_size
-from .operating import DesignGrid, OperatingCharacteristics, TwoStageDesign, expected_size
+from .operating import DesignGrid, OperatingCharacteristics, TwoStageDesign, walk_key
 from .priors import DesignPrior
 
 # Most sizes the search walk tables in one block; past the walk's end they
@@ -146,24 +148,6 @@ def base_sample_size(
     return None
 
 
-def _past_horizon(keys: np.ndarray, best: float, n_max: int) -> bool:
-    """Whether no design at the current final size or later beats the key best.
-
-    keys are those of the interim sizes below the current n2 at n2, and best
-    is the key of a design with a smaller n2; a key is a constant or E[N|H0].
-    A constant key ends the walk at the first hit.  E[N|H0] =
-    n1 + (1 - p_stop)(n2 - n1) never falls as n2 grows, so the interim sizes
-    here keep keys >= best, and those added later have keys >= n1 >= n2,
-    above the incumbent's n2 >= best.  In doubles it may fall: by rounding,
-    up to 2**-52 n_max per key, and by p_stop - 1 per step where the pmf's
-    rounding leaves p_stop above 1, which it keeps far below 1e-9 (pmf
-    totals stay within about 1e-11 of 1 at n = 3000).  Every key must pass
-    best by a relative 2e-9 n_max, which covers both over the rest of the
-    walk, since E[N|H0] >= 1.
-    """
-    return bool(np.all(keys >= best * (1.0 + 2e-9 * n_max)))
-
-
 def _can_be_feasible(grid: DesignGrid, n1: np.ndarray, cons: CalibrationConstraints) -> np.ndarray:
     """Mask of the interim sizes that some final size might make feasible.
 
@@ -202,11 +186,11 @@ def _type_i_floor(grid: DesignGrid, n1: np.ndarray, n2: int) -> np.ndarray:
 def _horizon(grid: DesignGrid, n1: np.ndarray, best: float, n_max: int) -> int:
     """A final size past which none of the interim sizes n1 has a key below best.
 
-    E[N|H0] = n1 + (1 - p_stop)(n2 - n1) < best needs
+    The key n1 + (1 - p_stop)(n2 - n1) < best needs
     n2 < n1 + (best - n1) / (1 - p_stop); a size that always stops keeps
     its key n1 at every n2, so its bound is n_max.  The walk tables no
-    block past this size plus 1 and ends by `_past_horizon`, so only the
-    waste depends on the bound.
+    block past this size plus 1.  Where it ends is proved in
+    `operating.walk_key`, so only the waste depends on the bound.
     """
     if n1.size == 0:
         return 0
@@ -218,7 +202,7 @@ def _horizon(grid: DesignGrid, n1: np.ndarray, best: float, n_max: int) -> int:
 
 def _search(
     cons: CalibrationConstraints,
-    key: Callable[[DesignGrid, np.ndarray, int], np.ndarray],
+    optimal: bool,
     k: float,
     k_f: float,
     hyp: Hypotheses,
@@ -228,9 +212,9 @@ def _search(
 ) -> Optional[CalibratedDesign]:
     """Feasible design with the smallest (key, n2, n1), or None.
 
-    `key(grid, n1, n2)` reads the grid's tables for an array of interim
-    sizes; it is either a constant or E[N|H0].  The cuts and the blocks
-    tabled are those of the module docstring.
+    The key of the interim sizes n1 at n2 is `operating.walk_key` of their
+    tabled stop probabilities when optimal, else a constant.  The cuts and
+    the blocks tabled are those of the module docstring.
     """
     first = range(cons.n_min, min(cons.n_min + _WALK_BLOCK, cons.n_max + 1))
     grid = DesignGrid(first, k, k_f, hyp, ap, power_prior, null_prior)
@@ -238,10 +222,10 @@ def _search(
     for n2 in range(cons.n_min + 1, cons.n_max + 1):
         n1 = np.arange(cons.n_min, n2)
         n1 = n1[_can_be_feasible(grid, n1, cons)]
-        keys = key(grid, n1, n2)
+        keys = walk_key(n1, n2, grid.p_stop[n1]) if optimal else np.zeros(n1.size)
         if best is not None:
-            if _past_horizon(keys, best[0], cons.n_max):
-                break
+            if np.all(keys >= best[0]):
+                break  # the walk end (`operating.walk_key`)
             below = keys < best[0]
             n1, keys = n1[below], keys[below]
         if n2 not in grid.y_eff:
@@ -288,10 +272,7 @@ def calibrate(
     when no design with n2 <= n_max qualifies, and when no interim size in
     [n_min, n_max - 1] can stop for futility at k_f.
     """
-    def first(grid, n1, n2):
-        return np.zeros(n1.size)
-
-    return _search(cons, first, k, k_f, hyp, ap, power_prior, null_prior)
+    return _search(cons, False, k, k_f, hyp, ap, power_prior, null_prior)
 
 
 def optimal_calibrate(
@@ -305,17 +286,14 @@ def optimal_calibrate(
 ) -> Optional[CalibratedDesign]:
     """Feasible design minimizing the expected sample size under H0.
 
-    The search walk keyed by E[N|H0], read off the tabled stop
-    probabilities; ties go to the smaller n2, then the smaller n1.  Since
-    E[N|H0] >= n1, the key bound keeps a short prefix of interim sizes, and
-    the walk ends soon after n2 passes the optimum's E[N|H0].  None when no
-    design with n2 <= n_max is feasible, and when no interim size in
-    [n_min, n_max - 1] can stop for futility at k_f.
+    The search walk keyed by E[N|H0] as `operating.walk_key` forms it from
+    the tabled stop probabilities; ties go to the smaller n2, then the
+    smaller n1.  Since E[N|H0] >= n1, the key bound keeps a short prefix of
+    interim sizes, and the walk ends soon after n2 passes the optimum's
+    E[N|H0].  None when no design with n2 <= n_max is feasible, and when no
+    interim size in [n_min, n_max - 1] can stop for futility at k_f.
     """
-    def e_n_h0(grid, n1, n2):
-        return expected_size(n1, n2, grid.p_stop[n1])
-
-    return _search(cons, e_n_h0, k, k_f, hyp, ap, power_prior, null_prior)
+    return _search(cons, True, k, k_f, hyp, ap, power_prior, null_prior)
 
 
 def scan(

@@ -182,6 +182,21 @@ def expected_size(n1, n2, p_stop):
     return n2 - (n2 - n1) * p_stop
 
 
+def walk_key(n1, n2, p_stop):
+    """Expected enrolled size as the searches rank it, n1 + (n2 - n1) max(1 - p_stop, 0).
+
+    Both search walks, over n2 upward, key a row (n1, stop rule) by this
+    and end at the first n2 where no row's key is below the incumbent's.
+    That end is exact in doubles.  The factor max(1 - p_stop, 0) is fixed
+    per row and at least 0, and rounding is monotone, so a row's key never
+    falls as n2 grows.  A row added later has a key of at least its n1,
+    which is at least the current n2.  That is above the incumbent's n2,
+    and so above its key, since the factor is at most 1.  The reported
+    E[N|H0] keeps `expected_size`, whose bits the acceptance tests pin.
+    """
+    return n1 + (n2 - n1) * np.maximum(1.0 - p_stop, 0.0)
+
+
 def split_branches(
     pmf: np.ndarray, y_eff: Optional[int], y_fut: Optional[int]
 ) -> BranchProbabilities:
@@ -316,29 +331,13 @@ class DesignGrid:
                 row[:] = split_branches(pmfs[prior][i, : n + 1], y_eff[i], y_fut[i])
         self._latest = (int(sizes[0]), pmfs[self.power_prior], pmfs[self.null_prior])
 
-    @property
-    def h1(self) -> np.ndarray:
-        return self._masses[:, 0]
-
-    @property
-    def h0(self) -> np.ndarray:
-        return self._masses[:, 1]
-
-    @property
-    def power(self) -> np.ndarray:
-        return self._masses[:, 0, 0]
-
-    @property
-    def type_i(self) -> np.ndarray:
-        return self._masses[:, 1, 0]
-
-    @property
-    def p_stop(self) -> np.ndarray:
-        return self._masses[:, 1, 2]
-
-    @property
-    def pce(self) -> np.ndarray:
-        return self._masses[:, -1, 2]
+    # views of the masses [size, prior, branch] (class docstring)
+    h1 = property(lambda self: self._masses[:, 0])
+    h0 = property(lambda self: self._masses[:, 1])
+    power = property(lambda self: self._masses[:, 0, 0])
+    type_i = property(lambda self: self._masses[:, 1, 0])
+    p_stop = property(lambda self: self._masses[:, 1, 2])
+    pce = property(lambda self: self._masses[:, -1, 2])
 
     def rows(self, n2: int, n1: Sequence[int]) -> GridColumn:
         """Rates of the designs (n1[i], n2)."""

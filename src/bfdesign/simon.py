@@ -17,9 +17,14 @@ when the walk reaches an untabled size (`_table_block`): one log-space pmf
 block from `special`, whose rows have the bits of each size alone, gives
 the reversed pmf, the upper tail and, under p0, the PET of every futility
 bound.  The tables grow by doubling in rows and width up to n_max, so
-memory follows the walk and not n_max.  Four cuts spare work without
-changing an answer; each skips only when a bound misses its target by more
-than a margin of 1e-9, far above the rounding of any of these sums:
+memory follows the walk and not n_max.  Feasibility is read off the tensors
+with a margin of 1e-9 in the design's favor.  A step's winner is the least
+feasible entry in a fixed order; one inside the margin, where the pmf's
+rounding could put it on the wrong side of alpha or 1 - beta, is decided
+in exact rationals on the given doubles (`_exact_reject`), and the next is
+tried if it fails.  Four cuts spare work without changing an answer; each
+skips only when a bound misses its target by more than 1e-9, far above the
+rounding of any of these sums:
 
 - Neyman-Pearson ceiling.  A step whose randomized UMP test misses the
   power target builds no tensor (`_ump_short`).  Its rows still fill the
@@ -29,16 +34,13 @@ than a margin of 1e-9, far above the rounding of any of these sums:
   r whose single-look tail reaches it, and is skipped when there is none.
   Likewise P(X1 > r1, X1 + X2 > r) <= 1 - PET(p1), so a row (n1, r1) whose
   PET under p1 exceeds beta is never feasible, at any n2.
-- Incumbent bound.  Once an optimal design is known, only a strictly smaller
-  E[N|p0] can win.  E[N|p0] is at least n1 and depends on (n1, r1) alone,
-  so a step evaluates only the rows (n1, r1) whose E[N|p0] is below the
-  incumbent's.
-- Walk end.  E[N|p0] = n1 + (1 - PET)(n2 - n1) never falls as n2 grows,
-  in doubles too: the factor 1 - PET >= 0 is fixed per row and rounding is
-  monotone.  Rows added later have E[N|p0] >= n1 >= n2, beyond the
-  incumbent's n2 and so its E[N|p0].  So the walk ends at the first n2
-  where no row is both below the incumbent and under the PET cap.  The
-  minimax design, fixed at the first n2 with a design, stands too.
+- Incumbent bound and walk end.  Once an optimal design is known, only a
+  strictly smaller E[N|p0] can win.  E[N|p0] is `operating.walk_key` of the
+  PET of (n1, r1), the key of the Bayes factor search too, so a step
+  evaluates only the rows whose key is below the incumbent's, and the walk
+  ends as proved there: at the first n2 where no row is both below the
+  incumbent and under the PET cap.  The minimax design, fixed at the first
+  n2 with a design, stands too.
 
 A step splits its interim sizes into blocks whose tensors hold at most
 `special._BLOCK` entries, so memory stays bounded at any n_max.
@@ -47,11 +49,13 @@ A step splits its interim sizes into blocks whose tensors hold at most
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .operating import walk_key
 from .priors import ParameterError, check_size
 from .special import _BLOCK, _mirror, log_binom_pmf_vector
 
@@ -145,6 +149,19 @@ def _reject_tensor(top: np.ndarray, tails: np.ndarray, n1s: np.ndarray, cols: in
     return np.cumsum(rej, axis=0, out=rej)
 
 
+def _exact_reject(r1: int, n1: int, r: int, n2: int, p: float):
+    """P(X1 > r1, X1 + X2 > r) as an exact Fraction at the double p = a / b, by X1 + X2 = s."""
+    from fractions import Fraction  # a winner at a bound only: kept off the import path
+
+    a, b = p.as_integer_ratio()
+    paths = sum(
+        a**s * (b - a) ** (n2 - s)
+        * sum(comb(n1, x) * comb(n2 - n1, s - x) for x in range(max(r1 + 1, s - n2 + n1), s + 1))
+        for s in range(r + 1, n2 + 1)
+    )
+    return Fraction(paths, b**n2)
+
+
 def _ump_short(
     pmf0: np.ndarray, tail0: np.ndarray, pmf1: np.ndarray, tail1: np.ndarray,
     alpha: float, target: float,
@@ -187,7 +204,7 @@ def simon_oc(r1: int, n1: int, r: int, n2: int, p: float) -> tuple[float, float,
         tails = _binomial_table(n2 - n1, p)[1][None]
         reject = float(_reject_tensor(top[:, : d + 1], tails, np.array([n1]), r + 1)[d, 0, r])
         pet = float(_pets(top)[0, d])
-    return reject, pet, n1 + (1.0 - pet) * (n2 - n1)
+    return reject, pet, float(walk_key(n1, n2, pet))
 
 
 def simon_search(
@@ -230,7 +247,7 @@ def simon_search(
         bound = np.inf if best_optimal is None else best_optimal.e_n_h0
         n1s = np.arange(1, n2)
         n1s = n1s[n1s < bound]  # E[N|p0] >= n1
-        e_n = n1s[:, None] + (1.0 - pets[n1s, : n2 - 1]) * (n2 - n1s)[:, None]
+        e_n = walk_key(n1s[:, None], n2, pets[n1s, : n2 - 1])
         live = np.minimum((e_n < bound).sum(axis=1), n1s)  # rows d < live
         keep = live > capped[n1s]
         if best_optimal is not None and not keep.any():
@@ -246,31 +263,36 @@ def simon_search(
             rej0 = _reject_tensor(top0[n1b, :depth], tails0[n2 - n1b], n1b, cols)
             rej1 = _reject_tensor(top1[n1b, :depth], tails1[n2 - n1b], n1b, cols)
             ds = np.arange(depth)[:, None]
-            feasible = (rej0 <= alpha) & (rej1 >= 1.0 - beta)
+            feasible = (rej0 <= alpha + 1e-9) & (rej1 >= 1.0 - beta - 1e-9)
             feasible &= np.arange(cols) >= (n1b - 1 - ds)[:, :, None]  # r >= r1
-            rows = feasible.any(axis=2) & (ds < k)
-            if not rows.any():
-                continue
-            # within an n1 the largest PET wins, then the first r1 (the last d);
-            # across n1 the smallest E[N|p0], then the first n1
-            pet = np.where(rows, pets[n1b, :depth].T, -1.0)
-            best_d = depth - 1 - pet[::-1].argmax(axis=0)
-            e_best = e_n[np.arange(lo, lo + n1b.size), best_d]
-            i = int(np.where(rows.any(axis=0), e_best, np.inf).argmin())
-            d, n1 = int(best_d[i]), int(n1b[i])
-            r = int(feasible[d, i].argmax())
-            design = SimonDesign(
-                r1=n1 - 1 - d,
-                n1=n1,
-                r=r,
-                n2=n2,
-                alpha_attained=float(rej0[d, i, r]),
-                power_attained=float(rej1[d, i, r]),
-                pet_p0=float(pets[n1, d]),
-                e_n_h0=float(e_n[lo + i, d]),
-            )
-            if best_optimal is None or design.e_n_h0 < best_optimal.e_n_h0:
-                best_optimal = design
+            while (rows := feasible.any(axis=2) & (ds < k)).any():
+                # within an n1 the largest PET wins, then the first r1 (the last d);
+                # across n1 the smallest E[N|p0], then the first n1
+                pet = np.where(rows, pets[n1b, :depth].T, -1.0)
+                best_d = depth - 1 - pet[::-1].argmax(axis=0)
+                e_best = e_n[np.arange(lo, lo + n1b.size), best_d]
+                i = int(np.where(rows.any(axis=0), e_best, np.inf).argmin())
+                d, n1 = int(best_d[i]), int(n1b[i])
+                r = int(feasible[d, i].argmax())
+                if (rej0[d, i, r] > alpha - 1e-9 or rej1[d, i, r] < 1.0 - beta + 1e-9) and not (
+                    _exact_reject(n1 - 1 - d, n1, r, n2, p0) <= alpha
+                    and 1 - _exact_reject(n1 - 1 - d, n1, r, n2, p1) <= beta
+                ):
+                    feasible[d, i, r] = False  # the next entry in the order is tried
+                    continue
+                design = SimonDesign(
+                    r1=n1 - 1 - d,
+                    n1=n1,
+                    r=r,
+                    n2=n2,
+                    alpha_attained=float(rej0[d, i, r]),
+                    power_attained=float(rej1[d, i, r]),
+                    pet_p0=float(pets[n1, d]),
+                    e_n_h0=float(e_n[lo + i, d]),
+                )
+                if best_optimal is None or design.e_n_h0 < best_optimal.e_n_h0:
+                    best_optimal = design
+                break
         if best_minimax is None:
             best_minimax = best_optimal
     if best_optimal is None:

@@ -24,9 +24,9 @@ from bfdesign import (
     scan,
 )
 from bfdesign.bayesfactor import ParameterError, log_bf01_curve
-from bfdesign.calibration import _can_be_feasible, _past_horizon, _type_i_floor
+from bfdesign.calibration import _can_be_feasible, _type_i_floor
 from bfdesign.config import load_config
-from bfdesign.operating import DesignGrid, expected_size
+from bfdesign.operating import DesignGrid, expected_size, walk_key
 
 EX1_HYP = Hypotheses(0.1)
 EX1_AP = AnalysisPrior.flat(0.1)
@@ -332,41 +332,43 @@ def test_type_i_floor_never_changes_a_search(monkeypatch):
 
 @pytest.mark.parametrize("name", ["example1", "example2_bayes", "example2_pce"])
 def test_searches_end_at_the_horizon_on_the_shipped_configs(name, monkeypatch):
-    # the optima lie far below n_max 120, so a generous n_max changes no
-    # answer, and at 1000 the walk still tables fewer than 90 sizes
+    # the optima lie far below n_max 120 and the walk ends at the first n2
+    # where no key is below the optimum's, so a larger n_max changes neither
+    # the answer nor the sizes tabled, up to n_max 10**12
     config = load_config(str(CONFIGS / f"{name}.cfg"))
     args = (config.k, config.k_f, config.hypotheses(), config.analysis_prior(), config.power_prior)
     tabled = count_tabled_sizes(monkeypatch)
     for search in (optimal_calibrate, calibrate):
-        at_120 = search(dataclasses.replace(config.constraints(), n_max=120), *args)
-        tabled.clear()
-        at_1000 = search(dataclasses.replace(config.constraints(), n_max=1000), *args)
-        assert at_120 is not None and at_1000 == at_120
-        assert len(tabled) < 90 and max(tabled) < 90, (len(tabled), max(tabled))
+        found = {}
+        for n_max in (120, 1000, 10**9, 10**12):
+            tabled.clear()
+            result = search(dataclasses.replace(config.constraints(), n_max=n_max), *args)
+            found[n_max] = (result, list(tabled))
+        at_120, sizes = found[120]
+        assert at_120 is not None and len(sizes) < 90 and max(sizes) < 90, sizes
+        for n_max, (result, tabled_at) in found.items():
+            assert result == at_120, (search.__name__, n_max)
+            assert tabled_at == sizes, (search.__name__, n_max, len(tabled_at))
 
 
-def test_walk_end_allows_for_keys_that_fall_in_doubles():
-    # E[N|H0] = n2 - (n2 - n1) p_stop never falls as n2 grows while
-    # p_stop <= 1, but the pmf's rounding can leave p_stop a hair above 1,
-    # and then the doubles fall: a walk that ended where every key first
-    # reached the incumbent's would end too early
-    n_max = 400
-    n2 = np.arange(11, n_max + 1)
-    fell = 0
-    for p_stop in (0.0, 0.5, 1 - 1e-14, 1 - 2**-53, 1.0, 1 + 2**-52, 1 + 1e-14, 1 + 1e-10):
-        keys = expected_size(10, n2, p_stop)
-        fell += bool(np.any(np.diff(keys) < 0))
-        # least key from n2[i] on: of interim size 10, and of any added later
-        later = np.minimum.accumulate(keys[::-1])[::-1]
-        added = [expected_size(n1, np.arange(n1 + 1, n_max + 1), p_stop).min() for n1 in n2[:-1]]
-        added = np.minimum.accumulate(np.array(added + [np.inf])[::-1])[::-1]
-        for i in range(n2.size):
-            for best in {keys[i], np.nextafter(keys[i], 0), keys[i] - 1e-7, 10.0, 9.5}:
-                if _past_horizon(keys[i : i + 1], best, n_max):
-                    assert min(later[i], added[i]) >= best, (p_stop, int(n2[i]), best)
-    assert fell == 3
-    # a constant key ends the walk at the first hit
-    assert _past_horizon(np.zeros(6), 0.0, n_max)
+def test_walk_key_never_falls_and_rows_added_later_start_above_n2():
+    # the walk end of both searches (`operating.walk_key`), in doubles too,
+    # and at p_stop a hair above 1, where the pmf's rounding can leave it
+    rng = np.random.default_rng(7)
+    edges = [0.0, 0.5, 1.0, 1 - 1e-14, 1 - 2**-53, 2**-1074, 1e-300,
+             1 + 2**-52, 1 + 1e-14, 1 + 1e-10]
+    p_stop = np.concatenate([rng.random(2000), edges])[:, None]
+    for n1 in (1, 7, 10, 100, 2999):
+        n2 = np.arange(n1 + 1, n1 + 3002)
+        keys = walk_key(n1, n2, p_stop)
+        assert (np.diff(keys, axis=1) >= 0).all(), n1
+        # n1 enters the walk at n2 = n1 + 1, so a row added after the
+        # current n2 keys at least it, and an incumbent keys at most its n2
+        assert (keys >= n1).all() and (keys <= n2).all(), n1
+    # the reported E[N|H0] falls at the three p_stop above 1
+    n2 = np.arange(11, 401)
+    fell = [p for p in edges if np.any(np.diff(expected_size(10, n2, p)) < 0)]
+    assert fell == [1 + 2**-52, 1 + 1e-14, 1 + 1e-10]
 
 
 def test_search_winners_carry_the_numbers_of_evaluate():

@@ -336,6 +336,18 @@ def test_golden_cli_bytes(golden, monkeypatch, capsys):
     assert capsys.readouterr().out.encode("utf-8") == want
 
 
+def test_calibrate_golden_bytes_at_a_huge_n_max(tmp_path, capsys):
+    # the walk ends at the optimum's horizon, so example1 at n_max 10**12
+    # prints the bytes it prints at its shipped n_max
+    shipped = (REPO_ROOT / "configs" / "example1.cfg").read_text(encoding="utf-8")
+    assert "n_max = 40\n" in shipped
+    path = tmp_path / "example1.cfg"
+    path.write_text(shipped.replace("n_max = 40\n", "n_max = 1000000000000\n"), encoding="utf-8")
+    assert main(["calibrate", "--config", str(path)]) == 0
+    want = (GOLDEN_DIR / "calibrate-example1.stdout").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == want
+
+
 # Configs for the pinned bytes below: "narrow.cfg" has no design with
 # n2 <= 8, "short_simon.cfg" no Simon design with n2 <= 8, "latin1.cfg" is
 # not UTF-8 and "bom.cfg" is example1 saved with a UTF-8 byte order mark.

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from bfdesign.simon import (
     SimonDesign,
     _binomial_table,
+    _exact_reject,
     _pets,
     _reject_tensor,
     _table_block,
@@ -110,6 +112,9 @@ def _reference_settings():
     settings.append((0.2, 0.25, 0.05, 0.1, 15))
     # the optimum has n2 = 29 and E[N|p0] 15.01: the walk ends long before n_max
     settings.append((0.1, 0.3, 0.05, 0.2, 60))
+    # (0, 1, 0, 2) has a type-I error of exactly alpha, which the log-space
+    # pmf rounds one ulp above it: decided in exact rationals
+    settings.append((0.05, 0.9, 0.05, 0.2, 17))
     # tables of one block, of one row past it and two (blocks hold 16 rows)
     for n_max in (2, 3, 17, 18):
         settings.append((0.011, 0.489, 0.05, 0.2, n_max))
@@ -291,6 +296,19 @@ def test_simon_oc_matches_brute_force():
         assert math.isclose(got[2], expected[2], rel_tol=1e-14)
 
 
+def test_exact_rejection_matches_brute_force():
+    # exact rationals against scipy's pmf; r1 = n1, a design that always stops, gives 0
+    rng = np.random.default_rng(4)
+    for _ in range(25):
+        n1 = int(rng.integers(1, 20))
+        n2 = int(rng.integers(n1 + 1, 35))
+        r1 = int(rng.integers(0, n1 + 1))
+        r = int(rng.integers(r1, n2 + 1))
+        p = float(rng.uniform(0.01, 0.99))
+        assert abs(float(_exact_reject(r1, n1, r, n2, p)) - brute_force_oc(r1, n1, r, n2, p)[0]) < 1e-14
+    assert _exact_reject(0, 1, 0, 2, 0.05) == Fraction(0.05)  # the pmf reads one ulp more
+
+
 def test_simon_oc_always_stops_when_bound_is_full():
     for n1, p in [(8, 0.3), (2, 0.05), (3, 0.2), (40, 0.45)]:
         reject, pet, e_n = simon_oc(n1, n1, n1 + 2, n1 + 12, p)
@@ -462,19 +480,6 @@ def test_search_ends_at_the_horizon(monkeypatch):
     assert found[300][0][0].n2 == 37
 
 
-def test_simon_expected_size_never_falls_as_n2_grows():
-    # the walk end rests on it, in doubles too: E[N|p0] = n1 + (1 - PET) m
-    # with 1 - PET >= 0 fixed per row, and rounding is monotone
-    rng = np.random.default_rng(7)
-    pets = np.concatenate(
-        [rng.random(2000), [0.0, 1.0, 1 - 2**-53, 2**-1074, 1e-300, 1 - 1e-14, 0.5]]
-    )
-    m = np.arange(3001)
-    for n1 in (1, 7, 100, 2999):
-        e_n = n1 + (1.0 - pets[:, None]) * m
-        assert (np.diff(e_n, axis=1) >= 0).all()
-
-
 def _designs_by_final_size(p0, p1, n2_max):
     """(n2, alpha, power) over every design (r1, n1, r, n2) with n2 <= n2_max, by scipy."""
     for n2 in range(2, n2_max + 1):
@@ -501,9 +506,10 @@ def test_ump_power_bounds_every_design(p0, p1, alpha):
         assert _ump_short(*tables, alpha, 1.0)
 
 
-# designs (r1, n1, r, n2) whose own type-I and power are taken as alpha and
-# 1 - beta: the search must find a design at n2, though the Neyman-Pearson
-# ceiling or the power cap meet the target only within rounding
+# designs (r1, n1, r, n2) whose own exact type-I and power are taken as
+# alpha and 1 - beta, each rounded to the double on its feasible side: the
+# search must find a design at n2, though the Neyman-Pearson ceiling or the
+# power cap meet the target only within rounding
 BOUNDARY_DESIGNS = [
     (0.75, 0.9, (6, 12, 15, 18)),
     (0.65, 0.75, (2, 18, 16, 24)),
@@ -513,16 +519,58 @@ BOUNDARY_DESIGNS = [
 
 @pytest.mark.parametrize("p0, p1, bounds", BOUNDARY_DESIGNS)
 def test_designs_at_the_error_bounds_are_found(p0, p1, bounds):
-    alpha, _, e_n = simon_oc(*bounds, p0)
-    power = simon_oc(*bounds, p1)[0]
-    beta = 1.0 - power
-    while 1.0 - beta > power:
+    type_i, power = (_exact_reject(*bounds, p) for p in (p0, p1))
+    alpha, beta = float(type_i), float(1 - power)
+    while Fraction(alpha) < type_i:
+        alpha = math.nextafter(alpha, 1.0)
+    while 1 - Fraction(beta) > power:
         beta = math.nextafter(beta, 1.0)
     found = simon_search(p0, p1, alpha, beta, bounds[-1])
     assert found is not None
-    for design in found:
-        assert design.alpha_attained <= alpha and design.power_attained >= 1.0 - beta
-    assert found[1].n2 <= bounds[-1] and found[0].e_n_h0 <= e_n
+    for d in found:
+        design = (d.r1, d.n1, d.r, d.n2)
+        assert _exact_reject(*design, p0) <= Fraction(alpha)
+        assert _exact_reject(*design, p1) >= 1 - Fraction(beta)
+    assert found[1].n2 <= bounds[-1] and found[0].e_n_h0 <= simon_oc(*bounds, p0)[2]
+
+
+def _exact_search(p0, p1, alpha, beta, n_max):
+    """(least E[N|p0], least n2) over every design feasible in exact rationals, or None."""
+    found = []
+    for n2 in range(2, n_max + 1):
+        for n1 in range(1, n2):
+            for r1 in range(n1):
+                for r in range(r1, n2 + 1):
+                    if _exact_reject(r1, n1, r, n2, p0) <= Fraction(alpha) and (
+                        _exact_reject(r1, n1, r, n2, p1) >= 1 - Fraction(beta)
+                    ):
+                        found.append((simon_oc(r1, n1, r, n2, p0)[2], n2))
+                        break  # E[N|p0] does not depend on r
+    return found and (min(found)[0], min(n2 for _, n2 in found))
+
+
+def test_search_decides_every_entry_exactly():
+    # bounds taken from a random design's exact rates, rounded to the
+    # nearest double, put entries on either side of alpha and 1 - beta by
+    # less than the pmf's rounding
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n_max = int(rng.integers(4, 9))
+        p0 = float(rng.choice([0.05, 0.1, 0.3, rng.uniform(0.01, 0.6)]))
+        p1 = min(p0 + float(rng.uniform(0.2, 0.5)), 0.97)
+        n2 = int(rng.integers(2, n_max + 1))
+        n1 = int(rng.integers(1, n2))
+        r1 = int(rng.integers(0, n1))
+        design = (r1, n1, int(rng.integers(r1, n2 + 1)), n2)
+        alpha = float(_exact_reject(*design, p0))
+        beta = 1.0 - float(_exact_reject(*design, p1))
+        if not (0 < alpha < 1 and 0 < beta < 1):
+            continue
+        got = simon_search(p0, p1, alpha, beta, n_max)
+        want = _exact_search(p0, p1, alpha, beta, n_max)
+        assert (got is None) == (not want), (p0, p1, alpha, beta, n_max)
+        if got:
+            assert (got[0].e_n_h0, got[1].n2) == want, (p0, p1, alpha, beta, n_max)
 
 
 def test_infeasible_search_builds_no_tensor(monkeypatch):
