@@ -186,11 +186,9 @@ def _type_i_floor(grid: DesignGrid, n1: np.ndarray, n2: int) -> np.ndarray:
 def _horizon(grid: DesignGrid, n1: np.ndarray, best: float, n_max: int) -> int:
     """A final size past which none of the interim sizes n1 has a key below best.
 
-    The key n1 + (1 - p_stop)(n2 - n1) < best needs
-    n2 < n1 + (best - n1) / (1 - p_stop); a size that always stops keeps
-    its key n1 at every n2, so its bound is n_max.  The walk tables no
-    block past this size plus 1.  Where it ends is proved in
-    `operating.walk_key`, so only the waste depends on the bound.
+    A key is below best while n2 < n1 + (best - n1) / (1 - p_stop); a size
+    that always stops keeps its key n1, so its bound is n_max.  The walk
+    tables no block past this size plus 1; only waste depends on the bound.
     """
     if n1.size == 0:
         return 0

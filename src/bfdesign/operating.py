@@ -331,13 +331,29 @@ class DesignGrid:
                 row[:] = split_branches(pmfs[prior][i, : n + 1], y_eff[i], y_fut[i])
         self._latest = (int(sizes[0]), pmfs[self.power_prior], pmfs[self.null_prior])
 
-    # views of the masses [size, prior, branch] (class docstring)
-    h1 = property(lambda self: self._masses[:, 0])
-    h0 = property(lambda self: self._masses[:, 1])
-    power = property(lambda self: self._masses[:, 0, 0])
-    type_i = property(lambda self: self._masses[:, 1, 0])
-    p_stop = property(lambda self: self._masses[:, 1, 2])
-    pce = property(lambda self: self._masses[:, -1, 2])
+    @property
+    def h1(self) -> np.ndarray:
+        return self._masses[:, 0]
+
+    @property
+    def h0(self) -> np.ndarray:
+        return self._masses[:, 1]
+
+    @property
+    def power(self) -> np.ndarray:
+        return self._masses[:, 0, 0]
+
+    @property
+    def type_i(self) -> np.ndarray:
+        return self._masses[:, 1, 0]
+
+    @property
+    def p_stop(self) -> np.ndarray:
+        return self._masses[:, 1, 2]
+
+    @property
+    def pce(self) -> np.ndarray:
+        return self._masses[:, -1, 2]
 
     def rows(self, n2: int, n1: Sequence[int]) -> GridColumn:
         """Rates of the designs (n1[i], n2)."""

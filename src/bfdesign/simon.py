@@ -18,13 +18,12 @@ block from `special`, whose rows have the bits of each size alone, gives
 the reversed pmf, the upper tail and, under p0, the PET of every futility
 bound.  The tables grow by doubling in rows and width up to n_max, so
 memory follows the walk and not n_max.  Feasibility is read off the tensors
-with a margin of 1e-9 in the design's favor.  A step's winner is the least
-feasible entry in a fixed order; one inside the margin, where the pmf's
-rounding could put it on the wrong side of alpha or 1 - beta, is decided
-in exact rationals on the given doubles (`_exact_reject`), and the next is
-tried if it fails.  Four cuts spare work without changing an answer; each
-skips only when a bound misses its target by more than 1e-9, far above the
-rounding of any of these sums:
+with a margin of 1e-9 in the design's favor; a step's winner, the least
+feasible entry in a fixed order, is decided and reported in exact rationals
+on a side inside the margin (`_exact_reject`), correctly rounded, so there
+alone its bits may differ from `simon_oc`'s.  Four cuts spare work
+without changing an answer; each skips only when a bound misses its target
+by more than 1e-9, far above the rounding of any of these sums:
 
 - Neyman-Pearson ceiling.  A step whose randomized UMP test misses the
   power target builds no tensor (`_ump_short`).  Its rows still fill the
@@ -150,16 +149,23 @@ def _reject_tensor(top: np.ndarray, tails: np.ndarray, n1s: np.ndarray, cols: in
 
 
 def _exact_reject(r1: int, n1: int, r: int, n2: int, p: float):
-    """P(X1 > r1, X1 + X2 > r) as an exact Fraction at the double p = a / b, by X1 + X2 = s."""
+    """P(X1 > r1, X1 + X2 > r) as an exact Fraction at the double p = a / b.
+
+    c counts the outcome paths with X1 > r1 and X1 + X2 = s, and the sum of
+    c a^s (b - a)^(n2 - s) over s > r is taken by Horner's rule from s = n2
+    down, so the running sum is only ever multiplied by a.
+    """
     from fractions import Fraction  # a winner at a bound only: kept off the import path
 
     a, b = p.as_integer_ratio()
-    paths = sum(
-        a**s * (b - a) ** (n2 - s)
-        * sum(comb(n1, x) * comb(n2 - n1, s - x) for x in range(max(r1 + 1, s - n2 + n1), s + 1))
-        for s in range(r + 1, n2 + 1)
-    )
-    return Fraction(paths, b**n2)
+    m = n2 - n1
+    first = [comb(n1, x) for x in range(n1 + 1)]
+    second = [comb(m, y) for y in range(m + 1)]
+    paths, power = 0, 1
+    for s in range(n2, r, -1):
+        c = sum(first[x] * second[s - x] for x in range(max(r1 + 1, s - m), min(n1, s) + 1))
+        paths, power = paths * a + c * power, power * (b - a)
+    return Fraction(paths * a ** (r + 1), b**n2)
 
 
 def _ump_short(
@@ -273,20 +279,25 @@ def simon_search(
                 e_best = e_n[np.arange(lo, lo + n1b.size), best_d]
                 i = int(np.where(rows.any(axis=0), e_best, np.inf).argmin())
                 d, n1 = int(best_d[i]), int(n1b[i])
-                r = int(feasible[d, i].argmax())
-                if (rej0[d, i, r] > alpha - 1e-9 or rej1[d, i, r] < 1.0 - beta + 1e-9) and not (
-                    _exact_reject(n1 - 1 - d, n1, r, n2, p0) <= alpha
-                    and 1 - _exact_reject(n1 - 1 - d, n1, r, n2, p1) <= beta
-                ):
+                r1, r = n1 - 1 - d, int(feasible[d, i].argmax())
+                alpha_at, power_at, ok = float(rej0[d, i, r]), float(rej1[d, i, r]), True
+                # a side inside the margin is decided, and reported, exactly
+                if alpha_at > alpha - 1e-9:
+                    exact = _exact_reject(r1, n1, r, n2, p0)
+                    ok, alpha_at = exact <= alpha, float(exact)
+                if ok and power_at < 1.0 - beta + 1e-9:
+                    exact = _exact_reject(r1, n1, r, n2, p1)
+                    ok, power_at = 1 - exact <= beta, float(exact)
+                if not ok:
                     feasible[d, i, r] = False  # the next entry in the order is tried
                     continue
                 design = SimonDesign(
-                    r1=n1 - 1 - d,
+                    r1=r1,
                     n1=n1,
                     r=r,
                     n2=n2,
-                    alpha_attained=float(rej0[d, i, r]),
-                    power_attained=float(rej1[d, i, r]),
+                    alpha_attained=alpha_at,
+                    power_attained=power_at,
                     pet_p0=float(pets[n1, d]),
                     e_n_h0=float(e_n[lo + i, d]),
                 )

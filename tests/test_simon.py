@@ -137,9 +137,14 @@ def test_search_matches_scipy_reference(setting):
             assert math.isclose(
                 getattr(design, field), getattr(want, field), rel_tol=1e-12, abs_tol=1e-12
             ), field
-        # one design, the same bits alone as in the search
+        # one design, the same bits alone as in the search; a rate within
+        # the search's margin of its bound is the exact rate, rounded
         reject0, pet, e_n = simon_oc(*bounds, p0)
         reject1, _, _ = simon_oc(*bounds, p1)
+        if reject0 > alpha - 1e-9:
+            reject0 = float(_exact_reject(*bounds, p0))
+        if reject1 < 1.0 - beta + 1e-9:
+            reject1 = float(_exact_reject(*bounds, p1))
         assert (reject0, reject1, pet, e_n) == (
             design.alpha_attained,
             design.power_attained,
@@ -297,7 +302,8 @@ def test_simon_oc_matches_brute_force():
 
 
 def test_exact_rejection_matches_brute_force():
-    # exact rationals against scipy's pmf; r1 = n1, a design that always stops, gives 0
+    # exact rationals against scipy's pmf and a double sum over (x1, x2) in
+    # Fractions; r1 = n1, a design that always stops, gives 0
     rng = np.random.default_rng(4)
     for _ in range(25):
         n1 = int(rng.integers(1, 20))
@@ -305,7 +311,14 @@ def test_exact_rejection_matches_brute_force():
         r1 = int(rng.integers(0, n1 + 1))
         r = int(rng.integers(r1, n2 + 1))
         p = float(rng.uniform(0.01, 0.99))
-        assert abs(float(_exact_reject(r1, n1, r, n2, p)) - brute_force_oc(r1, n1, r, n2, p)[0]) < 1e-14
+        exact = _exact_reject(r1, n1, r, n2, p)
+        assert abs(float(exact) - brute_force_oc(r1, n1, r, n2, p)[0]) < 1e-14
+        q = Fraction(p)
+        assert exact == sum(
+            math.comb(n1, x1) * math.comb(n2 - n1, x2) * q ** (x1 + x2) * (1 - q) ** (n2 - x1 - x2)
+            for x1 in range(r1 + 1, n1 + 1)
+            for x2 in range(max(r - x1 + 1, 0), n2 - n1 + 1)
+        )
     assert _exact_reject(0, 1, 0, 2, 0.05) == Fraction(0.05)  # the pmf reads one ulp more
 
 
@@ -528,6 +541,7 @@ def test_designs_at_the_error_bounds_are_found(p0, p1, bounds):
     found = simon_search(p0, p1, alpha, beta, bounds[-1])
     assert found is not None
     for d in found:
+        assert d.alpha_attained <= alpha and d.power_attained >= 1.0 - beta
         design = (d.r1, d.n1, d.r, d.n2)
         assert _exact_reject(*design, p0) <= Fraction(alpha)
         assert _exact_reject(*design, p1) >= 1 - Fraction(beta)
@@ -571,6 +585,8 @@ def test_search_decides_every_entry_exactly():
         assert (got is None) == (not want), (p0, p1, alpha, beta, n_max)
         if got:
             assert (got[0].e_n_h0, got[1].n2) == want, (p0, p1, alpha, beta, n_max)
+            for d in got:
+                assert d.alpha_attained <= alpha and d.power_attained >= 1.0 - beta
 
 
 def test_infeasible_search_builds_no_tensor(monkeypatch):
