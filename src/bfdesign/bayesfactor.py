@@ -15,12 +15,14 @@ accumulate, each threshold corresponds to a critical success count, found
 by exhaustive scan rather than root-finding so that no monotonicity
 assumption is baked in.  `critical_counts` is the one scan: it finds both
 counts of every row of a log BF01 block, for one size here and for a block
-of sizes in `operating.DesignGrid`.
+of sizes in `operating.DesignGrid`.  Whether a size can stop for futility
+at all is its value at zero successes, `log_bf01_at_zero`, found in O(1).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,6 +30,7 @@ import numpy as np
 
 from .predictive import log_predictive_rows
 from .priors import ParameterError, TruncatedBeta, check_size
+from .special import log_beta_integrals
 
 
 def check_thresholds(k: Optional[float] = None, k_f: Optional[float] = None) -> None:
@@ -93,6 +96,22 @@ def log_bf01_curve(n: int, hyp: Hypotheses, ap: AnalysisPrior) -> np.ndarray:
         raise ParameterError("n", f"must be at least 1, got {n}")
     _check_regions(hyp, ap)
     return log_predictive_rows(ap.h0, n) - log_predictive_rows(ap.h1, n)
+
+
+def log_bf01_at_zero(n: int, ap: AnalysisPrior) -> float:
+    """log BF01 of zero successes in n trials in O(1), `log_bf01_curve(n)[0]` to rounding.
+
+    A region's predictive mass of zero successes is its prior's normalizer
+    at shapes (a, b + n) over the one at (a, b).  The value never falls as
+    n grows: its derivative in n is E0[log(1 - p)] - E1[log(1 - p)], the
+    means under each region's prior tilted by (1 - p)^n, and log(1 - p) is
+    at least log(1 - p0) on [0, p0] and at most that on [p0, 1].  So a size
+    past the double range is taken at the largest double, a lower bound.
+    The search calls it with a size and regions it has checked.
+    """
+    n = min(n, sys.float_info.max)
+    h0, h1 = (log_beta_integrals(r.a, r.b + n, r.l, r.u, 0)[0] - r.log_norm for r in (ap.h0, ap.h1))
+    return float(h0 - h1)
 
 
 def bf01(y_s: int, n: int, hyp: Hypotheses, ap: AnalysisPrior) -> float:

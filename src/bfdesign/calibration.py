@@ -31,20 +31,17 @@ made.  They skip:
 - once a design is known, every final size from the first at which no key
   is below its key (`operating.walk_key`).
 
-The grid tables a block of at most `_WALK_BLOCK` consecutive sizes in one
-pass when the walk reaches an untabled size.  Once a design is known, the
-block also ends just past the last final size at which an interim size
-below the incumbent's key could stay below it, so little is built past the
-horizon; only this waste, never the answer, depends on where blocks end.
+The walk tables a block of at most `_WALK_BLOCK` consecutive sizes in one
+pass when it reaches an untabled size; once a design is known (only under
+the E[N|H0] key, as a constant one ends at its hit), exactly the sizes ahead
+at which some live key is below the incumbent's, a prefix by the walk-end
+proof (`operating.walk_key`).  Only waste, never the answer, depends on it.
 
 A search also needs an interim size in [n_min, n_max - 1] that can stop
-for futility, and one can if and only if n_max - 1 can: log BF01 at zero
-successes never falls as n grows.  Its derivative in n is
-E0[log(1 - p)] - E1[log(1 - p)], the means under each region's analysis
-prior tilted by (1 - p)^n, and log(1 - p) is at least log(1 - p0) on
-[0, p0] and at most that on [p0, 1].  So the check, after the walk, tables
-only n_max - 1, and only when none of the sizes the walk tabled can stop.
-The winner's operating characteristics are read off the same grid, which is
+for futility.  One can if and only if n_max - 1 can, as log BF01 at zero
+successes never falls in n, so the search compares that O(1) value
+(`bayesfactor.log_bf01_at_zero`) with log k_f before it walks.  The
+winner's operating characteristics are read off the same grid, which is
 what `evaluate` does on a grid of its two sizes.
 """
 
@@ -57,12 +54,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bayesfactor import AnalysisPrior, Hypotheses, ParameterError, check_size
+from .bayesfactor import AnalysisPrior, Hypotheses, ParameterError, check_size, log_bf01_at_zero
 from .operating import DesignGrid, OperatingCharacteristics, TwoStageDesign, walk_key
 from .priors import DesignPrior
 
 # Most sizes the search walk tables in one block; past the walk's end they
-# are waste, so a block stops at the incumbent's horizon as well.
+# are waste, so once a design is known a block ends where no key is below.
 _WALK_BLOCK = 16
 
 
@@ -183,21 +180,6 @@ def _type_i_floor(grid: DesignGrid, n1: np.ndarray, n2: int) -> np.ndarray:
     return (1.0 - grid.p_stop[n1]) * grid.type_i[n2]
 
 
-def _horizon(grid: DesignGrid, n1: np.ndarray, best: float, n_max: int) -> int:
-    """A final size past which none of the interim sizes n1 has a key below best.
-
-    A key is below best while n2 < n1 + (best - n1) / (1 - p_stop); a size
-    that always stops keeps its key n1, so its bound is n_max.  The walk
-    tables no block past this size plus 1; only waste depends on the bound.
-    """
-    if n1.size == 0:
-        return 0
-    p_stop = grid.p_stop[n1]
-    if np.any(p_stop >= 1.0):
-        return n_max
-    return int(np.max(n1 + (best - n1) / (1.0 - p_stop)))
-
-
 def _search(
     cons: CalibrationConstraints,
     optimal: bool,
@@ -211,13 +193,14 @@ def _search(
     """Feasible design with the smallest (key, n2, n1), or None.
 
     The key of the interim sizes n1 at n2 is `operating.walk_key` of their
-    tabled stop probabilities when optimal, else a constant.  The cuts and
-    the blocks tabled are those of the module docstring.
+    tabled stop probabilities when optimal, else a constant.  The stop rule,
+    the cuts and the blocks tabled are those of the module docstring.
     """
-    first = range(cons.n_min, min(cons.n_min + _WALK_BLOCK, cons.n_max + 1))
-    grid = DesignGrid(first, k, k_f, hyp, ap, power_prior, null_prior)
+    grid = DesignGrid((), k, k_f, hyp, ap, power_prior, null_prior)
+    if not log_bf01_at_zero(cons.n_max - 1, ap) > math.log(k_f):
+        return None  # no interim size can stop: no two-stage design exists
     best: Optional[tuple[float, int, int]] = None
-    for n2 in range(cons.n_min + 1, cons.n_max + 1):
+    for n2 in range(cons.n_min, cons.n_max + 1):
         n1 = np.arange(cons.n_min, n2)
         n1 = n1[_can_be_feasible(grid, n1, cons)]
         keys = walk_key(n1, n2, grid.p_stop[n1]) if optimal else np.zeros(n1.size)
@@ -227,29 +210,23 @@ def _search(
             below = keys < best[0]
             n1, keys = n1[below], keys[below]
         if n2 not in grid.y_eff:
-            end = min(n2 + _WALK_BLOCK, cons.n_max + 1)
-            if best is not None:
-                end = max(n2 + 1, min(end, _horizon(grid, n1, best[0], cons.n_max) + 2))
-            grid.add(range(n2, end))
+            ahead = np.arange(n2, min(n2 + _WALK_BLOCK, cons.n_max + 1))
+            if best is not None:  # a prefix (module docstring)
+                live = walk_key(n1, ahead[:, None], grid.p_stop[n1]) < best[0]
+                ahead = ahead[: np.count_nonzero(live.any(axis=1))]
+            grid.add(ahead)
         if n1.size == 0 or grid.power[n2] < 1.0 - cons.beta:
             continue
-        if grid.type_i[n2] > cons.alpha + 1e-9:  # else the floor, at most type_i[n2], cuts none
-            below = _type_i_floor(grid, n1, n2) <= cons.alpha + 1e-9
-            if not below.any():
-                continue
-            n1, keys = n1[below], keys[below]
+        below = _type_i_floor(grid, n1, n2) <= cons.alpha + 1e-9
+        if not below.any():
+            continue
+        n1, keys = n1[below], keys[below]
         ok = np.flatnonzero(grid.rows(n2, n1).feasible(cons))
         if ok.size:
             i = ok[np.argmin(keys[ok])]
             best = (float(keys[i]), n2, int(n1[i]))
     if best is None:
         return None
-    last = cons.n_max - 1
-    if all(grid.y_fut[n] is None for n in range(cons.n_min, cons.n_max) if n in grid.y_fut):
-        if last not in grid.y_fut:
-            grid.add([last])  # some size can stop iff n_max - 1 can (module docstring)
-        if grid.y_fut[last] is None:
-            return None  # no interim size can stop: no two-stage design exists
     _, n2, n1 = best
     oc = grid.oc(n1, n2)
     return CalibratedDesign(TwoStageDesign(n1, n2, k, k_f), oc, oc.e_n_h0)

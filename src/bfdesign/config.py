@@ -160,10 +160,13 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         if key in _FLOAT_KEYS:
             values[key] = _parse_number(key, token)
         elif key in _INT_KEYS:
-            number = _parse_number(key, token)
-            if number != int(number):
-                raise ConfigError(key, f"must be an integer, got '{token}'")
-            values[key] = int(number)
+            try:
+                values[key] = int(token)  # exact, where a double rounds past 2**53
+            except ValueError:
+                number = _parse_number(key, token)
+                if number != int(number):
+                    raise ConfigError(key, f"must be an integer, got '{token}'")
+                values[key] = int(number)
 
     try:
         p0 = Hypotheses(values["p0"]).p0

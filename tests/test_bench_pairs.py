@@ -59,25 +59,44 @@ def test_summary_verdicts(bench_pairs):
 
 
 def test_summary_gain_needs_pairs_spread_and_no_more_failures(bench_pairs):
-    parent = [(1.0, 1.0 + 0.1 * i, 30.0) for i in range(10)]
-    # lower in 9 of 10 pairs but by less than the parent's spread of 0.55
+    # a spread of 0.55 at a median of 10.45, within the 0.24 bound
+    parent = [(1.0, 10.0 + 0.1 * i, 30.0) for i in range(10)]
+    # lower in 9 of 10 pairs but by less than the parent's spread
     close = [(1.0, solve - 0.1, 30.0) for _, solve, _ in parent]
-    close[0] = (1.0, 1.5, 30.0)
+    close[0] = (1.0, 10.5, 30.0)
     assert verdicts(bench_pairs.summary("w", runs(parent, close), BOUNDS))["solve_s"] == (
         "within bound"
     )
     # beyond the spread, lower in 8 of 10 pairs only
     far = [(1.0, solve - 0.9, 30.0) for _, solve, _ in parent]
-    far[0] = far[1] = (1.0, 1.2, 30.0)
+    far[0] = far[1] = (1.0, 10.2, 30.0)
     assert verdicts(bench_pairs.summary("w", runs(parent, far), BOUNDS))["solve_s"] == (
         "within bound"
     )
     # lower in 9 of 10 pairs and beyond the spread: a gain, unless more runs failed
-    far[1] = (1.0, 0.2, 30.0)
+    far[1] = (1.0, 9.2, 30.0)
     assert verdicts(bench_pairs.summary("w", runs(parent, far), BOUNDS))["solve_s"] == "gain"
     text = bench_pairs.summary("w", runs(parent, far, failed_change=2), BOUNDS)
     assert verdicts(text)["solve_s"] == "within bound"
     assert "failed runs parent 0 change 2" in text
+
+
+def test_summary_unresolved_when_the_spread_exceeds_the_bound(bench_pairs):
+    # a solve spread of 0.55 at a median of 1.45 is wider than its 0.24 bound
+    parent = [(1.0, 1.0 + 0.1 * i, 30.0) for i in range(10)]
+    for solve, verdict in [
+        (lambda s: s, "unresolved"),
+        (lambda s: 2.0 * s, "unresolved"),
+        # lower in every pair, but by less than the spread: no gain
+        (lambda s: s - 0.05, "unresolved"),
+        # every change run below every parent run, still no gain
+        (lambda s: 0.95, "within bound"),
+        (lambda s: s - 1.0, "gain"),
+    ]:
+        change = [(1.0, solve(s), 30.0) for _, s, _ in parent]
+        found = verdicts(bench_pairs.summary("w", runs(parent, change), BOUNDS))
+        assert found == {"setup_s": "within bound", "solve_s": verdict,
+                         "peak_rss_mb": "within bound"}, verdict
 
 
 def test_failed_run_is_kept_and_the_campaign_goes_on(bench_pairs, tmp_path, monkeypatch):

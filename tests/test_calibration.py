@@ -1,6 +1,8 @@
 """Calibration searches: baselines, first-feasible, optimal, scan."""
 
 import dataclasses
+import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from bfdesign import (
     predictive_vector,
     scan,
 )
-from bfdesign.bayesfactor import ParameterError, log_bf01_curve
+from bfdesign.bayesfactor import ParameterError, log_bf01_at_zero, log_bf01_curve
 from bfdesign.calibration import _can_be_feasible, _type_i_floor
 from bfdesign.config import load_config
 from bfdesign.operating import DesignGrid, expected_size, walk_key
@@ -334,18 +336,20 @@ def test_type_i_floor_never_changes_a_search(monkeypatch):
 def test_searches_end_at_the_horizon_on_the_shipped_configs(name, monkeypatch):
     # the optima lie far below n_max 120 and the walk ends at the first n2
     # where no key is below the optimum's, so a larger n_max changes neither
-    # the answer nor the sizes tabled, up to n_max 10**12
+    # the answer nor the sizes tabled, up to n_max 10**400, past the doubles
     config = load_config(str(CONFIGS / f"{name}.cfg"))
     args = (config.k, config.k_f, config.hypotheses(), config.analysis_prior(), config.power_prior)
     tabled = count_tabled_sizes(monkeypatch)
-    for search in (optimal_calibrate, calibrate):
+    counts = {"example1": (32, 32), "example2_bayes": (81, 64), "example2_pce": (32, 32)}
+    for search, count in zip((optimal_calibrate, calibrate), counts[name]):
         found = {}
-        for n_max in (120, 1000, 10**9, 10**12):
+        for n_max in (120, 1000, 10**9, 10**12, 10**400):
             tabled.clear()
             result = search(dataclasses.replace(config.constraints(), n_max=n_max), *args)
             found[n_max] = (result, list(tabled))
         at_120, sizes = found[120]
-        assert at_120 is not None and len(sizes) < 90 and max(sizes) < 90, sizes
+        assert at_120 is not None
+        assert sizes == list(range(config.n_min, config.n_min + count)), sizes
         for n_max, (result, tabled_at) in found.items():
             assert result == at_120, (search.__name__, n_max)
             assert tabled_at == sizes, (search.__name__, n_max, len(tabled_at))
@@ -455,15 +459,24 @@ def test_searches_need_an_interim_size_that_can_stop():
 
 def test_no_interim_stop_is_told_from_the_last_size(monkeypatch):
     # log BF01 at zero successes never falls as n grows, so some interim size
-    # can stop exactly when n_max - 1 can; at k_f = 1e300 none can, and the
-    # check tables n_max - 1 alone instead of every size the walk skipped
+    # can stop exactly when n_max - 1 can; the search tells that from one
+    # O(1) value before it walks, so at k_f = 1e300 and n_max 1500, where no
+    # size can stop, it tables nothing
     args = (1 / 3, 1e300, EX1_HYP, EX1_AP, PointMass(0.3))
     cons = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=1500)
     tabled = count_tabled_sizes(monkeypatch)
     for search in (calibrate, optimal_calibrate):
         tabled.clear()
-        assert search(cons, *args) is None
-        assert tabled[-1] == 1499 and len(tabled) < 60, (len(tabled), tabled[-3:])
+        assert search(cons, *args) is None and tabled == []
+        # sizes past about 6600 can stop, so the walk runs and finds the
+        # single look in disguise (5, 25), however far n_max lies
+        for n_max in (10**5, 10**12):
+            tabled.clear()
+            start = time.perf_counter()
+            found = search(dataclasses.replace(cons, n_max=n_max), *args)
+            assert time.perf_counter() - start < 1.0, (search.__name__, n_max)
+            assert (found.design.n1, found.design.n2) == (5, 25), (search.__name__, n_max)
+            assert len(tabled) < 60, (search.__name__, n_max, len(tabled))
 
 
 @pytest.mark.parametrize(
@@ -481,8 +494,23 @@ def test_log_bf01_at_zero_successes_never_falls(p0, shapes):
     # its derivative in n is the mean of log(1 - p) under the tilted H0
     # prior, at least log(1 - p0), less that under the tilted H1 prior
     hyp, ap = Hypotheses(p0), AnalysisPrior.from_shapes(p0, *shapes)
-    at_zero = np.array([log_bf01_curve(n, hyp, ap)[0] for n in range(1, 1201)])
-    assert (np.diff(at_zero) >= 0).all()
+    sizes = list(range(1, 1201)) + [3000]
+    curve = np.array([log_bf01_curve(n, hyp, ap)[0] for n in sizes])
+    assert (np.diff(curve) >= 0).all()
+    # the O(1) value the searches compare is the curve's, to rounding
+    at_zero = np.array([log_bf01_at_zero(n, ap) for n in sizes])
+    np.testing.assert_allclose(at_zero, curve, rtol=1e-13, atol=0)
+    geometric = np.unique(np.geomspace(1, 10**12, 400).astype(np.int64)).tolist()
+    assert (np.diff([log_bf01_at_zero(n, ap) for n in geometric]) >= 0).all()
+    for k_f in (3, 30, 1e6):
+        stops = [critical_futility(n, k_f, hyp, ap) is not None for n in sizes]
+        assert (at_zero > math.log(k_f)).tolist() == stops, k_f
+    # under flat priors the value has a closed form
+    if shapes == (1, 1, 1, 1):
+        q = 1.0 - p0
+        for n in [1, 7, 100, 3000] + [10**e for e in range(4, 16)]:
+            exact = math.log1p(-(q ** (n + 1))) - math.log(p0) - n * math.log(q)
+            assert log_bf01_at_zero(n, ap) == pytest.approx(exact, rel=1e-14, abs=0), n
 
 
 @pytest.mark.parametrize("n_max", [60, 66, 67, 120])

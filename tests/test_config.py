@@ -58,6 +58,19 @@ def test_fraction_values():
     assert config.k == 0.1
 
 
+def test_integer_keys_parse_exactly():
+    # an integer literal is read with int(), so a size past 2**53 keeps its
+    # last digit; other spellings of a whole number still parse as before
+    config = parse_config(with_line("n_max = 9007199254740993"))
+    assert config.n_max == 9007199254740993 and type(config.n_max) is int
+    for token in ("40.0", "4e1", "80/2", "40"):
+        config = parse_config(with_line(f"n_max = {token}"))
+        assert config.n_max == 40 and type(config.n_max) is int, token
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_line("n_max = 40.5"))
+    assert err.value.field_name == "n_max"
+
+
 def test_analysis_prior_shapes_and_f():
     config = parse_config(
         "p0=0.2\nalpha=0.1\nbeta=0.1\npower_prior=point 0.4\n"

@@ -111,9 +111,12 @@ def summary(workload: str, runs: list, bounds: dict) -> str:
     ``pair`` number.  The spread is the distance between the quartiles of the
     parent's runs.  The verdict is ``gain`` when the change is lower in at
     least nine tenths of the pairs, its median is below the parent's by more
-    than the spread and no more of its runs failed; ``within bound`` when its
-    median exceeds the parent's by at most ``bounds[metric]`` of it; ``worse``
-    otherwise, and ``no verdict`` when a side has fewer than two measured runs.
+    than the spread and no more of its runs failed; else ``unresolved`` when
+    the spread is wider than ``bounds[metric]`` of the parent's median, unless
+    every change run is below every parent run; else ``within bound`` when
+    its median exceeds the parent's by at most ``bounds[metric]`` of it;
+    ``worse`` otherwise, and ``no verdict`` when a side has fewer than two
+    measured runs.
     """
     sides = ("parent", "change")
     failed = {
@@ -141,6 +144,10 @@ def summary(workload: str, runs: list, bounds: dict) -> str:
             and failed["change"] <= failed["parent"]
         ):
             verdict = "gain"
+        elif high - low > parent * bounds[metric] and not (
+            max(side["change"].values()) < min(side["parent"].values())
+        ):
+            verdict = "unresolved"
         elif change <= parent * (1.0 + bounds[metric]):
             verdict = "within bound"
         else:
