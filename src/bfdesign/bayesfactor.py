@@ -29,14 +29,14 @@ from typing import Optional
 import numpy as np
 
 from .predictive import log_predictive_rows
-from .priors import ParameterError, TruncatedBeta, check_size
+from .priors import ParameterError, TruncatedBeta, check_interval, check_size
 from .special import log_beta_integrals
 
 
 def check_thresholds(k: Optional[float] = None, k_f: Optional[float] = None) -> None:
     """Require 0 < k < 1 and k_f > 1 (NaN fails both); None skips a threshold."""
-    if k is not None and not 0.0 < k < 1.0:
-        raise ParameterError("k", f"must lie in (0, 1), got {k}")
+    if k is not None:
+        check_interval("k", k)
     if k_f is not None and not k_f > 1.0:
         raise ParameterError("k_f", f"must exceed 1, got {k_f}")
 
@@ -48,8 +48,7 @@ class Hypotheses:
     p0: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p0 < 1.0:
-            raise ParameterError("p0", f"must lie strictly inside (0, 1), got {self.p0}")
+        check_interval("p0", self.p0)
 
 
 @dataclass(frozen=True)
@@ -79,23 +78,31 @@ class AnalysisPrior:
 
 
 def _check_regions(hyp: Hypotheses, ap: AnalysisPrior) -> None:
-    if ap.h0.l != 0.0 or ap.h0.u != hyp.p0:
+    h0, h1 = ap.h0, ap.h1
+    if (h0.l, h0.u, h1.l, h1.u) != (0.0, hyp.p0, hyp.p0, 1.0):
         raise ValueError(
-            f"H0 analysis prior must be truncated to [0, {hyp.p0}], got [{ap.h0.l}, {ap.h0.u}]"
-        )
-    if ap.h1.l != hyp.p0 or ap.h1.u != 1.0:
-        raise ValueError(
-            f"H1 analysis prior must be truncated to [{hyp.p0}, 1], got [{ap.h1.l}, {ap.h1.u}]"
+            f"analysis priors must be truncated to [0, {hyp.p0}] and [{hyp.p0}, 1], "
+            f"got [{h0.l}, {h0.u}] and [{h1.l}, {h1.u}]"
         )
 
 
 def log_bf01_curve(n: int, hyp: Hypotheses, ap: AnalysisPrior) -> np.ndarray:
     """log BF01 for every success count y = 0..n."""
-    check_size("n", n)
-    if n < 1:
-        raise ParameterError("n", f"must be at least 1, got {n}")
+    check_size("n", n, 1)
     _check_regions(hyp, ap)
     return log_predictive_rows(ap.h0, n) - log_predictive_rows(ap.h1, n)
+
+
+def at_zero_limit(ap: AnalysisPrior) -> float:
+    """Largest size at which `log_bf01_at_zero` is exact, at most the largest double.
+
+    Where 1 - p0 rounds to 1, the H0 anchor at shapes (a, b + n) keeps to
+    its continued fraction, not the complement that needs 1 - p0, up to
+    n = (a + 1) / (2 p0) - a - b - 2 (`special._lower_anchor`).
+    """
+    h0 = ap.h0
+    limit = (h0.a + 1.0) / (2.0 * h0.u) - h0.a - h0.b - 2.0 if 1.0 - h0.u == 1.0 else math.inf
+    return min(limit, sys.float_info.max)
 
 
 def log_bf01_at_zero(n: int, ap: AnalysisPrior) -> float:
@@ -106,10 +113,10 @@ def log_bf01_at_zero(n: int, ap: AnalysisPrior) -> float:
     n grows: its derivative in n is E0[log(1 - p)] - E1[log(1 - p)], the
     means under each region's prior tilted by (1 - p)^n, and log(1 - p) is
     at least log(1 - p0) on [0, p0] and at most that on [p0, 1].  So a size
-    past the double range is taken at the largest double, a lower bound.
-    The search calls it with a size and regions it has checked.
+    past `at_zero_limit` is taken there, a lower bound.  The search calls
+    it with a size and regions it has checked.
     """
-    n = min(n, sys.float_info.max)
+    n = min(n, at_zero_limit(ap))
     h0, h1 = (log_beta_integrals(r.a, r.b + n, r.l, r.u, 0)[0] - r.log_norm for r in (ap.h0, ap.h1))
     return float(h0 - h1)
 
@@ -121,9 +128,7 @@ def bf01(y_s: int, n: int, hyp: Hypotheses, ap: AnalysisPrior) -> float:
     for no successes in thousands of trials at p0 = 0.5; `log_bf01_curve`
     keeps the finite log.
     """
-    check_size("y_s", y_s)
-    if y_s < 0 or y_s > n:
-        raise ValueError(f"success count out of range: y_s={y_s}, n={n}")
+    check_size("y_s", y_s, 0, n)
     try:
         return math.exp(log_bf01_curve(n, hyp, ap)[y_s])
     except OverflowError:

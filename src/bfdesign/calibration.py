@@ -22,7 +22,8 @@ constant, so the first feasible design in the order (n2, n1) wins.  The only
 per-design work is the erased mass, one vectorized call for both design
 priors for a set of interim sizes of one final size (`DesignGrid.rows`).
 Five cuts spare it without changing the answer; each is proved where it is
-made.  They skip:
+made, the first and third past the decision margin `operating.MARGIN`.
+They skip:
 
 - interim sizes that no final size can make feasible (`_can_be_feasible`);
 - final sizes whose single-look power misses, as the interim only lowers it;
@@ -31,7 +32,7 @@ made.  They skip:
 - once a design is known, every final size from the first at which no key
   is below its key (`operating.walk_key`).
 
-The walk tables a block of at most `_WALK_BLOCK` consecutive sizes in one
+The walk tables at most `operating.WALK_BLOCK` consecutive sizes in one
 pass when it reaches an untabled size; once a design is known (only under
 the E[N|H0] key, as a constant one ends at its hit), exactly the sizes ahead
 at which some live key is below the incumbent's, a prefix by the walk-end
@@ -40,9 +41,11 @@ proof (`operating.walk_key`).  Only waste, never the answer, depends on it.
 A search also needs an interim size in [n_min, n_max - 1] that can stop
 for futility.  One can if and only if n_max - 1 can, as log BF01 at zero
 successes never falls in n, so the search compares that O(1) value
-(`bayesfactor.log_bf01_at_zero`) with log k_f before it walks.  The
-winner's operating characteristics are read off the same grid, which is
-what `evaluate` does on a grid of its two sizes.
+(`bayesfactor.log_bf01_at_zero`) with log k_f before it walks.  Past
+`bayesfactor.at_zero_limit` that value is only a lower bound, so a search
+it does not settle refuses n_max by name.  The winner's operating
+characteristics are read off the same grid, which is what `evaluate` does
+on a grid of its two sizes.
 """
 
 from __future__ import annotations
@@ -54,13 +57,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bayesfactor import AnalysisPrior, Hypotheses, ParameterError, check_size, log_bf01_at_zero
-from .operating import DesignGrid, OperatingCharacteristics, TwoStageDesign, walk_key
-from .priors import DesignPrior
-
-# Most sizes the search walk tables in one block; past the walk's end they
-# are waste, so once a design is known a block ends where no key is below.
-_WALK_BLOCK = 16
+from .bayesfactor import AnalysisPrior, Hypotheses, at_zero_limit, log_bf01_at_zero
+from .operating import (
+    MARGIN, WALK_BLOCK, DesignGrid, OperatingCharacteristics, TwoStageDesign, walk_key
+)
+from .priors import DesignPrior, ParameterError, check_interval, check_size
 
 
 @dataclass(frozen=True)
@@ -80,20 +81,13 @@ class CalibrationConstraints:
     window: int = 10
 
     def __post_init__(self) -> None:
-        for name in ("n_min", "n_max", "window"):
-            check_size(name, getattr(self, name))
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError("alpha", f"must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.beta < 1.0:
-            raise ParameterError("beta", f"must lie in (0, 1), got {self.beta}")
-        if self.f is not None and not 0.0 < self.f < 1.0:
-            raise ParameterError("f", f"must lie in (0, 1) when given, got {self.f}")
-        if not 1 <= self.n_min < self.n_max:
-            raise ParameterError(
-                "n_min", f"needs 1 <= n_min < n_max, got {self.n_min}, {self.n_max}"
-            )
-        if not self.window >= 0:
-            raise ParameterError("window", f"must be nonnegative, got {self.window}")
+        check_size("n_max", self.n_max)
+        check_size("n_min", self.n_min, 1, self.n_max - 1)
+        check_size("window", self.window, 0)
+        check_interval("alpha", self.alpha)
+        check_interval("beta", self.beta)
+        if self.f is not None:
+            check_interval("f", self.f)
 
 
 @dataclass(frozen=True)
@@ -151,11 +145,10 @@ def _can_be_feasible(grid: DesignGrid, n1: np.ndarray, cons: CalibrationConstrai
     Both tests read only n1, so they hold at every final size.  The PCE must
     exceed f, the very comparison `GridColumn.feasible` makes.  And adjusted
     power is P1(reject at n2, no stop at n1) <= 1 - P1(stop at n1), so a
-    futility mass under the power prior above beta + 1e-9 rules n1 out; the
-    margin dwarfs the rounding of both masses.  Simon's PET(p1) cap is the
-    same bound.
+    futility mass under the power prior above beta + `operating.MARGIN`
+    rules n1 out.  Simon's PET(p1) cap is the same bound.
     """
-    ok = grid.h1[n1, 2] <= cons.beta + 1e-9
+    ok = grid.h1[n1, 2] <= cons.beta + MARGIN
     if cons.f is not None:
         ok &= grid.pce[n1] > cons.f
     return ok
@@ -174,8 +167,7 @@ def _type_i_floor(grid: DesignGrid, n1: np.ndarray, n2: int) -> np.ndarray:
     type-I error is at least (1 - p_stop[n1]) type_i[n2].  A size that
     cannot stop (p_stop 0) gets the single-look rate, which it has
     exactly; a size with no efficacy count gets 0.  The search compares
-    the floor with alpha + 1e-9, a margin far above the rounding of the
-    masses.
+    the floor with alpha + `operating.MARGIN`.
     """
     return (1.0 - grid.p_stop[n1]) * grid.type_i[n2]
 
@@ -198,6 +190,12 @@ def _search(
     """
     grid = DesignGrid((), k, k_f, hyp, ap, power_prior, null_prior)
     if not log_bf01_at_zero(cons.n_max - 1, ap) > math.log(k_f):
+        limit = at_zero_limit(ap)
+        if cons.n_max - 1 > limit:  # the value there is only a lower bound
+            raise ParameterError(
+                "n_max", f"must be at most {limit:.4g}: no size up to it can stop at k_f = "
+                f"{k_f}, and past it doubles cannot tell"
+            )
         return None  # no interim size can stop: no two-stage design exists
     best: Optional[tuple[float, int, int]] = None
     for n2 in range(cons.n_min, cons.n_max + 1):
@@ -210,14 +208,14 @@ def _search(
             below = keys < best[0]
             n1, keys = n1[below], keys[below]
         if n2 not in grid.y_eff:
-            ahead = np.arange(n2, min(n2 + _WALK_BLOCK, cons.n_max + 1))
+            ahead = np.arange(n2, min(n2 + WALK_BLOCK, cons.n_max + 1))
             if best is not None:  # a prefix (module docstring)
                 live = walk_key(n1, ahead[:, None], grid.p_stop[n1]) < best[0]
                 ahead = ahead[: np.count_nonzero(live.any(axis=1))]
             grid.add(ahead)
         if n1.size == 0 or grid.power[n2] < 1.0 - cons.beta:
             continue
-        below = _type_i_floor(grid, n1, n2) <= cons.alpha + 1e-9
+        below = _type_i_floor(grid, n1, n2) <= cons.alpha + MARGIN
         if not below.any():
             continue
         n1, keys = n1[below], keys[below]

@@ -18,7 +18,7 @@ from typing import Optional
 from .calibration import optimal_calibrate, scan
 from .config import ConfigError, RunConfig, load_config
 from .operating import DesignGrid
-from .priors import PointMass
+from .priors import ParameterError, PointMass
 from .simon import simon_search
 
 EXIT_OK = 0
@@ -200,7 +200,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"config error: cannot read '{args.config}': {exc}")
     args.format = args.format or config.output_format
-    return args.handler(config, args)
+    try:
+        return args.handler(config, args)
+    except ParameterError as exc:  # a search refuses n_max past what doubles settle
+        return _fail(f"config error: {ConfigError(exc.name, exc.message)}")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .bayesfactor import AnalysisPrior, Hypotheses, ParameterError, check_thresholds
 from .calibration import CalibrationConstraints
-from .priors import DesignPrior, PointMass, TruncatedBeta
+from .priors import DesignPrior, PointMass, TruncatedBeta, check_interval
 
 
 class ConfigError(ValueError):
@@ -110,10 +110,7 @@ def _parse_power_prior(token: str, p0: float) -> DesignPrior:
     parts = token.split()
     if len(parts) == 2 and parts[0] == "point":
         p1 = _parse_number("power_prior", parts[1])
-        if not p0 < p1 < 1.0:
-            raise ConfigError(
-                "power_prior", f"point alternative must satisfy p0 < p1 < 1, got {p1}"
-            )
+        check_interval("power_prior", p1, p0)
         return PointMass(p1)
     if len(parts) == 3 and parts[0] == "beta":
         a = _parse_number("power_prior", parts[1])

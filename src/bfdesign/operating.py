@@ -48,15 +48,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .bayesfactor import (
-    AnalysisPrior,
-    Hypotheses,
-    _check_regions,
-    check_size,
-    check_thresholds,
-    critical_counts,
+    AnalysisPrior, Hypotheses, _check_regions, check_thresholds, critical_counts
 )
 from .predictive import log_predictive_rows
-from .priors import DesignPrior, ParameterError, PointMass
+from .priors import DesignPrior, PointMass, check_size
 from .special import _BLOCK, log_factorials
 
 # Adjusted rates may dip this far below zero from rounding; anything worse
@@ -82,10 +77,8 @@ class TwoStageDesign:
     k_f: float
 
     def __post_init__(self) -> None:
-        check_size("n1", self.n1)
         check_size("n2", self.n2)
-        if not 1 <= self.n1 < self.n2:
-            raise ValueError(f"need 1 <= n1 < n2, got n1={self.n1}, n2={self.n2}")
+        check_size("n1", self.n1, 1, self.n2 - 1)
         check_thresholds(self.k, self.k_f)
 
 
@@ -180,6 +173,13 @@ def checked_adjusted(unadjusted: float, erased: float | np.ndarray) -> np.ndarra
 def expected_size(n1, n2, p_stop):
     """Expected enrolled size given the interim stop probability, elementwise."""
     return n2 - (n2 - n1) * p_stop
+
+
+# Decision margin of both searches, far above the rounding of any sum
+# compared: a cut skips only a bound that misses its target by more.
+MARGIN = 1e-9
+# Most sizes a search walk tables in one pass when it reaches an untabled size.
+WALK_BLOCK = 16
 
 
 def walk_key(n1, n2, p_stop):
@@ -297,9 +297,7 @@ class DesignGrid:
         """Table each of sizes; rows stay NaN until tabled."""
         block: list[int] = []
         for n in sorted(sizes):
-            check_size("n", n)
-            if n < 1:
-                raise ParameterError("n", f"must be at least 1, got {n}")
+            check_size("n", n, 1)
             if block and (n != block[-1] + 1 or (len(block) + 1) * (n + 1) > _BLOCK):
                 self._table(np.array(block))
                 block = []

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .priors import DesignPrior, ParameterError, PointMass, check_size
+from .priors import DesignPrior, PointMass, check_size
 from .special import log_beta_integrals, log_binom_coeff_vector, log_binom_pmf_vector
 
 
@@ -46,17 +46,13 @@ def log_predictive_rows(prior: DesignPrior, n) -> np.ndarray:
 
 def predictive_vector(prior: DesignPrior, n: int) -> np.ndarray:
     """Predictive pmf over y = 0..n."""
-    check_size("n", n)
-    if n < 1:
-        raise ParameterError("n", f"must be at least 1, got {n}")
+    check_size("n", n, 1)
     return np.exp(log_predictive_rows(prior, n))
 
 
 def predictive_pmf(y_s: int, n: int, prior: DesignPrior) -> float:
     """Predictive probability of exactly y_s successes in n trials."""
-    check_size("y_s", y_s)
-    if y_s < 0 or y_s > n:
-        raise ValueError(f"success count out of range: y_s={y_s}, n={n}")
+    check_size("y_s", y_s, 0, n)
     return float(predictive_vector(prior, n)[y_s])
 
 
@@ -68,10 +64,8 @@ def joint_predictive_matrix(n1: int, m: int, prior: DesignPrior) -> np.ndarray:
     probability shared between batches.  Under a point mass the batches are
     independent and the matrix is an outer product of binomial pmfs.
     """
-    check_size("n1", n1)
-    check_size("m", m)
-    if n1 < 1 or m < 1:
-        raise ValueError(f"batch sizes must be at least 1, got n1={n1}, m={m}")
+    check_size("n1", n1, 1)
+    check_size("m", m, 1)
     if isinstance(prior, PointMass):
         return np.outer(
             np.exp(log_binom_pmf_vector(n1, prior.p)),

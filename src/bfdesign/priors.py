@@ -4,7 +4,9 @@ Two kinds of design prior drive every predictive computation: a point mass
 (frequentist planning value) and a Beta law truncated to a tail.  Both
 are frozen, hashable dataclasses, so a design grid builds each distinct
 prior's log predictive block once.  Every module above refuses a bad
-parameter by name with `ParameterError`, defined here.
+parameter by name with `ParameterError`, defined here, and each range
+rule is written once: `check_size` for counts and `check_interval` for
+rates and thresholds.
 """
 
 from __future__ import annotations
@@ -30,10 +32,21 @@ class ParameterError(ValueError):
         self.message = message
 
 
-def check_size(name: str, value: object) -> None:
-    """Require a Python or numpy integer; bools and floats such as 10.0 fail."""
+def check_size(name: str, value: object, low: int | None = None, high: int | None = None) -> None:
+    """Require a Python or numpy int in [low, high], None an open side; bools and 10.0 fail."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(name, f"must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ParameterError(name, f"must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ParameterError(name, f"must be at most {high}, got {value}")
+
+
+def check_interval(name: str, value: float, low=0.0, high=1.0, closed=False) -> None:
+    """Require low < value < high, or low <= value <= high when closed; NaN fails both."""
+    if not (low <= value <= high if closed else low < value < high):
+        left, right = "[]" if closed else "()"
+        raise ParameterError(name, f"must lie in {left}{low:.15g}, {high:.15g}{right}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +93,7 @@ class PointMass:
     p: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"point mass requires p in [0, 1], got p={self.p}")
+        check_interval("p", self.p, closed=True)
 
 
 DesignPrior = Union[PointMass, TruncatedBeta]

@@ -12,18 +12,18 @@ A search walks the final size n2 upward in one vectorized step each:
 at once, from one gather of the tails and a read-only strided view of it.
 Each entry is the same sequential sum from x1 = n1 down, so `simon_oc`
 gives a design the same bits alone as in the search.  Bin(n, p) is tabled
-once per success rate, a block of up to 16 consecutive sizes in one pass
-when the walk reaches an untabled size (`_table_block`): one log-space pmf
-block from `special`, whose rows have the bits of each size alone, gives
-the reversed pmf, the upper tail and, under p0, the PET of every futility
-bound.  The tables grow by doubling in rows and width up to n_max, so
-memory follows the walk and not n_max.  Feasibility is read off the tensors
-with a margin of 1e-9 in the design's favor; a step's winner, the least
-feasible entry in a fixed order, is decided and reported in exact rationals
-on a side inside the margin (`_exact_reject`), correctly rounded, so there
-alone its bits may differ from `simon_oc`'s.  Four cuts spare work
-without changing an answer; each skips only when a bound misses its target
-by more than 1e-9, far above the rounding of any of these sums:
+once per success rate, a block of up to `operating.WALK_BLOCK` consecutive
+sizes in one pass when the walk reaches an untabled size (`_table_block`):
+one log-space pmf block from `special`, whose rows have the bits of each
+size alone, gives the reversed pmf, the upper tail and, under p0, the PET
+of every futility bound.  The tables grow by doubling in rows and width
+up to n_max, so memory follows the walk and not n_max.  Feasibility is
+read off the tensors with the decision margin `operating.MARGIN` in the
+design's favor; a step's winner, the least feasible entry in a fixed
+order, is decided and reported in exact rationals on a side inside the
+margin (`_exact_reject`), correctly rounded, so there alone its bits may
+differ from `simon_oc`'s.  Four cuts spare work without changing an
+answer, each only where a bound misses its target by more than the margin:
 
 - Neyman-Pearson ceiling.  A step whose randomized UMP test misses the
   power target builds no tensor (`_ump_short`).  Its rows still fill the
@@ -54,13 +54,9 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .operating import walk_key
-from .priors import ParameterError, check_size
+from .operating import MARGIN, WALK_BLOCK, walk_key
+from .priors import check_interval, check_size
 from .special import _BLOCK, _mirror, log_binom_pmf_vector
-
-# Most rows of the binomial tables built in one vectorized pass; a walk
-# tables a block when it reaches an untabled row.
-_TABLE_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,7 @@ def _pets(top: np.ndarray) -> np.ndarray:
 def _table_block(
     tables: np.ndarray, capped: np.ndarray, n_max: int, p0: float, p1: float, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(tables, capped) with the next block of at most `_TABLE_ROWS` rows tabled.
+    """(tables, capped) with the next block of at most `operating.WALK_BLOCK` rows tabled.
 
     tables stacks top0, tails0, pets, top1, tails1, indexed by the size n:
     top[n, d] = P(X = n - d) and tails[n, t + 1] = P(X > t) for t = -1..n
@@ -110,7 +106,7 @@ def _table_block(
     row adding exactly.
     """
     lo = capped.size
-    hi = min(lo + _TABLE_ROWS, n_max + 1)
+    hi = min(lo + WALK_BLOCK, n_max + 1)
     size = tables.shape[1]
     if hi > size:  # a walk copies O(n_max^2) entries in all
         cap = min(max(hi, 2 * size), n_max + 1)
@@ -124,7 +120,7 @@ def _table_block(
         tables[i + 1, lo:hi, :hi] = _mirror(np.cumsum(top, axis=1), sizes[:, None], 0.0)
     pets = _pets(tables[0:4:3, lo:hi, :hi])  # under p0 and p1
     tables[2, lo:hi, : hi - 1] = pets[0]
-    return tables, np.append(capped, np.count_nonzero(pets[1] > beta + 1e-9, axis=1))
+    return tables, np.append(capped, np.count_nonzero(pets[1] > beta + MARGIN, axis=1))
 
 
 def _reject_tensor(top: np.ndarray, tails: np.ndarray, n1s: np.ndarray, cols: int) -> np.ndarray:
@@ -197,12 +193,11 @@ def simon_oc(r1: int, n1: int, r: int, n2: int, p: float) -> tuple[float, float,
     PET is the probability of early termination, P(X1 <= r1).  H0 is
     rejected when the trial continues and the total count exceeds r.
     """
-    for name, value in (("r1", r1), ("n1", n1), ("r", r), ("n2", n2)):
-        check_size(name, value)
-    if not (0 <= r1 <= n1 < n2 and r1 <= r <= n2):
-        raise ValueError(f"invalid design bounds: r1={r1}, n1={n1}, r={r}, n2={n2}")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError("p", f"must lie in [0, 1], got {p}")
+    check_size("n2", n2)
+    check_size("n1", n1, 0, n2 - 1)
+    check_size("r1", r1, 0, n1)
+    check_size("r", r, r1, n2)
+    check_interval("p", p, closed=True)
     reject, pet = 0.0, 1.0  # r1 = n1 always stops
     if r1 < n1:
         d = n1 - 1 - r1
@@ -227,13 +222,10 @@ def simon_search(
     None when no design with n2 <= n_max meets the error targets.
     """
     check_size("n_max", n_max)
-    if not 0.0 < p0 < 1.0:
-        raise ParameterError("p0", f"must lie in (0, 1), got {p0}")
-    if not p0 < p1 < 1.0:
-        raise ParameterError("p1", f"must lie in (p0, 1), got {p1}")
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 < value < 1.0:
-            raise ParameterError(name, f"must lie in (0, 1), got {value}")
+    check_interval("p0", p0)
+    check_interval("p1", p1, p0)
+    check_interval("alpha", alpha)
+    check_interval("beta", beta)
 
     tables = np.zeros((5, 0, 1))  # top0, tails0, pets, top1, tails1 (`_table_block`)
     capped = np.zeros(0, dtype=np.int64)  # rows d < capped[n1] have PET(p1) > beta
@@ -245,7 +237,7 @@ def simon_search(
             tables, capped = _table_block(tables, capped, n_max, p0, p1, beta)
             top0, tails0, pets, top1, tails1 = tables
         if _ump_short(
-            top0[n2, n2::-1], tails0[n2], top1[n2, n2::-1], tails1[n2], alpha, 1.0 - beta - 1e-9
+            top0[n2, n2::-1], tails0[n2], top1[n2, n2::-1], tails1[n2], alpha, 1.0 - beta - MARGIN
         ):
             continue  # the Neyman-Pearson ceiling
         # the minimax design is fixed at the first n2 with a design, where
@@ -258,7 +250,7 @@ def simon_search(
         keep = live > capped[n1s]
         if best_optimal is not None and not keep.any():
             break  # the horizon: no row here or later can win
-        cols = int(np.count_nonzero(tails1[n2, 1 : n2 + 2] >= 1.0 - beta - 1e-9))  # power cap
+        cols = int(np.count_nonzero(tails1[n2, 1 : n2 + 2] >= 1.0 - beta - MARGIN))  # power cap
         n1s, e_n, live = n1s[keep], e_n[keep], live[keep]
         if cols == 0 or n1s.size == 0:
             continue
@@ -269,7 +261,7 @@ def simon_search(
             rej0 = _reject_tensor(top0[n1b, :depth], tails0[n2 - n1b], n1b, cols)
             rej1 = _reject_tensor(top1[n1b, :depth], tails1[n2 - n1b], n1b, cols)
             ds = np.arange(depth)[:, None]
-            feasible = (rej0 <= alpha + 1e-9) & (rej1 >= 1.0 - beta - 1e-9)
+            feasible = (rej0 <= alpha + MARGIN) & (rej1 >= 1.0 - beta - MARGIN)
             feasible &= np.arange(cols) >= (n1b - 1 - ds)[:, :, None]  # r >= r1
             while (rows := feasible.any(axis=2) & (ds < k)).any():
                 # within an n1 the largest PET wins, then the first r1 (the last d);
@@ -282,10 +274,10 @@ def simon_search(
                 r1, r = n1 - 1 - d, int(feasible[d, i].argmax())
                 alpha_at, power_at, ok = float(rej0[d, i, r]), float(rej1[d, i, r]), True
                 # a side inside the margin is decided, and reported, exactly
-                if alpha_at > alpha - 1e-9:
+                if alpha_at > alpha - MARGIN:
                     exact = _exact_reject(r1, n1, r, n2, p0)
                     ok, alpha_at = exact <= alpha, float(exact)
-                if ok and power_at < 1.0 - beta + 1e-9:
+                if ok and power_at < 1.0 - beta + MARGIN:
                     exact = _exact_reject(r1, n1, r, n2, p1)
                     ok, power_at = 1 - exact <= beta, float(exact)
                 if not ok:

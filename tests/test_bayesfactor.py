@@ -174,8 +174,10 @@ def test_threshold_preconditions():
         critical_efficacy(10, 1.0, hyp, ap)
     with pytest.raises(ValueError):
         critical_futility(10, 1.0, hyp, ap)
-    with pytest.raises(ValueError):
-        bf01(5, 4, hyp, ap)
+    for y_s in (5, -1):
+        with pytest.raises(ParameterError) as err:
+            bf01(y_s, 4, hyp, ap)
+        assert err.value.name == "y_s"
     with pytest.raises(ParameterError) as err:
         bf01(3, 10.0, hyp, ap)
     assert err.value.name == "n"

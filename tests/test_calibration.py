@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -25,10 +26,15 @@ from bfdesign import (
     predictive_vector,
     scan,
 )
-from bfdesign.bayesfactor import ParameterError, log_bf01_at_zero, log_bf01_curve
+from bfdesign.bayesfactor import (
+    ParameterError,
+    at_zero_limit,
+    log_bf01_at_zero,
+    log_bf01_curve,
+)
 from bfdesign.calibration import _can_be_feasible, _type_i_floor
 from bfdesign.config import load_config
-from bfdesign.operating import DesignGrid, expected_size, walk_key
+from bfdesign.operating import MARGIN, DesignGrid, expected_size, walk_key
 
 EX1_HYP = Hypotheses(0.1)
 EX1_AP = AnalysisPrior.flat(0.1)
@@ -235,7 +241,7 @@ def test_prune_never_changes_the_argmin(monkeypatch):
 
     def counted(grid, n1, cons):
         ok = can_be_feasible(grid, n1, cons)
-        dropped["power"] += int(np.sum(~ok & (grid.h1[n1, 2] > cons.beta + 1e-9)))
+        dropped["power"] += int(np.sum(~ok & (grid.h1[n1, 2] > cons.beta + MARGIN)))
         if cons.f is not None:
             dropped["pce"] += int(np.sum(~ok & (grid.pce[n1] <= cons.f)))
         return ok
@@ -310,7 +316,7 @@ def test_type_i_floor_never_changes_a_search(monkeypatch):
 
     def counted(grid, n1, n2):
         floor = _type_i_floor(grid, n1, n2)
-        cut.append(int((floor > alpha + 1e-9).sum()))
+        cut.append(int((floor > alpha + MARGIN).sum()))
         return floor
 
     for name, changes, null_prior, design in settings:
@@ -477,6 +483,31 @@ def test_no_interim_stop_is_told_from_the_last_size(monkeypatch):
             assert time.perf_counter() - start < 1.0, (search.__name__, n_max)
             assert (found.design.n1, found.design.n2) == (5, 25), (search.__name__, n_max)
             assert len(tabled) < 60, (search.__name__, n_max, len(tabled))
+
+
+def test_a_tiny_p0_settles_the_futility_check_in_doubles():
+    # at p0 = 1e-20, 1 - p0 rounds to 1, and the value at zero successes is
+    # exact only up to `at_zero_limit`, 1e20; there it is 45.6, far above
+    # log 3, which settles n_max = 1e21, where it once raised "math domain
+    # error"
+    hyp, ap = Hypotheses(1e-20), AnalysisPrior.flat(1e-20)
+    assert at_zero_limit(ap) == pytest.approx(1e20)
+    assert log_bf01_at_zero(10**21, ap) == log_bf01_at_zero(at_zero_limit(ap), ap)
+    assert log_bf01_at_zero(10**21, ap) == pytest.approx(45.593, abs=1e-3)
+    cons = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=10**21)
+    for search in (calibrate, optimal_calibrate):
+        found = search(cons, 1 / 3, 3.0, hyp, ap, PointMass(0.3))
+        assert (found.design.n1, found.design.n2) == (5, 6), search.__name__
+        # at k_f = 1e300 no size up to the limit can stop, and doubles cannot
+        # tell past it, so n_max is refused by name
+        with pytest.raises(ParameterError) as err:
+            search(cons, 1 / 3, 1e300, hyp, ap, PointMass(0.3))
+        assert err.value.name == "n_max"
+        # within the limit the same question is answered
+        narrow = dataclasses.replace(cons, n_max=40)
+        assert search(narrow, 1 / 3, 1e300, hyp, ap, PointMass(0.3)) is None
+    # where 1 - p0 is below 1 the limit is the double range, as before
+    assert at_zero_limit(EX1_AP) == sys.float_info.max
 
 
 @pytest.mark.parametrize(

@@ -351,6 +351,9 @@ def test_calibrate_golden_bytes_at_a_huge_n_max(tmp_path, capsys):
 # Configs for the pinned bytes below: "narrow.cfg" has no design with
 # n2 <= 8, "short_simon.cfg" no Simon design with n2 <= 8, "latin1.cfg" is
 # not UTF-8 and "bom.cfg" is example1 saved with a UTF-8 byte order mark.
+# 1 - p0 rounds to 1, and n_max lies past the sizes at which the futility
+# check is exact in doubles
+TINY_P0 = "p0=1e-20\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\nn_max=1000000000000000000000\n"
 PIN_CONFIGS = {
     "no_stop.cfg": NO_STOP,
     "narrow.cfg": "p0=0.2\nalpha=0.1\nbeta=0.1\npower_prior=point 0.4\nf=0.6\n"
@@ -360,6 +363,8 @@ PIN_CONFIGS = {
     "zero_alpha.cfg": "p0=0.1\nalpha=0\nbeta=0.2\npower_prior=point 0.3\n",
     "latin1.cfg": b"p0 = 0.1\xff\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\n",
     "bom.cfg": b"\xef\xbb\xbf" + (REPO_ROOT / "configs" / "example1.cfg").read_bytes(),
+    "tiny_p0.cfg": TINY_P0,
+    "tiny_p0_no_stop.cfg": TINY_P0 + "k_f=1e300\n",
 }
 OC_HEADER = (
     "n1,n2,type_i_unadjusted,type_i_adjusted,power_unadjusted,power_adjusted,"
@@ -416,6 +421,15 @@ PINNED_RUNS = {
         "0.000000,0.000000,0.000000,12.000000,12.000000,0.300000,0.700000,0.000000,"
         "0.500000,0.500000,0.000000,false\n",
         "",
+    ),
+    "calibrate-tiny-p0": (
+        ["calibrate", "--config", "tiny_p0.cfg"], 0,
+        "n1  n2  type_i  power  en_h0  pce\n 5   6  0.0000  0.8319   5.00  1.0000\n", "",
+    ),
+    "calibrate-tiny-p0-unsettled": (
+        ["calibrate", "--config", "tiny_p0_no_stop.cfg"], 2, "",
+        "config error: config field 'n_max': must be at most 1e+20: no size up to it can "
+        "stop at k_f = 1e+300, and past it doubles cannot tell\n",
     ),
     "calibrate-infeasible": (
         ["calibrate", "--config", "narrow.cfg"], 3, "",
@@ -596,6 +610,14 @@ def fuzz_run(draw):
     run=(
         "p0 = 0.5\nalpha = 0.05\nbeta = 0.2\npower_prior = beta 1e-300 1e-300\nn_max = 20\n",
         ["oc", "--n1", "10", "--n2", "19"],
+    )
+)
+# 1 - p0 rounds to 1, and the futility check runs far past the drawn n_max
+@example(
+    run=(
+        "p0 = 1e-20\nalpha = 0.05\nbeta = 0.2\npower_prior = point 0.3\n"
+        "n_max = 1000000000000000000000\n",
+        ["calibrate"],
     )
 )
 def test_fuzzed_config_is_answered_or_refused(tmp_path_factory, run):

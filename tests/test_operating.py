@@ -63,6 +63,8 @@ def test_two_stage_design_validation():
         TwoStageDesign(2, 5, 1 / 3, 0.5)
     # sizes are counts: a float, even a whole one, or a bool is refused by name
     for n1, n2, name in [
+        (5, 5, "n1"),
+        (0, 5, "n1"),
         (10.5, 29, "n1"),
         (10.0, 29, "n1"),
         (True, 29, "n1"),

@@ -87,11 +87,16 @@ def test_predictive_domain_errors():
             with pytest.raises(ParameterError) as err:
                 predictive_vector(prior, n)
             assert err.value.name == "n"
-    # so are success counts
-    for y_s in (2.0, 2.5, True):
+    # so are success counts, and counts outside 0..n
+    for y_s, n in [(2.0, 10), (2.5, 10), (True, 10), (5, 4), (-1, 4)]:
         with pytest.raises(ParameterError) as err:
-            predictive_pmf(y_s, 10, PointMass(0.3))
+            predictive_pmf(y_s, n, PointMass(0.3))
         assert err.value.name == "y_s"
+    # and batch sizes below 1
+    for n1, m, name in [(0, 3, "n1"), (3, 0, "m")]:
+        with pytest.raises(ParameterError) as err:
+            joint_predictive_matrix(n1, m, FLAT)
+        assert err.value.name == name
 
 
 @pytest.mark.parametrize(
@@ -195,9 +200,11 @@ def test_truncated_beta_validation():
         TruncatedBeta(1.0, 1.0, 0.6, 0.4)
     with pytest.raises(ValueError):
         TruncatedBeta(1.0, 1.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        PointMass(1.5)
     nan = float("nan")
+    for p in (1.5, -0.1, nan):
+        with pytest.raises(ParameterError) as err:
+            PointMass(p)
+        assert err.value.name == "p"
     for args in [(nan, 1.0), (1.0, nan), (nan, 1.0, 0.1, 1.0), (1.0, 1.0, nan, 0.5)]:
         with pytest.raises(ValueError):
             TruncatedBeta(*args)

@@ -24,6 +24,14 @@ NO_CALLER = {
     "simon_oc": "user entry point: characteristics of a given Simon design",
 }
 
+# ParameterError built outside priors.py: rules that its range checks do not
+# state, each with its reason
+OWN_CHECK = {
+    ("bayesfactor.py", "k_f"): "k_f > 1 has no upper end, and README quotes its message",
+    ("calibration.py", "n_max"): "ties n_max to p0 and k_f: a search refuses an n_max "
+    "past the sizes at which doubles settle whether an interim size can stop",
+}
+
 
 def _referenced_names():
     """Names loaded or imported by the package's modules other than __init__."""
@@ -91,3 +99,30 @@ def test_only_the_oracle_names_the_joint_matrix():
             if "joint_predictive_matrix" in names:
                 naming.add(path.name)
     assert naming == {"__init__.py", "oracle.py", "predictive.py"}
+
+
+def test_the_decision_margin_is_written_once():
+    # the float 1e-9 is a constant only where operating defines MARGIN;
+    # docstrings and comments may still name it
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Constant) and node.value == 1e-9:
+                    target = stmt.targets[0].id if isinstance(stmt, ast.Assign) else stmt.lineno
+                    sites.append((path.name, target))
+    assert sites == [("operating.py", "MARGIN")]
+
+
+def test_range_rules_live_in_priors():
+    # a refusal by name is built by the checks of priors.py, or at a rule
+    # of `OWN_CHECK`, and nowhere else
+    built = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "priors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ParameterError":
+                name = node.args[0]
+                built.add((path.name, getattr(name, "value", ast.unparse(name))))
+    assert built == set(OWN_CHECK)

@@ -15,6 +15,7 @@ from scipy.stats import binom
 import bfdesign
 import bfdesign.simon
 from bfdesign import simon_oc, simon_search
+from bfdesign.operating import MARGIN
 from bfdesign.priors import ParameterError
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -141,9 +142,9 @@ def test_search_matches_scipy_reference(setting):
         # the search's margin of its bound is the exact rate, rounded
         reject0, pet, e_n = simon_oc(*bounds, p0)
         reject1, _, _ = simon_oc(*bounds, p1)
-        if reject0 > alpha - 1e-9:
+        if reject0 > alpha - MARGIN:
             reject0 = float(_exact_reject(*bounds, p0))
-        if reject1 < 1.0 - beta + 1e-9:
+        if reject1 < 1.0 - beta + MARGIN:
             reject1 = float(_exact_reject(*bounds, p1))
         assert (reject0, reject1, pet, e_n) == (
             design.alpha_attained,
@@ -219,7 +220,7 @@ def assert_row_alone(tables, capped, n, p0, p1, beta):
     pets[:-1] = _pets(rows[0][None])[0]
     for got, want in zip(tables[:, n], (rows[0], rows[1], pets, rows[2], rows[3])):
         assert np.array_equal(got, want), n
-    assert capped[n] == np.count_nonzero(_pets(rows[2][None]) > beta + 1e-9), n
+    assert capped[n] == np.count_nonzero(_pets(rows[2][None]) > beta + MARGIN), n
 
 
 def _sliding_reject_tensor(top, tails, n1s, cols):
