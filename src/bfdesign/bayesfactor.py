@@ -90,7 +90,8 @@ def log_bf01_curve(n: int, hyp: Hypotheses, ap: AnalysisPrior) -> np.ndarray:
     """log BF01 for every success count y = 0..n."""
     check_size("n", n, 1)
     _check_regions(hyp, ap)
-    return log_predictive_rows(ap.h0, n) - log_predictive_rows(ap.h1, n)
+    log_h0, log_h1 = log_predictive_rows((ap.h0, ap.h1), n)
+    return log_h0 - log_h1
 
 
 def at_zero_limit(ap: AnalysisPrior) -> float:

@@ -37,6 +37,9 @@ pass when it reaches an untabled size; once a design is known (only under
 the E[N|H0] key, as a constant one ends at its hit), exactly the sizes ahead
 at which some live key is below the incumbent's, a prefix by the walk-end
 proof (`operating.walk_key`).  Only waste, never the answer, depends on it.
+The first cut and the stop probabilities behind the key read only n1, so
+the walk takes them once per tabled block for every tabled interim size,
+and each final size reads the prefix below it.
 
 A search also needs an interim size in [n_min, n_max - 1] that can stop
 for futility.  One can if and only if n_max - 1 can, as log BF01 at zero
@@ -126,16 +129,20 @@ def base_sample_size(
     sample sizes, which irons out the oscillations of the discrete binomial
     power curve; the type-I requirement is checked at n itself.  Both are
     read off a design grid at k_f = inf, where no size can stop for
-    futility, so its efficacy masses are the single-look rates; the scan
-    tables the sizes up to n + window as it reaches n.  None when no n up to
-    n_max qualifies.
+    futility, so its efficacy masses are the single-look rates.  A size
+    whose power misses rules out every n up to it whose window holds it, so
+    the scan steps past the last miss in the window of n, and tables the
+    sizes up to the next n + window in one block: every size it tables is
+    one the scan at the answer reads.  None when no n up to n_max qualifies.
     """
-    grid = DesignGrid(range(1, cons.window + 1), k, math.inf, hyp, ap, power_prior, null_prior)
-    for n in range(1, cons.n_max + 1):
-        grid.add([n + cons.window])
-        power_ok = grid.power[n : n + cons.window + 1] >= 1.0 - cons.beta
-        if power_ok.all() and grid.type_i[n] <= cons.alpha:
+    grid = DesignGrid((), k, math.inf, hyp, ap, power_prior, null_prior)
+    n = 1  # every smaller n is ruled out, and the grid holds the sizes 1..len(grid.y_eff)
+    while n <= cons.n_max:
+        grid.add(range(len(grid.y_eff) + 1, n + cons.window + 1))
+        misses = np.flatnonzero(~(grid.power[n : n + cons.window + 1] >= 1.0 - cons.beta))
+        if misses.size == 0 and grid.type_i[n] <= cons.alpha:
             return n
+        n += int(misses[-1]) + 1 if misses.size else 1
     return None
 
 
@@ -198,14 +205,16 @@ def _search(
             )
         return None  # no interim size can stop: no two-stage design exists
     best: Optional[tuple[float, int, int]] = None
+    # the tabled interim sizes `_can_be_feasible` keeps, with their stop
+    # probabilities, set once per block (module docstring)
+    kept = p_stop = np.arange(0)
     for n2 in range(cons.n_min, cons.n_max + 1):
-        n1 = np.arange(cons.n_min, n2)
-        n1 = n1[_can_be_feasible(grid, n1, cons)]
-        keys = walk_key(n1, n2, grid.p_stop[n1]) if optimal else np.zeros(n1.size)
+        n1 = kept[: np.searchsorted(kept, n2)]
+        keys = walk_key(n1, n2, p_stop[: n1.size]) if optimal else np.zeros(n1.size)
         if best is not None:
-            if np.all(keys >= best[0]):
-                break  # the walk end (`operating.walk_key`)
             below = keys < best[0]
+            if not below.any():
+                break  # the walk end (`operating.walk_key`)
             n1, keys = n1[below], keys[below]
         if n2 not in grid.y_eff:
             ahead = np.arange(n2, min(n2 + WALK_BLOCK, cons.n_max + 1))
@@ -213,6 +222,9 @@ def _search(
                 live = walk_key(n1, ahead[:, None], grid.p_stop[n1]) < best[0]
                 ahead = ahead[: np.count_nonzero(live.any(axis=1))]
             grid.add(ahead)
+            kept = np.arange(cons.n_min, ahead[-1] + 1)
+            kept = kept[_can_be_feasible(grid, kept, cons)]
+            p_stop = grid.p_stop[kept]
         if n1.size == 0 or grid.power[n2] < 1.0 - cons.beta:
             continue
         below = _type_i_floor(grid, n1, n2) <= cons.alpha + MARGIN

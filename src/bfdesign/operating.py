@@ -120,19 +120,23 @@ def erased_mass_column(
     an unreachable threshold, which erases nothing.  Rows take the
     telescoped sum of the module docstring in blocks of at most `_BLOCK`
     (row, t) weights.  The weights do not depend on the prior, so a block
-    serves every prior, and each (prior, row) is reduced along its own axis
-    over all of t = y_eff..n2 - 1: a design gives the same bits alone as
-    inside its column, and under one prior as under several.
+    serves every prior: the priors' cdfs are stacked, and one product and
+    one sum form every (prior, row, t), a temporary of at most
+    len(pmfs) * `_BLOCK` entries.  Each (prior, row) is reduced along its
+    own contiguous axis over all of t = y_eff..n2 - 1, as a lone row is: a
+    design gives the same bits alone as inside its column, and under one
+    prior as under several.
     """
     n1 = np.asarray(n1, dtype=np.int64)
     y_fut = np.array([-1 if y is None else y for y in y_fut], dtype=np.int64)
-    if np.any(n1 < 1) or np.any(n1 >= n2):
+    if (n1 < 1).any() or (n1 >= n2).any():
         raise ValueError(f"need 1 <= n1 < n2 = {n2} for every interim size")
     erased = np.zeros((len(pmfs), n1.size))
     if y_eff is None:
         return erased
-    pmfs = [pmf[y_eff:] for pmf in pmfs]
-    cdfs = [np.cumsum(pmf[:-1]) for pmf in pmfs]
+    pmfs = np.asarray(pmfs)[:, y_eff:]
+    cdfs = np.cumsum(pmfs[:, None, :-1], axis=2)
+    tops = pmfs.sum(axis=1)[:, None]
     log_fact = log_factorials(n2)
     t = np.arange(y_eff, n2)
     log_t = log_fact[t] + log_fact[n2 - 1 - t] - log_fact[n2]
@@ -140,18 +144,17 @@ def erased_mass_column(
     step = max(1, _BLOCK // max(t.size, 1))
     for start in range(0, live_rows.size, step):
         i = live_rows[start : start + step]
-        y, m = np.minimum(y_fut[i], n1[i]), (n2 - n1[i])[:, None]
+        k = n1[i]
+        y, m = np.minimum(y_fut[i], k), (n2 - k)[:, None]
         j = t - y[:, None]  # successes among the m final-batch outcomes
-        live = (j >= 0) & (j <= m)
-        j = np.clip(j, 0, m)
+        clipped = np.minimum(np.maximum(j, 0), m)
         log_w = (
-            (log_fact[n1[i]] - log_fact[y] - log_fact[n1[i] - y])[:, None]
-            + (log_fact[m] - log_fact[j] - log_fact[m - j])
+            (log_fact[k] - log_fact[y] - log_fact[k - y])[:, None]
+            + (log_fact[m] - log_fact[clipped] - log_fact[m - clipped])
             + log_t
         )
-        w = np.exp(np.where(live, log_w, -np.inf))
-        for row, pmf, cdf in zip(erased, pmfs, cdfs):
-            row[i] = (n1[i] - y) * (w * cdf).sum(axis=1) + (y == n1[i]) * pmf.sum()
+        w = np.exp(np.where(clipped == j, log_w, -np.inf))
+        erased[:, i] = (k - y) * (w * cdfs).sum(axis=2) + (y == k) * tops
     return erased
 
 
@@ -250,18 +253,22 @@ class DesignGrid:
 
     `add` tables exactly the sizes it is given, each run of consecutive
     sizes as blocks of at most `_BLOCK` entries (`_table`).  A block takes
-    one log predictive block per distinct prior among the analysis and
-    design priors, the critical counts of all its sizes from one log BF01
-    block (`critical_counts`, which `critical_efficacy` uses too), and one
-    `split_branches` per size and design prior on that size's own row, so
-    every size has the bits it has alone.  A lone size is a one-row block.
+    the log predictive rows of every distinct prior among the analysis and
+    design priors from one `log_predictive_rows` call, which builds one
+    binomial coefficient block for them all, the critical counts of all its
+    sizes from one log BF01 block (`critical_counts`, which
+    `critical_efficacy` uses too), and one `split_branches` per size and
+    design prior on that size's own row, written to the tables in one
+    assignment, so every size has the bits it has alone.  A lone size is a
+    one-row block.
     The constructor adds `sizes`, as `evaluate` and `scan` need; a walk
     over final sizes adds a block at a time as it reaches them, so little
     past the point where the walk ends is built.
 
     `rows` adds the erased mass of a set of interim sizes at one final size,
     one `erased_mass_column` call for both design priors, and keeps nothing.
-    It reads the pmfs at the final size off the latest block, and builds
+    It reads the pmfs at the final size off the latest block, stacked by
+    prior as `erased_mass_column` takes them, and builds
     them as a one-row block for a size tabled before it.  `oc` reads one
     design's full characteristics off the tables and one row.
     """
@@ -289,8 +296,8 @@ class DesignGrid:
         self.y_eff: dict[int, Optional[int]] = {}
         self.y_fut: dict[int, Optional[int]] = {}
         self._masses = np.full((0, len(self._priors), 3), np.nan)
-        # (first size, power pmf rows, null pmf rows) of the latest block
-        self._latest: tuple[int, np.ndarray, np.ndarray] = (0, np.empty((0, 0)), np.empty((0, 0)))
+        # (first size, power and null pmf rows) of the latest block
+        self._latest: tuple[int, np.ndarray] = (0, np.empty((2, 0, 0)))
         self.add(sizes)
 
     def add(self, sizes: Iterable[int]) -> None:
@@ -309,25 +316,24 @@ class DesignGrid:
         """Table one block of consecutive sizes (class docstring)."""
         # a prior both analysis and design use (a flat power prior is the H1
         # analysis prior) is built once
-        logs: dict[DesignPrior, np.ndarray] = {}
-        for prior in (self.ap.h0, self.ap.h1) + self._priors:
-            if prior not in logs:
-                logs[prior] = log_predictive_rows(prior, sizes)
+        log_h0, log_h1, *logs = log_predictive_rows((self.ap.h0, self.ap.h1) + self._priors, sizes)
         with np.errstate(invalid="ignore"):  # padding is -inf in both rows: NaN
-            log_bf = logs[self.ap.h0] - logs[self.ap.h1]
+            log_bf = log_h0 - log_h1
         y_eff, y_fut = critical_counts(log_bf, math.log(self.k), math.log(self.k_f))
-        pmfs = {prior: np.exp(logs[prior]) for prior in self._priors}
+        pmfs = np.exp(logs)  # (prior, size, y)
         size = len(self._masses)
-        top = log_bf.shape[1] - 1
+        first, top = int(sizes[0]), log_bf.shape[1] - 1
         if top >= size:  # double the capacity, so a walk copies O(n) rows in all
             grown = np.full((max(top + 1, 2 * size),) + self._masses.shape[1:], np.nan)
             grown[:size] = self._masses
             self._masses = grown
-        for i, n in enumerate(sizes.tolist()):
-            self.y_eff[n], self.y_fut[n] = y_eff[i], y_fut[i]
-            for row, prior in zip(self._masses[n], self._priors):
-                row[:] = split_branches(pmfs[prior][i, : n + 1], y_eff[i], y_fut[i])
-        self._latest = (int(sizes[0]), pmfs[self.power_prior], pmfs[self.null_prior])
+        for n, eff, fut in zip(sizes.tolist(), y_eff, y_fut):
+            self.y_eff[n], self.y_fut[n] = eff, fut
+        self._masses[first : top + 1] = [
+            [split_branches(pmf[i, : first + i + 1], eff, fut) for pmf in pmfs]
+            for i, (eff, fut) in enumerate(zip(y_eff, y_fut))
+        ]
+        self._latest = (first, pmfs[:2])
 
     @property
     def h1(self) -> np.ndarray:
@@ -356,14 +362,14 @@ class DesignGrid:
     def rows(self, n2: int, n1: Sequence[int]) -> GridColumn:
         """Rates of the designs (n1[i], n2)."""
         n1 = np.asarray(n1, dtype=np.int64)
-        y_fut = [self.y_fut[i] for i in n1]
+        y_fut = [self.y_fut[i] for i in n1.tolist()]
         y_eff = self.y_eff[n2]
-        first, power_rows, null_rows = self._latest
+        first, latest = self._latest
         i = n2 - first
-        if 0 <= i < len(power_rows):
-            pmfs = (power_rows[i, : n2 + 1], null_rows[i, : n2 + 1])
+        if 0 <= i < latest.shape[1]:
+            pmfs = latest[:, i, : n2 + 1]
         else:
-            pmfs = [np.exp(log_predictive_rows(p, n2)) for p in (self.power_prior, self.null_prior)]
+            pmfs = np.exp(log_predictive_rows(self._priors[:2], n2))
         erased_power, erased_type_i = erased_mass_column(n1, y_fut, n2, y_eff, pmfs)
         return GridColumn(
             n1=n1,

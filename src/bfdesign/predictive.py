@@ -19,9 +19,11 @@ product B(p, q) * M(p, q) is the integral of t^(p-1) (1-t)^(q-1) over
 one recurrence, so the kernel stays finite and accurate for counts in the
 thousands.  The normalizer is the same integral at n = 0, kept on the prior
 as `TruncatedBeta.log_norm`.  `log_predictive_rows` tables a block of sizes
-in one pass, one left-aligned row per size (see `special`), and is the one
-route from the kernel: a single size is its one-row case, and nothing is
-cached.
+in one pass, one left-aligned row per size (see `special`), for every
+distinct prior it is given at once: one log binomial coefficient block
+serves all their rows, the point masses' through `log_binom_pmf_vector`.
+It is the one route from the kernel: a single size is its one-row case, a
+single prior its one-prior case, and nothing is cached.
 """
 
 from __future__ import annotations
@@ -32,22 +34,27 @@ from .priors import DesignPrior, PointMass, check_size
 from .special import log_beta_integrals, log_binom_coeff_vector, log_binom_pmf_vector
 
 
-def log_predictive_rows(prior: DesignPrior, n) -> np.ndarray:
-    """Log predictive pmf over y = 0..n under a design prior.
+def log_predictive_rows(priors: tuple[DesignPrior, ...], n) -> list[np.ndarray]:
+    """Log predictive pmf over y = 0..n under each of priors, in their order.
 
     n is one size, or a block of sorted distinct sizes: then one row per
-    size, left-aligned and -inf past its size.
+    size, left-aligned and -inf past its size.  A prior given twice is built
+    once, and every prior's rows have the bits they have alone.
     """
-    if isinstance(prior, PointMass):
-        return log_binom_pmf_vector(n, prior.p)
-    kernel = log_beta_integrals(prior.a, prior.b, prior.l, prior.u, n)
-    return log_binom_coeff_vector(n) + kernel - prior.log_norm
+    coeff = log_binom_coeff_vector(n)
+    logs = {
+        prior: log_binom_pmf_vector(n, prior.p, coeff) if isinstance(prior, PointMass)
+        else coeff + log_beta_integrals(prior.a, prior.b, prior.l, prior.u, n) - prior.log_norm
+        for prior in set(priors)
+    }
+    return [logs[prior] for prior in priors]
 
 
 def predictive_vector(prior: DesignPrior, n: int) -> np.ndarray:
     """Predictive pmf over y = 0..n."""
     check_size("n", n, 1)
-    return np.exp(log_predictive_rows(prior, n))
+    (rows,) = log_predictive_rows((prior,), n)
+    return np.exp(rows)
 
 
 def predictive_pmf(y_s: int, n: int, prior: DesignPrior) -> float:

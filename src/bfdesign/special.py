@@ -98,8 +98,11 @@ def _sizes(n) -> tuple[int, int | np.ndarray]:
 
 
 def _shaped(n, rows: np.ndarray) -> np.ndarray:
-    """rows as n asks for them: a vector for an int, one row per size for an array."""
-    return rows[None] if isinstance(n, np.ndarray) and n.size == 1 else rows
+    """rows as n asks for them: a vector for an int, one row per size for an array.
+
+    Rows built on a one-row block (a reused `log_binom_coeff_vector`) stay as they are.
+    """
+    return rows[None] if isinstance(n, np.ndarray) and rows.ndim == 1 else rows
 
 
 def _mirror(rows: np.ndarray, m, fill: float) -> np.ndarray:
@@ -233,10 +236,11 @@ def log_beta_integrals(a: float, b: float, l: float, u: float, n) -> np.ndarray:
     return _shaped(n, rows)
 
 
-def log_binom_pmf_vector(n, p: float) -> np.ndarray:
+def log_binom_pmf_vector(n, p: float, log_coeff=None) -> np.ndarray:
     """log Bin(y; n, p) for y = 0..n, with exact handling of p in {0, 1}.
 
-    For a block of sizes, one row per size, padded with -inf.
+    For a block of sizes, one row per size, padded with -inf.  log_coeff,
+    when given, is `log_binom_coeff_vector(n)`, reused rather than rebuilt.
     """
     top, m = _sizes(n)
     y = np.arange(top + 1)
@@ -244,5 +248,6 @@ def log_binom_pmf_vector(n, p: float) -> np.ndarray:
         # all mass at y = n, or at y = 0 in every row
         rows = np.where(y == (m if p == 1.0 else 0 * m), 0.0, -np.inf)
     else:
-        rows = _log_binom_coeff(top, m) + y * math.log(p) + (m - y) * math.log1p(-p)
+        coeff = _log_binom_coeff(top, m) if log_coeff is None else log_coeff
+        rows = coeff + y * math.log(p) + (m - y) * math.log1p(-p)
     return _shaped(n, rows)

@@ -144,6 +144,44 @@ def test_single_look_baseline_tables_only_what_its_scan_reads(monkeypatch):
     assert tabled == list(range(1, 47))
 
 
+def test_single_look_baseline_tables_a_window_per_block(monkeypatch):
+    # a power miss rules out every n whose window holds it, so the scan
+    # steps past it and tables the next window in one block: the sizes a
+    # scan of one size per n tables, in a handful of blocks, not one per n
+    blocks = []
+    original = DesignGrid._table
+
+    def counted(self, sizes):
+        blocks.append(sizes.tolist())
+        return original(self, sizes)
+
+    monkeypatch.setattr(DesignGrid, "_table", counted)
+    cons = CalibrationConstraints(alpha=0.1, beta=0.1, n_min=5, n_max=150, window=10)
+    flat = TruncatedBeta(1, 1, 0.2, 1.0)
+    settings = [
+        (1 / 10, EX2_HYP, EX2_AP, flat, cons, 110, 11),
+        (1 / 3, EX2_HYP, EX2_AP, flat, cons, 61, 7),
+        (1 / 3, EX2_HYP, EX2_AP, PointMass(0.4), cons, 36, 5),
+        (1 / 10, EX2_HYP, EX2_AP, PointMass(0.4), cons, 53, 6),
+    ]
+    for name, answer, count in [("example1", 25, 7), ("example2_bayes", 61, 7),
+                                ("example2_pce", 36, 5)]:
+        config = load_config(str(CONFIGS / f"{name}.cfg"))
+        settings.append((config.k, config.hypotheses(), config.analysis_prior(),
+                         config.power_prior, dataclasses.replace(config.constraints(), n_max=120),
+                         answer, count))
+    for k, hyp, ap, prior, cons, answer, count in settings:
+        blocks.clear()
+        assert base_sample_size(k, hyp, ap, prior, cons) == answer
+        assert sum(blocks, []) == list(range(1, answer + cons.window + 1))
+        assert len(blocks) == count, (answer, blocks)
+    # past n_max the scan ends without tabling the rest of the last window
+    blocks.clear()
+    cons = CalibrationConstraints(alpha=0.1, beta=0.1, n_min=5, n_max=30, window=10)
+    assert base_sample_size(1 / 10, EX2_HYP, EX2_AP, flat, cons) is None
+    assert blocks == [list(range(1, 12)), list(range(12, 23)), list(range(23, 34))]
+
+
 def test_single_look_baseline_absent_when_range_too_small():
     cons = CalibrationConstraints(alpha=0.1, beta=0.1, n_min=5, n_max=30, window=10)
     flat = TruncatedBeta(1, 1, 0.2, 1.0)
@@ -639,3 +677,56 @@ def test_searches_are_deterministic():
     second = optimal_calibrate(cons, 1 / 3, 3.0, EX1_HYP, EX1_AP, PointMass(0.3))
     assert first.design == second.design
     assert first.oc == second.oc
+
+
+# Every `DesignGrid.rows` call of `optimal_calibrate` at n_max 120, in order,
+# as "n2: interim sizes" with "a-b" a run of sizes; the last is the winner's
+# `oc`.  With the sizes tabled, this pins which designs the cuts and the
+# walk end leave to the erased-mass step.
+WALK_ROWS = {
+    "example1": (32, [
+        "18: 5-6 9-17", "21: 5-20", "22: 5-21", "23: 5-22", "24: 5-23", "25: 5-24",
+        "26: 5-14 17", "27: 5-6 9-11", "28: 5 9-10", "29: 5 9-10", "30: 9", "31: 9",
+        "32: 9", "33: 9", "34: 9", "35: 9", "29: 10",
+    ]),
+    "example2_pce": (32, ["33: 30", "34: 30", "36: 30", "36: 30"]),
+    "example2_bayes": (81, [
+        "46: 5-6 8-45", "50: 5-6 8-49", "53: 5-6 8-52", "54: 5-6 8-43 45",
+        "57: 8-14 16-18 21-22 26", "58: 8-9 11-14 16-18 21-22", "61: 8-9 11-13 16-18 21",
+        "62: 8-9 11-13 16-17 21", "63: 8-9 11-13 16-17 21", "64: 8 11-13 16-17 21",
+        "65: 8 11-13 16-17 21", "66: 8 11-13 16-17", "67: 8 11-12 16", "68: 8 11-12 16",
+        "69: 8 11-12 16", "70: 8 11-12 16", "71: 8 11-12 16", "72: 11-12 16",
+        "73: 11-12 16", "74: 11-12 16", "75: 11", "76: 11", "77: 11", "78: 11", "79: 11",
+        "80: 11", "81: 11", "82: 11", "83: 11", "84: 11", "85: 11", "54: 27",
+    ]),
+}
+
+
+def _design_set(entry):
+    """(n2, [n1, ...]) of a WALK_ROWS entry."""
+    n2, runs = entry.split(": ")
+    n1 = []
+    for run in runs.split():
+        first, _, last = run.partition("-")
+        n1.extend(range(int(first), int(last or first) + 1))
+    return int(n2), n1
+
+
+@pytest.mark.parametrize("name", sorted(WALK_ROWS))
+def test_optimal_walk_tables_and_evaluates_the_pinned_designs(name, monkeypatch):
+    config = load_config(str(CONFIGS / f"{name}.cfg"))
+    cons = dataclasses.replace(config.constraints(), n_max=120)
+    tabled = count_tabled_sizes(monkeypatch)
+    calls = []
+    original = DesignGrid.rows
+
+    def recorded(self, n2, n1):
+        calls.append((int(n2), [int(i) for i in n1]))
+        return original(self, n2, n1)
+
+    monkeypatch.setattr(DesignGrid, "rows", recorded)
+    optimal_calibrate(cons, config.k, config.k_f, config.hypotheses(),
+                      config.analysis_prior(), config.power_prior)
+    count, rows = WALK_ROWS[name]
+    assert tabled == list(range(cons.n_min, cons.n_min + count))
+    assert calls == [_design_set(entry) for entry in rows]

@@ -18,6 +18,8 @@ from bfdesign import (
     predictive_vector,
 )
 from bfdesign.bayesfactor import ParameterError, log_bf01_curve
+from bfdesign.predictive import log_predictive_rows
+from bfdesign.special import log_binom_coeff_vector
 
 FLAT = TruncatedBeta(1, 1, 0.0, 1.0)
 
@@ -224,3 +226,25 @@ def test_degenerate_truncation_rejected():
     # Beta(400, 1) carries ~1e-970 mass below 0.004: no usable normalization
     with pytest.raises(ValueError):
         TruncatedBeta(400.0, 1.0, 0.0, 0.004)
+
+
+def test_multi_prior_rows_have_the_bits_of_each_prior_alone():
+    # one coefficient block serves every prior of a call: point masses
+    # (inside (0, 1) and at its ends), flat and shaped tail priors, each in
+    # a one-size call, a one-row block and a multi-row block, repeats too
+    priors = (
+        PointMass(0.3),
+        PointMass(0.0),
+        PointMass(1.0),
+        FLAT,
+        TruncatedBeta(1, 1, 0.0, 0.2),
+        TruncatedBeta(2.5, 7.0, 0.0, 0.35),
+        TruncatedBeta(0.7, 3.0, 0.35, 1.0),
+    )
+    for n in (9, np.array([9]), np.array([4, 5, 6, 7]), np.arange(60, 76)):
+        together = log_predictive_rows(priors + priors[:2], n)
+        assert len(together) == len(priors) + 2
+        for prior, rows in zip(priors + priors[:2], together):
+            (alone,) = log_predictive_rows((prior,), n)
+            assert rows.shape == alone.shape == np.shape(log_binom_coeff_vector(n))
+            assert rows.tobytes() == alone.tobytes(), (prior, n)
