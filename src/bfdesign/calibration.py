@@ -39,7 +39,10 @@ at which some live key is below the incumbent's, a prefix by the walk-end
 proof (`operating.walk_key`).  Only waste, never the answer, depends on it.
 The first cut and the stop probabilities behind the key read only n1, so
 the walk takes them once per tabled block for every tabled interim size,
-and each final size reads the prefix below it.
+and each final size reads the prefix below it.  A final size forms keys
+only where they are read: for its whole prefix once a design is known, to
+test the walk end and the key cut, and for the feasible interim sizes the
+erased-mass step returns, to pick the least.
 
 A search also needs an interim size in [n_min, n_max - 1] that can stop
 for futility.  One can if and only if n_max - 1 can, as log BF01 at zero
@@ -192,8 +195,9 @@ def _search(
     """Feasible design with the smallest (key, n2, n1), or None.
 
     The key of the interim sizes n1 at n2 is `operating.walk_key` of their
-    tabled stop probabilities when optimal, else a constant.  The stop rule,
-    the cuts and the blocks tabled are those of the module docstring.
+    tabled stop probabilities when optimal, else a constant, formed only
+    where read.  The stop rule, the cuts and the blocks tabled are those of
+    the module docstring.
     """
     grid = DesignGrid((), k, k_f, hyp, ap, power_prior, null_prior)
     if not log_bf01_at_zero(cons.n_max - 1, ap) > math.log(k_f):
@@ -204,18 +208,21 @@ def _search(
                 f"{k_f}, and past it doubles cannot tell"
             )
         return None  # no interim size can stop: no two-stage design exists
+
+    def keyed(n1: np.ndarray, n2: int, p_stop: np.ndarray) -> np.ndarray:
+        return walk_key(n1, n2, p_stop) if optimal else np.zeros(n1.size)
+
     best: Optional[tuple[float, int, int]] = None
     # the tabled interim sizes `_can_be_feasible` keeps, with their stop
     # probabilities, set once per block (module docstring)
     kept = p_stop = np.arange(0)
     for n2 in range(cons.n_min, cons.n_max + 1):
-        n1 = kept[: np.searchsorted(kept, n2)]
-        keys = walk_key(n1, n2, p_stop[: n1.size]) if optimal else np.zeros(n1.size)
+        n1 = kept[: kept.searchsorted(n2)]
         if best is not None:
-            below = keys < best[0]
+            below = keyed(n1, n2, p_stop[: n1.size]) < best[0]
             if not below.any():
                 break  # the walk end (`operating.walk_key`)
-            n1, keys = n1[below], keys[below]
+            n1 = n1[below]
         if n2 not in grid.y_eff:
             ahead = np.arange(n2, min(n2 + WALK_BLOCK, cons.n_max + 1))
             if best is not None:  # a prefix (module docstring)
@@ -230,10 +237,12 @@ def _search(
         below = _type_i_floor(grid, n1, n2) <= cons.alpha + MARGIN
         if not below.any():
             continue
-        n1, keys = n1[below], keys[below]
-        ok = np.flatnonzero(grid.rows(n2, n1).feasible(cons))
+        n1 = n1[below]
+        ok = grid.rows(n2, n1).feasible(cons).nonzero()[0]
         if ok.size:
-            i = ok[np.argmin(keys[ok])]
+            n1 = n1[ok]
+            keys = keyed(n1, n2, grid.p_stop[n1])
+            i = keys.argmin()
             best = (float(keys[i]), n2, int(n1[i]))
     if best is None:
         return None

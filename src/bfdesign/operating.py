@@ -135,12 +135,12 @@ def erased_mass_column(
     if y_eff is None:
         return erased
     pmfs = np.asarray(pmfs)[:, y_eff:]
-    cdfs = np.cumsum(pmfs[:, None, :-1], axis=2)
+    cdfs = pmfs[:, None, :-1].cumsum(axis=2)
     tops = pmfs.sum(axis=1)[:, None]
     log_fact = log_factorials(n2)
     t = np.arange(y_eff, n2)
     log_t = log_fact[t] + log_fact[n2 - 1 - t] - log_fact[n2]
-    live_rows = np.flatnonzero(y_fut >= 0)
+    live_rows = (y_fut >= 0).nonzero()[0]
     step = max(1, _BLOCK // max(t.size, 1))
     for start in range(0, live_rows.size, step):
         i = live_rows[start : start + step]
@@ -158,14 +158,14 @@ def erased_mass_column(
     return erased
 
 
-def checked_adjusted(unadjusted: float, erased: float | np.ndarray) -> np.ndarray:
+def checked_adjusted(unadjusted: float, erased: np.ndarray) -> np.ndarray:
     """unadjusted - erased, clipped at zero after the negativity check.
 
     Works elementwise on a whole column; a dip below zero larger than
     rounding means inconsistent critical values and raises.
     """
     value = unadjusted - erased
-    if np.any(value < -_NEGATIVITY_TOL):
+    if (value < -_NEGATIVITY_TOL).any():
         raise ArithmeticError(
             f"adjusted rate {np.min(value)} is negative beyond tolerance; "
             "critical values are inconsistent"
@@ -201,20 +201,29 @@ def walk_key(n1, n2, p_stop):
 
 
 def split_branches(
-    pmf: np.ndarray, y_eff: Optional[int], y_fut: Optional[int]
-) -> BranchProbabilities:
-    """Cut a predictive pmf at its critical counts into the three branch masses.
+    pmfs: np.ndarray,
+    sizes: Sequence[int],
+    y_eff: Sequence[Optional[int]],
+    y_fut: Sequence[Optional[int]],
+    out: np.ndarray,
+) -> None:
+    """Cut a block of predictive pmfs at their critical counts into branch masses.
 
-    Efficacy is pmf[y_eff:], futility pmf[:y_fut + 1] and indecisive what
-    lies between; None for a critical count leaves that branch empty.
+    pmfs[j, i] is prior j's pmf at sizes[i], padded past it.  out[i, j]
+    gets its efficacy, indecisive and futility masses: efficacy is
+    pmf[y_eff:n + 1], futility pmf[:y_fut + 1] and indecisive what lies
+    between; None for a critical count leaves that branch empty.  Each
+    branch is one `np.add.reduce` over every prior, each prior's slice
+    reduced along its own contiguous axis as `ndarray.sum` reduces it
+    alone, so a size has the same bits in any block.
     """
-    hi = pmf.size if y_eff is None else y_eff
-    lo = 0 if y_fut is None else y_fut + 1
-    return BranchProbabilities(
-        efficacy=float(pmf[hi:].sum()),
-        indecisive=float(pmf[lo:hi].sum()),
-        futility=float(pmf[:lo].sum()),
-    )
+    for i, (n, eff, fut) in enumerate(zip(sizes, y_eff, y_fut)):
+        hi = n + 1 if eff is None else eff
+        lo = 0 if fut is None else fut + 1
+        row, masses = pmfs[:, i], out[i].T
+        np.add.reduce(row[:, hi : n + 1], axis=1, out=masses[0])
+        np.add.reduce(row[:, lo:hi], axis=1, out=masses[1])
+        np.add.reduce(row[:, :lo], axis=1, out=masses[2])
 
 
 class GridColumn(NamedTuple):
@@ -257,10 +266,9 @@ class DesignGrid:
     design priors from one `log_predictive_rows` call, which builds one
     binomial coefficient block for them all, the critical counts of all its
     sizes from one log BF01 block (`critical_counts`, which
-    `critical_efficacy` uses too), and one `split_branches` per size and
-    design prior on that size's own row, written to the tables in one
-    assignment, so every size has the bits it has alone.  A lone size is a
-    one-row block.
+    `critical_efficacy` uses too), and one `split_branches` call, which
+    cuts every size's own rows straight into the tables, so every size has
+    the bits it has alone.  A lone size is a one-row block.
     The constructor adds `sizes`, as `evaluate` and `scan` need; a walk
     over final sizes adds a block at a time as it reaches them, so little
     past the point where the walk ends is built.
@@ -327,12 +335,10 @@ class DesignGrid:
             grown = np.full((max(top + 1, 2 * size),) + self._masses.shape[1:], np.nan)
             grown[:size] = self._masses
             self._masses = grown
-        for n, eff, fut in zip(sizes.tolist(), y_eff, y_fut):
+        sizes = sizes.tolist()
+        for n, eff, fut in zip(sizes, y_eff, y_fut):
             self.y_eff[n], self.y_fut[n] = eff, fut
-        self._masses[first : top + 1] = [
-            [split_branches(pmf[i, : first + i + 1], eff, fut) for pmf in pmfs]
-            for i, (eff, fut) in enumerate(zip(y_eff, y_fut))
-        ]
+        split_branches(pmfs, sizes, y_eff, y_fut, self._masses[first : top + 1])
         self._latest = (first, pmfs[:2])
 
     @property

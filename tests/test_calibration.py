@@ -730,3 +730,120 @@ def test_optimal_walk_tables_and_evaluates_the_pinned_designs(name, monkeypatch)
     count, rows = WALK_ROWS[name]
     assert tabled == list(range(cons.n_min, cons.n_min + count))
     assert calls == [_design_set(entry) for entry in rows]
+
+
+# (n1, n2) and float.hex() of the objective and of every float field of the
+# winner's characteristics, for both searches on the shipped configs; the
+# same at their shipped n_max and at 120, as the walk ends far below both
+SEARCH_PINS = {
+    ("example1", "optimal_calibrate"): {
+        "design": (10, 29),
+        "objective": "0x1.e073ac83a0159p+3",
+        "type_i_unadjusted": "0x1.04fc9541b75adp-4",
+        "type_i_adjusted": "0x1.81bb2463ff840p-5",
+        "power_unadjusted": "0x1.d04aa8ab88fc8p-1",
+        "power_adjusted": "0x1.9c3134c668031p-1",
+        "futility_erased_power": "0x1.a0cb9f2907cb6p-4",
+        "futility_erased_type_i": "0x1.107c0c3ede635p-6",
+        "pce_p0": "0x1.78e1f57635d2ep-1",
+        "e_n_h0": "0x1.e073ac83a0159p+3",
+        "e_n_h1": "0x1.a29c3a2f97407p+4",
+        "branch_h0": ("0x1.1f806a7de01b8p-4", "0x1.8cb7f4e838a7fp-3", "0x1.78e1f57635d2ep-1"),
+        "branch_h1": ("0x1.3c03e505e1682p-1", "0x1.de27d8f331f78p-3", "0x1.31c892f548690p-3"),
+    },
+    ("example1", "calibrate"): {
+        "design": (15, 25),
+        "objective": "0x1.382732ac87481p+4",
+        "type_i_unadjusted": "0x1.119cc2b96d3a6p-5",
+        "type_i_adjusted": "0x1.0cc4c2dfe5594p-5",
+        "power_unadjusted": "0x1.9cef153a27d0ap-1",
+        "power_adjusted": "0x1.9a787f464462ep-1",
+        "futility_erased_power": "0x1.3b4af9f1b6deep-8",
+        "futility_erased_type_i": "0x1.35fff661f8476p-11",
+        "pce_p0": "0x1.191c2aa4b57fcp-1",
+        "e_n_h0": "0x1.382732ac87481p+4",
+        "e_n_h1": "0x1.8a5b7069b03cfp+4",
+        "branch_h0": ("0x1.c71c99bfb6a06p-5", "0x1.94e4177e9e2cap-2", "0x1.191c2aa4b57fcp-1"),
+        "branch_h1": ("0x1.6800ed4cfcd86p-1", "0x1.0be0f4d73b078p-2", "0x1.20e984765a36ap-5"),
+    },
+    ("example2_bayes", "optimal_calibrate"): {
+        "design": (27, 54),
+        "objective": "0x1.3ba66ff2d8d81p+5",
+        "type_i_unadjusted": "0x1.b5886edc0a53fp-4",
+        "type_i_adjusted": "0x1.948aa1b18497cp-4",
+        "power_unadjusted": "0x1.cfd8d747fcc3fp-1",
+        "power_adjusted": "0x1.ccf76ba8dcf35p-1",
+        "futility_erased_power": "0x1.70b5cf8fe8529p-8",
+        "futility_erased_type_i": "0x1.07ee69542de1ap-7",
+        "pce_p0": "0x1.13cad0b6e18e2p-1",
+        "e_n_h0": "0x1.3ba66ff2d8d81p+5",
+        "e_n_h1": "0x1.a5d5ac561aa9ap+5",
+        "branch_h0": ("0x1.2daf2f12a1039p-4", "0x1.8cfe92cd94a98p-2", "0x1.13cad0b6e18e2p-1"),
+        "branch_h1": ("0x1.b0e53ea71aa57p-1", "0x1.b8123714fe9a1p-4", "0x1.8187a76458a56p-5"),
+    },
+    ("example2_bayes", "calibrate"): {
+        "design": (44, 53),
+        "objective": "0x1.8625eed635517p+5",
+        "type_i_unadjusted": "0x1.7fec224b1e7d3p-4",
+        "type_i_adjusted": "0x1.7fb918ed3f0c1p-4",
+        "power_unadjusted": "0x1.ccd690aa56325p-1",
+        "power_adjusted": "0x1.ccd326faf7796p-1",
+        "futility_erased_power": "0x1.b4d7af5c79c9fp-16",
+        "futility_erased_type_i": "0x1.984aeefb88c5dp-15",
+        "pce_p0": "0x1.e172bb35ed40cp-2",
+        "e_n_h0": "0x1.8625eed635517p+5",
+        "e_n_h1": "0x1.a5e137bf19836p+5",
+        "branch_h0": ("0x1.5f4bb45655e43p-4", "0x1.c6ba57b47d472p-2", "0x1.e172bb35ed40cp-2"),
+        "branch_h1": ("0x1.c5c2a77cf932cp-1", "0x1.594c7cc88c870p-4", "0x1.e2791d3ea7a94p-6"),
+    },
+    ("example2_pce", "optimal_calibrate"): {
+        "design": (30, 36),
+        "objective": "0x1.02dd8dba75ddfp+5",
+        "type_i_unadjusted": "0x1.6c2fcf0e7c701p-4",
+        "type_i_adjusted": "0x1.6af72aebcc0ddp-4",
+        "power_unadjusted": "0x1.d1bbeb2bba226p-1",
+        "power_adjusted": "0x1.d17bd2320ed9cp-1",
+        "futility_erased_power": "0x1.0063e6ad22937p-11",
+        "futility_erased_type_i": "0x1.38a422b06239cp-12",
+        "pce_p0": "0x1.36c4c2e5c16b6p-1",
+        "e_n_h0": "0x1.02dd8dba75ddfp+5",
+        "e_n_h1": "0x1.1f2cdae08c820p+5",
+        "branch_h0": ("0x1.077a0be5551d3p-3", "0x1.0eb97441d28f0p-2", "0x1.36c4c2e5c16b6p-1"),
+        "branch_h1": ("0x1.cfddc30d1ae3ep-1", "0x1.3ab03270a969dp-4", "0x1.1986d499fd5f6p-6"),
+    },
+    ("example2_pce", "calibrate"): {
+        "design": (30, 36),
+        "objective": "0x1.02dd8dba75ddfp+5",
+        "type_i_unadjusted": "0x1.6c2fcf0e7c701p-4",
+        "type_i_adjusted": "0x1.6af72aebcc0ddp-4",
+        "power_unadjusted": "0x1.d1bbeb2bba226p-1",
+        "power_adjusted": "0x1.d17bd2320ed9cp-1",
+        "futility_erased_power": "0x1.0063e6ad22937p-11",
+        "futility_erased_type_i": "0x1.38a422b06239cp-12",
+        "pce_p0": "0x1.36c4c2e5c16b6p-1",
+        "e_n_h0": "0x1.02dd8dba75ddfp+5",
+        "e_n_h1": "0x1.1f2cdae08c820p+5",
+        "branch_h0": ("0x1.077a0be5551d3p-3", "0x1.0eb97441d28f0p-2", "0x1.36c4c2e5c16b6p-1"),
+        "branch_h1": ("0x1.cfddc30d1ae3ep-1", "0x1.3ab03270a969dp-4", "0x1.1986d499fd5f6p-6"),
+    },
+}
+
+
+@pytest.mark.parametrize("n_max", ["shipped", 120])
+@pytest.mark.parametrize("name, search", sorted(SEARCH_PINS))
+def test_search_answers_keep_their_bits(name, search, n_max):
+    config = load_config(str(CONFIGS / f"{name}.cfg"))
+    cons = config.constraints()
+    if n_max != "shipped":
+        cons = dataclasses.replace(cons, n_max=n_max)
+    result = {"optimal_calibrate": optimal_calibrate, "calibrate": calibrate}[search](
+        cons, config.k, config.k_f, config.hypotheses(), config.analysis_prior(),
+        config.power_prior,
+    )
+    got = {"design": (result.design.n1, result.design.n2), "objective": result.objective.hex()}
+    for field in dataclasses.fields(result.oc):
+        value = getattr(result.oc, field.name)
+        got[field.name] = (
+            value.hex() if isinstance(value, float) else tuple(v.hex() for v in value)
+        )
+    assert got == SEARCH_PINS[name, search]

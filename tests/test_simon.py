@@ -14,7 +14,17 @@ from scipy.stats import binom
 
 import bfdesign
 import bfdesign.simon
-from bfdesign import simon_oc, simon_search
+from bfdesign import (
+    AnalysisPrior,
+    CalibrationConstraints,
+    Hypotheses,
+    PointMass,
+    critical_efficacy,
+    critical_futility,
+    optimal_calibrate,
+    simon_oc,
+    simon_search,
+)
 from bfdesign.operating import MARGIN
 from bfdesign.priors import ParameterError
 from numpy.lib.stride_tricks import sliding_window_view
@@ -611,3 +621,48 @@ def test_tables_grow_no_further_than_n_max():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * block, (peak, block)
+
+
+def test_bayes_factor_optima_are_simon_designs():
+    # under point priors the Bayes factor design (n1, n2) rejects exactly on
+    # {Y1 > y_fut(n1), S >= y_eff(n2)}, which is the Simon design
+    # (y_fut(n1), n1, max(y_eff(n2) - 1, y_fut(n1)), n2): the two give the
+    # same rates, and no Bayes factor optimum beats Simon's optimal E[N|p0].
+    # Outside the map: y_fut None, which r1 >= 0 cannot express, and a
+    # winner within MARGIN of a target, which the Bayes factor search
+    # decides in floats and Simon's exactly; each is named, none is skipped
+    rng = np.random.default_rng(2025)
+    thresholds = [(1 / 3, 3.0), (1 / 10, 10.0), (1 / 3, 10.0)]
+    mapped, ties, excluded = 0, 0, []
+    for case in range(150):
+        p0 = round(float(rng.uniform(0.05, 0.6)), 3)
+        p1 = round(p0 + float(rng.uniform(0.15, 0.35)), 3)
+        alpha, beta = float(rng.choice([0.05, 0.1])), float(rng.choice([0.1, 0.2]))
+        k, k_f = thresholds[rng.integers(3)]
+        hyp, ap = Hypotheses(p0), AnalysisPrior.flat(p0)
+        cons = CalibrationConstraints(alpha=alpha, beta=beta, n_min=1, n_max=60)
+        result = optimal_calibrate(cons, k, k_f, hyp, ap, PointMass(p1))
+        if result is None:
+            continue
+        setting = (case, p0, p1, alpha, beta, k, k_f)
+        n1, n2, oc = result.design.n1, result.design.n2, result.oc
+        r1 = critical_futility(n1, k_f, hyp, ap)
+        if r1 is None:
+            excluded.append((setting, "y_fut None"))
+            continue
+        if min(abs(oc.type_i_adjusted - alpha), abs(oc.power_adjusted - (1 - beta))) <= MARGIN:
+            excluded.append((setting, "within MARGIN of a target"))
+            continue
+        r = max(critical_efficacy(n2, k, hyp, ap) - 1, r1)
+        type_i, pet, e_n = simon_oc(r1, n1, r, n2, p0)
+        power = simon_oc(r1, n1, r, n2, p1)[0]
+        assert math.isclose(type_i, oc.type_i_adjusted, rel_tol=0, abs_tol=1e-12), setting
+        assert math.isclose(power, oc.power_adjusted, rel_tol=0, abs_tol=1e-12), setting
+        assert math.isclose(pet, oc.pce_p0, rel_tol=0, abs_tol=1e-12), setting
+        assert math.isclose(e_n, oc.e_n_h0, rel_tol=0, abs_tol=1e-12), setting
+        optimal = simon_search(p0, p1, alpha, beta, cons.n_max)[0]
+        assert oc.e_n_h0 >= optimal.e_n_h0 - 1e-12, setting
+        ties += oc.e_n_h0 - optimal.e_n_h0 <= 1e-12
+        mapped += 1
+    assert excluded == []
+    assert (mapped, ties) == (66, 10)
