@@ -15,8 +15,11 @@ accumulate, each threshold corresponds to a critical success count, found
 by exhaustive scan rather than root-finding so that no monotonicity
 assumption is baked in.  `critical_counts` is the one scan: it finds both
 counts of every row of a log BF01 block, for one size here and for a block
-of sizes in `operating.DesignGrid`.  Whether a size can stop for futility
-at all is its value at zero successes, `log_bf01_at_zero`, found in O(1).
+of sizes in `operating.DesignGrid`.  Its last step, `first_and_last`, turns
+decision masks into counts, also for the grid's route under flat analysis
+priors, which reads the masks off binomial tails (`operating.flat_decisions`).
+Whether a size can stop for futility at all is its value at zero successes,
+`log_bf01_at_zero`, found in O(1).
 """
 
 from __future__ import annotations
@@ -144,10 +147,18 @@ def critical_counts(log_bf: np.ndarray, log_k: float, log_k_f: float) -> tuple[l
     padding of a block, matches neither, and so do log_k = -inf and
     log_k_f = inf.
     """
-    efficacy = log_bf < log_k
-    futility = log_bf > log_k_f
+    return first_and_last(log_bf < log_k, log_bf > log_k_f)
+
+
+def first_and_last(efficacy: np.ndarray, futility: np.ndarray) -> tuple[list, list]:
+    """Lists (y_eff, y_fut): each row's first True of efficacy and last True of futility.
+
+    None where a row has no True.  The one step from decision masks to
+    critical counts, for the log BF01 block above and for the design grid's
+    flat-prior route (`operating.flat_decisions`).
+    """
     first = efficacy.argmax(axis=1).tolist()
-    last = (log_bf.shape[1] - 1 - futility[:, ::-1].argmax(axis=1)).tolist()
+    last = (futility.shape[1] - 1 - futility[:, ::-1].argmax(axis=1)).tolist()
     y_eff = [y if hit else None for y, hit in zip(first, efficacy.any(axis=1).tolist())]
     y_fut = [y if hit else None for y, hit in zip(last, futility.any(axis=1).tolist())]
     return y_eff, y_fut

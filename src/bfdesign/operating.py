@@ -42,13 +42,20 @@ the grid over a design's two sizes and reads it at (n1, n2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .bayesfactor import (
-    AnalysisPrior, Hypotheses, _check_regions, check_thresholds, critical_counts
+    AnalysisPrior,
+    Hypotheses,
+    _check_regions,
+    check_thresholds,
+    critical_counts,
+    first_and_last,
+    log_bf01_curve,
 )
 from .predictive import log_predictive_rows
 from .priors import DesignPrior, PointMass, check_size
@@ -183,6 +190,8 @@ def expected_size(n1, n2, p_stop):
 MARGIN = 1e-9
 # Most sizes a search walk tables in one pass when it reaches an untabled size.
 WALK_BLOCK = 16
+# Least threshold the flat-prior route compares (`flat_decisions`).
+_FLAT_FLOOR = sys.float_info.min / MARGIN
 
 
 def walk_key(n1, n2, p_stop):
@@ -198,6 +207,69 @@ def walk_key(n1, n2, p_stop):
     E[N|H0] keeps `expected_size`, whose bits the acceptance tests pin.
     """
     return n1 + (n2 - n1) * np.maximum(1.0 - p_stop, 0.0)
+
+
+def flat_thresholds(ap: AnalysisPrior, k: float, k_f: float) -> Optional[np.ndarray]:
+    """Rows (tau, 1 - tau) of k and, unless it is inf, k_f, as `flat_decisions` compares them.
+
+    None, so that the kernel decides, unless both analysis priors are flat
+    and every entry is at least `_FLAT_FLOOR` (an overflowing k_f c gives
+    NaN and 0).  At k_f = inf there is no futility row: no count can stop.
+    """
+    if any((region.a, region.b) != (1.0, 1.0) for region in (ap.h0, ap.h1)):
+        return None
+    c = ap.h0.u / (1.0 - ap.h0.u)
+    pairs = np.array(
+        [(t * c / (1.0 + t * c), 1.0 / (1.0 + t * c)) for t in (k, k_f) if t < math.inf]
+    )
+    return pairs if (pairs >= _FLAT_FLOOR).all() else None
+
+
+def flat_decisions(pmfs: np.ndarray, sizes: np.ndarray, p0: float, thresholds: np.ndarray):
+    """Decision masks of a block under flat analysis priors, from the point null's pmfs.
+
+    With a = b = 1 on [0, p0] and on [p0, 1], C(n, y) times the integral of
+    p^y (1 - p)^(n - y) over [0, p0] is P(Bin(n + 1, p0) >= y + 1) / (n + 1)
+    (DLMF 8.17.5), and over [0, 1] it is 1 / (n + 1).  So with
+    I = P(Bin(n + 1, p0) >= y + 1) and c = p0 / (1 - p0),
+
+        BF01(y, n) = (I / p0) / ((1 - I) / (1 - p0)) = I / ((1 - I) c),
+
+    and BF01 < k exactly when I < tau = k c / (1 + k c), BF01 > k_f exactly
+    when I > tau_f = k_f c / (1 + k_f c).  Splitting off the last of the
+    n + 1 trials, I = P(Bin(n) >= y + 1) + p0 P(Bin(n) = y) and
+    1 - I = P(Bin(n) <= y - 1) + (1 - p0) P(Bin(n) = y): two sums of
+    positive terms of the Bin(n, p0) row, which every block builds for the
+    point null at p0 (pmfs, one padded row per size).  Neither is formed as
+    1 minus the other, nor is a threshold: 1 - tau = 1 / (1 + k c)
+    (`flat_thresholds`).  Each count
+    compares the smaller of I and 1 - I with its own threshold, so the
+    comparison keeps its digits where tau_f rounds to 1, as at p0 near 1.
+
+    The route rounds differently from the kernel behind `log_bf01_curve`,
+    so a near tie could go either way.  Returned with the masks (efficacy,
+    futility) is `near`, per size: some compared tail lies within
+    `MARGIN` of its threshold, relative to it.  Such a size takes both
+    counts from the kernel's log BF01, so the counts are the kernel's
+    wherever its own rounding stays below the margin.  Below the band the
+    route's rounding cannot flip a decision: each tail is a sum of positive
+    terms with a relative error near n ulps, and a pmf entry that underflows
+    errs by at most 2^-1074, far below MARGIN times a threshold of at least
+    `_FLAT_FLOOR` = 2^-1022 / MARGIN (`flat_thresholds`).
+    """
+    upper, lower = p0 * pmfs, (1.0 - p0) * pmfs
+    upper[:, :-1] += np.cumsum(pmfs[:, :0:-1], axis=1)[:, ::-1]
+    lower[:, 1:] += np.cumsum(pmfs[:, :-1], axis=1)
+    smaller = upper <= lower
+    # per threshold, the smaller tail less its own threshold, signed so that
+    # a gap below 0 means I < tau; padding reads as I = 0, far from the band
+    target = np.where(smaller, thresholds[:, :1, None], -thresholds[:, 1:, None])
+    gap = np.where(smaller, upper, -lower) - target
+    near = (np.abs(gap) <= MARGIN * np.abs(target)).any(axis=(0, 2))
+    valid = np.arange(pmfs.shape[1]) <= sizes[:, None]
+    efficacy = (gap[0] < 0) & valid
+    futility = (gap[1] > 0) & valid if len(gap) == 2 else np.zeros_like(efficacy)
+    return efficacy, futility, near
 
 
 def split_branches(
@@ -268,7 +340,12 @@ class DesignGrid:
     sizes from one log BF01 block (`critical_counts`, which
     `critical_efficacy` uses too), and one `split_branches` call, which
     cuts every size's own rows straight into the tables, so every size has
-    the bits it has alone.  A lone size is a one-row block.
+    the bits it has alone.  A lone size is a one-row block.  When both
+    analysis priors are flat (`flat_thresholds`), the counts come from the
+    tails of the point null's Bin(n, p0) rows instead (`flat_decisions`),
+    and the analysis priors get a kernel row only where a design prior is
+    one of them; a size whose tail lies within `MARGIN` of a threshold
+    takes its counts from its log BF01 (`log_bf01_curve`), as above.
     The constructor adds `sizes`, as `evaluate` and `scan` need; a walk
     over final sizes adds a block at a time as it reaches them, so little
     past the point where the walk ends is built.
@@ -293,7 +370,8 @@ class DesignGrid:
     ) -> None:
         check_thresholds(k, k_f)
         _check_regions(hyp, ap)
-        self.k, self.k_f, self.ap = k, k_f, ap
+        self.k, self.k_f, self.hyp, self.ap = k, k_f, hyp, ap
+        self._flat = flat_thresholds(ap, k, k_f)
         self.power_prior = power_prior
         point_null = PointMass(hyp.p0)
         self.null_prior = null_prior if null_prior is not None else point_null
@@ -322,15 +400,25 @@ class DesignGrid:
 
     def _table(self, sizes: np.ndarray) -> None:
         """Table one block of consecutive sizes (class docstring)."""
-        # a prior both analysis and design use (a flat power prior is the H1
-        # analysis prior) is built once
-        log_h0, log_h1, *logs = log_predictive_rows((self.ap.h0, self.ap.h1) + self._priors, sizes)
-        with np.errstate(invalid="ignore"):  # padding is -inf in both rows: NaN
-            log_bf = log_h0 - log_h1
-        y_eff, y_fut = critical_counts(log_bf, math.log(self.k), math.log(self.k_f))
-        pmfs = np.exp(logs)  # (prior, size, y)
+        log_k, log_k_f = math.log(self.k), math.log(self.k_f)
+        if self._flat is None:
+            # a prior both analysis and design use (a flat power prior is the
+            # H1 analysis prior) is built once
+            analysis = (self.ap.h0, self.ap.h1)
+            log_h0, log_h1, *logs = log_predictive_rows(analysis + self._priors, sizes)
+            with np.errstate(invalid="ignore"):  # padding is -inf in both rows: NaN
+                log_bf = log_h0 - log_h1
+            y_eff, y_fut = critical_counts(log_bf, log_k, log_k_f)
+            pmfs = np.exp(logs)  # (prior, size, y)
+        else:
+            pmfs = np.exp(log_predictive_rows(self._priors, sizes))
+            efficacy, futility, near = flat_decisions(pmfs[-1], sizes, self.hyp.p0, self._flat)
+            y_eff, y_fut = first_and_last(efficacy, futility)
+            for i in near.nonzero()[0].tolist():  # a near tie: the kernel decides
+                log_bf = log_bf01_curve(int(sizes[i]), self.hyp, self.ap)[None]
+                (y_eff[i],), (y_fut[i],) = critical_counts(log_bf, log_k, log_k_f)
         size = len(self._masses)
-        first, top = int(sizes[0]), log_bf.shape[1] - 1
+        first, top = int(sizes[0]), pmfs.shape[2] - 1
         if top >= size:  # double the capacity, so a walk copies O(n) rows in all
             grown = np.full((max(top + 1, 2 * size),) + self._masses.shape[1:], np.nan)
             grown[:size] = self._masses

@@ -8,8 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bfdesign.calibration
 import bfdesign.operating
 import bfdesign.oracle
+import bfdesign.predictive
 from bfdesign import (
     AnalysisPrior,
     CalibrationConstraints,
@@ -17,6 +19,7 @@ from bfdesign import (
     PointMass,
     TruncatedBeta,
     TwoStageDesign,
+    base_sample_size,
     critical_efficacy,
     critical_futility,
     evaluate,
@@ -625,3 +628,121 @@ def test_large_tails_designs_keep_their_bits(case, pinned):
             value.hex() if isinstance(value, float) else tuple(v.hex() for v in value)
         )
     assert got == pinned
+
+
+# (k, k_f) of the flat-prior sweeps; k_f = inf is the single-look baseline's
+FLAT_PAIRS = [(1 / 3, 3.0), (1 / 10, 10.0), (1 / 30, 30.0), (1 / 3, 1e6), (1 / 3, math.inf)]
+
+
+def _kernel_counts(n, k, k_f, hyp, ap):
+    futility = None if k_f == math.inf else critical_futility(n, k_f, hyp, ap)
+    return critical_efficacy(n, k, hyp, ap), futility
+
+
+def test_flat_route_counts_equal_the_kernels():
+    # a flat-prior grid reads its counts off the point null's binomial tails
+    # (`flat_decisions`); they must be the kernel's: all sizes up to 60 and a
+    # seeded sample up to 800 at p0 across (0, 1), and a few sizes up to 3000
+    rng = np.random.default_rng(20261021)
+    p0s = [0.01, 0.5, 0.99, 1e-4, 1e-8, 1 - 1e-4, 1 - 1e-8]
+    p0s += [round(float(p), 4) for p in rng.uniform(0.01, 0.99, 8)]
+    checks = [(p0, [*range(1, 61), *rng.choice(np.arange(61, 801), 30, replace=False)])
+              for p0 in p0s]
+    checks += [(p0, rng.choice(np.arange(801, 3001), 3, replace=False))
+               for p0 in (0.05, 0.3, 0.9)]
+    for p0, sizes in checks:
+        hyp, ap = Hypotheses(p0), AnalysisPrior.flat(p0)
+        sizes = sorted(int(n) for n in sizes)
+        for k, k_f in FLAT_PAIRS:
+            grid = DesignGrid(sizes, k, k_f, hyp, ap, PointMass(p0))
+            assert grid._flat is not None
+            for n in sizes:
+                got = grid.y_eff[n], grid.y_fut[n]
+                assert got == _kernel_counts(n, k, k_f, hyp, ap), (p0, k, k_f, n)
+
+
+def test_flat_route_serves_the_baseline_at_an_infinite_futility_threshold(monkeypatch):
+    # base_sample_size tables its sizes at k_f = inf: no size gets a futility
+    # count, no NaN is formed (warnings are errors), and the counts are the kernel's
+    grids = []
+
+    class Recorded(DesignGrid):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            grids.append(self)
+
+    monkeypatch.setattr(bfdesign.calibration, "DesignGrid", Recorded)
+    hyp, ap = Hypotheses(0.2), AnalysisPrior.flat(0.2)
+    cons = CalibrationConstraints(alpha=0.1, beta=0.1, n_max=200)
+    assert base_sample_size(1 / 3, hyp, ap, PointMass(0.4), cons) == 36
+    (grid,) = grids
+    assert grid._flat is not None and len(grid.y_eff) >= 46
+    for n, y_eff in grid.y_eff.items():
+        assert (y_eff, grid.y_fut[n]) == (critical_efficacy(n, 1 / 3, hyp, ap), None)
+
+
+# Sizes up to 60 whose counts the band hands to the kernel, per p0 and
+# (k, k_f): exact ties (p0 = 0.5, n = 1: I = 3/4 = tau_f and 1/4 = tau) and
+# near ties where the all-success or no-success count meets a threshold in
+# the limit p0 -> 0 or 1.  Every other size is decided by the tails.
+NEAR_TIES = {
+    (0.5, (1 / 3, 3.0)): [1],
+    (0.5, (1 / 10, 10.0)): [],
+    (1e-16, (1 / 3, 3.0)): [2],
+    (1e-16, (1 / 10, 10.0)): [9],
+    (1 - 2**-50, (1 / 3, 3.0)): [2],
+    (1 - 2**-50, (1 / 10, 10.0)): [9],
+    (1 - 2**-53, (1 / 3, 3.0)): [2],
+    (1 - 2**-53, (1 / 10, 10.0)): [9],
+}
+
+
+@pytest.mark.parametrize("p0, pair", list(NEAR_TIES))
+def test_flat_route_defers_near_ties_to_the_kernel(p0, pair, monkeypatch):
+    # without the band the tails decide the near ties against the kernel
+    # (p0 = 1e-16 at n = 2); comparing I rather than the smaller tail loses
+    # every decision where tau_f rounds to 1 (p0 = 1 - 2**-53), and with the
+    # band it sends every size to the kernel
+    deferred = []
+    original = bfdesign.operating.log_bf01_curve
+
+    def recorded(n, hyp, ap):
+        deferred.append(n)
+        return original(n, hyp, ap)
+
+    monkeypatch.setattr(bfdesign.operating, "log_bf01_curve", recorded)
+    hyp, ap = Hypotheses(p0), AnalysisPrior.flat(p0)
+    k, k_f = pair
+    grid = DesignGrid(range(1, 61), k, k_f, hyp, ap, PointMass(p0))
+    assert deferred == NEAR_TIES[(p0, pair)]
+    for n in range(1, 61):
+        assert (grid.y_eff[n], grid.y_fut[n]) == _kernel_counts(n, k, k_f, hyp, ap), n
+
+
+def test_only_a_non_flat_grid_builds_analysis_prior_kernels(monkeypatch):
+    # under flat analysis priors a kernel row is built only for a design
+    # prior; any other analysis prior keeps both kernel rows, as in `tails`
+    built = set()
+    original = bfdesign.predictive.log_beta_integrals
+
+    def recorded(a, b, l, u, n):
+        built.add((a, b, l, u))
+        return original(a, b, l, u, n)
+
+    monkeypatch.setattr(bfdesign.predictive, "log_beta_integrals", recorded)
+    p0 = 0.2
+    h0, h1 = (1.0, 1.0, 0.0, p0), (1.0, 1.0, p0, 1.0)
+    flat, point = AnalysisPrior.flat(p0), PointMass(0.4)
+    cases = [
+        (flat, 3.0, point, None, set()),
+        (flat, 3.0, TruncatedBeta(1.0, 1.0, p0, 1.0), None, {h1}),
+        (flat, 3.0, point, TruncatedBeta(1.0, 1.0, 0.0, p0), {h0}),
+        (AnalysisPrior.from_shapes(p0, 2.0, 20.0, 1.0, 1.0), 3.0, point, None,
+         {(2.0, 20.0, 0.0, p0), h1}),
+        # 1 - tau_f = 1 / (1 + k_f c), 4e-300, is below `_FLAT_FLOOR`
+        (flat, 1e300, point, None, {h0, h1}),
+    ]
+    for ap, k_f, power_prior, null_prior, kernels in cases:
+        built.clear()
+        DesignGrid(range(5, 61), 1 / 3, k_f, Hypotheses(p0), ap, power_prior, null_prior)
+        assert built == kernels
