@@ -51,7 +51,8 @@ class Hypotheses:
     p0: float
 
     def __post_init__(self) -> None:
-        check_interval("p0", self.p0)
+        # at or below 2**-54, 1 - p0 rounds to 1, and H1's region [p0, 1] would be [0, 1]
+        check_interval("p0", self.p0, 2.0**-54)
 
 
 @dataclass(frozen=True)
@@ -97,18 +98,6 @@ def log_bf01_curve(n: int, hyp: Hypotheses, ap: AnalysisPrior) -> np.ndarray:
     return log_h0 - log_h1
 
 
-def at_zero_limit(ap: AnalysisPrior) -> float:
-    """Largest size at which `log_bf01_at_zero` is exact, at most the largest double.
-
-    Where 1 - p0 rounds to 1, the H0 anchor at shapes (a, b + n) keeps to
-    its continued fraction, not the complement that needs 1 - p0, up to
-    n = (a + 1) / (2 p0) - a - b - 2 (`special._lower_anchor`).
-    """
-    h0 = ap.h0
-    limit = (h0.a + 1.0) / (2.0 * h0.u) - h0.a - h0.b - 2.0 if 1.0 - h0.u == 1.0 else math.inf
-    return min(limit, sys.float_info.max)
-
-
 def log_bf01_at_zero(n: int, ap: AnalysisPrior) -> float:
     """log BF01 of zero successes in n trials in O(1), `log_bf01_curve(n)[0]` to rounding.
 
@@ -116,11 +105,20 @@ def log_bf01_at_zero(n: int, ap: AnalysisPrior) -> float:
     at shapes (a, b + n) over the one at (a, b).  The value never falls as
     n grows: its derivative in n is E0[log(1 - p)] - E1[log(1 - p)], the
     means under each region's prior tilted by (1 - p)^n, and log(1 - p) is
-    at least log(1 - p0) on [0, p0] and at most that on [p0, 1].  So a size
-    past `at_zero_limit` is taken there, a lower bound.  The search calls
-    it with a size and regions it has checked.
+    at least log(1 - p0) on [0, p0] and at most that on [p0, 1].
+
+    A size past the double range, as an integer n_max can be, is taken at
+    the largest double, a lower bound that still settles the search's
+    futility check.  The value grows like -n log(1 - p0), less terms of
+    order shape times log n, so it is least at the smallest p0 `Hypotheses`
+    accepts.  At n = 10**400, over every shape corner in {1e-3, 1, 1e5}^4
+    that constructs, it is at least 1.99e292 at p0 = nextafter(2**-54, 1),
+    1.8e298 at 1e-10 and 1.2e308 at 0.5, and inf at 0.99: each above the
+    log of the largest double, so above log k_f for every finite k_f.  At
+    k_f = inf no size can stop, and None is the exact answer.  The search
+    calls it with a size and regions it has checked.
     """
-    n = min(n, at_zero_limit(ap))
+    n = min(n, sys.float_info.max)
     h0, h1 = (log_beta_integrals(r.a, r.b + n, r.l, r.u, 0)[0] - r.log_norm for r in (ap.h0, ap.h1))
     return float(h0 - h1)
 

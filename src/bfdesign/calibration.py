@@ -47,11 +47,10 @@ erased-mass step returns, to pick the least.
 A search also needs an interim size in [n_min, n_max - 1] that can stop
 for futility.  One can if and only if n_max - 1 can, as log BF01 at zero
 successes never falls in n, so the search compares that O(1) value
-(`bayesfactor.log_bf01_at_zero`) with log k_f before it walks.  Past
-`bayesfactor.at_zero_limit` that value is only a lower bound, so a search
-it does not settle refuses n_max by name.  The winner's operating
-characteristics are read off the same grid, which is what `evaluate` does
-on a grid of its two sizes.
+(`bayesfactor.log_bf01_at_zero`) with log k_f before it walks; its
+docstring shows that the comparison is settled at any n_max.  The winner's
+operating characteristics are read off the same grid, which is what
+`evaluate` does on a grid of its two sizes.
 """
 
 from __future__ import annotations
@@ -63,11 +62,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bayesfactor import AnalysisPrior, Hypotheses, at_zero_limit, log_bf01_at_zero
+from .bayesfactor import AnalysisPrior, Hypotheses, log_bf01_at_zero
 from .operating import (
     MARGIN, WALK_BLOCK, DesignGrid, OperatingCharacteristics, TwoStageDesign, walk_key
 )
-from .priors import DesignPrior, ParameterError, check_interval, check_size
+from .priors import DesignPrior, check_interval, check_size
 
 
 @dataclass(frozen=True)
@@ -201,12 +200,6 @@ def _search(
     """
     grid = DesignGrid((), k, k_f, hyp, ap, power_prior, null_prior)
     if not log_bf01_at_zero(cons.n_max - 1, ap) > math.log(k_f):
-        limit = at_zero_limit(ap)
-        if cons.n_max - 1 > limit:  # the value there is only a lower bound
-            raise ParameterError(
-                "n_max", f"must be at most {limit:.4g}: no size up to it can stop at k_f = "
-                f"{k_f}, and past it doubles cannot tell"
-            )
         return None  # no interim size can stop: no two-stage design exists
 
     def keyed(n1: np.ndarray, n2: int, p_stop: np.ndarray) -> np.ndarray:

@@ -202,7 +202,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args.format = args.format or config.output_format
     try:
         return args.handler(config, args)
-    except ParameterError as exc:  # a search refuses n_max past what doubles settle
+    except ParameterError as exc:  # a library refusal that the parsed config reaches
         return _fail(f"config error: {ConfigError(exc.name, exc.message)}")
 
 

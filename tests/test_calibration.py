@@ -1,6 +1,7 @@
 """Calibration searches: baselines, first-feasible, optimal, scan."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import time
@@ -26,12 +27,7 @@ from bfdesign import (
     predictive_vector,
     scan,
 )
-from bfdesign.bayesfactor import (
-    ParameterError,
-    at_zero_limit,
-    log_bf01_at_zero,
-    log_bf01_curve,
-)
+from bfdesign.bayesfactor import ParameterError, log_bf01_at_zero, log_bf01_curve
 from bfdesign.calibration import _can_be_feasible, _type_i_floor
 from bfdesign.config import load_config
 from bfdesign.operating import MARGIN, DesignGrid, expected_size, walk_key
@@ -524,34 +520,48 @@ def test_no_interim_stop_is_told_from_the_last_size(monkeypatch):
 
 
 def test_a_tiny_p0_settles_the_futility_check_in_doubles():
-    # at p0 = 1e-20, 1 - p0 rounds to 1, and the value at zero successes is
-    # exact only up to `at_zero_limit`, 1e20; there it is 45.6, far above
-    # log 3, which settles n_max = 1e21, where it once raised "math domain
-    # error"
-    hyp, ap = Hypotheses(1e-20), AnalysisPrior.flat(1e-20)
-    assert at_zero_limit(ap) == pytest.approx(1e20)
-    assert log_bf01_at_zero(10**21, ap) == log_bf01_at_zero(at_zero_limit(ap), ap)
-    assert log_bf01_at_zero(10**21, ap) == pytest.approx(45.593, abs=1e-3)
+    # where 1 - p0 rounds to 1, H1's region [p0, 1] would be all of [0, 1],
+    # so such a p0 is refused by name; the next double up is accepted, and
+    # there the value at zero successes settles n_max = 10**21, where it
+    # once raised "math domain error"
+    for p0 in (1e-20, 2.0**-54):
+        assert 1.0 - p0 == 1.0
+        with pytest.raises(ParameterError) as err:
+            Hypotheses(p0)
+        assert err.value.name == "p0"
+    p0 = math.nextafter(2.0**-54, 1.0)
+    assert 1.0 - p0 < 1.0
+    hyp, ap = Hypotheses(p0), AnalysisPrior.flat(p0)
     cons = CalibrationConstraints(alpha=0.05, beta=0.2, n_min=5, n_max=10**21)
     for search in (calibrate, optimal_calibrate):
         found = search(cons, 1 / 3, 3.0, hyp, ap, PointMass(0.3))
         assert (found.design.n1, found.design.n2) == (5, 6), search.__name__
-        # at k_f = 1e300 no size up to the limit can stop, and doubles cannot
-        # tell past it, so n_max is refused by name
-        with pytest.raises(ParameterError) as err:
-            search(cons, 1 / 3, 1e300, hyp, ap, PointMass(0.3))
-        assert err.value.name == "n_max"
-        # within the limit the same question is answered
-        narrow = dataclasses.replace(cons, n_max=40)
-        assert search(narrow, 1 / 3, 1e300, hyp, ap, PointMass(0.3)) is None
-    # where 1 - p0 is below 1 the limit is the double range, as before
-    assert at_zero_limit(EX1_AP) == sys.float_info.max
+
+
+def test_the_futility_check_is_settled_past_the_double_range():
+    # a size past the largest double is taken there, a lower bound; it
+    # still exceeds the log of any finite k_f at the smallest accepted p0
+    # and at every shape corner, so the search's check at an integer n_max
+    # is exact (`bayesfactor.log_bf01_at_zero`)
+    corners = (1e-3, 1.0, 1e5)
+    for p0 in (math.nextafter(2.0**-54, 1.0), 1e-10, 0.5, 0.99):
+        built = 0
+        for shapes in itertools.product(corners, repeat=4):
+            try:
+                ap = AnalysisPrior.from_shapes(p0, *shapes)
+            except (ValueError, ArithmeticError):
+                continue  # a region prior with no mass in doubles
+            built += 1
+            assert log_bf01_at_zero(10**400, ap) > math.log(sys.float_info.max), (p0, shapes)
+        assert built > 40, p0
 
 
 @pytest.mark.parametrize(
     "p0, shapes",
     [
         (0.1, (1, 1, 1, 1)),
+        (0.01, (1, 1, 1, 1)),
+        (1e-3, (1, 1, 1, 1)),
         (0.2, (2, 5, 1, 1)),
         (0.3, (0.5, 0.5, 3, 1)),
         (0.5, (1, 4, 4, 1)),
@@ -574,11 +584,12 @@ def test_log_bf01_at_zero_successes_never_falls(p0, shapes):
     for k_f in (3, 30, 1e6):
         stops = [critical_futility(n, k_f, hyp, ap) is not None for n in sizes]
         assert (at_zero > math.log(k_f)).tolist() == stops, k_f
-    # under flat priors the value has a closed form
+    # under flat priors the value has a closed form, here with log(1 - p0)
+    # taken as log1p(-p0), as 1.0 - p0 rounds off digits that n multiplies
     if shapes == (1, 1, 1, 1):
-        q = 1.0 - p0
+        log_q = math.log1p(-p0)
         for n in [1, 7, 100, 3000] + [10**e for e in range(4, 16)]:
-            exact = math.log1p(-(q ** (n + 1))) - math.log(p0) - n * math.log(q)
+            exact = math.log(-math.expm1((n + 1) * log_q)) - math.log(p0) - n * log_q
             assert log_bf01_at_zero(n, ap) == pytest.approx(exact, rel=1e-14, abs=0), n
 
 

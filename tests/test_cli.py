@@ -351,8 +351,7 @@ def test_calibrate_golden_bytes_at_a_huge_n_max(tmp_path, capsys):
 # Configs for the pinned bytes below: "narrow.cfg" has no design with
 # n2 <= 8, "short_simon.cfg" no Simon design with n2 <= 8, "latin1.cfg" is
 # not UTF-8 and "bom.cfg" is example1 saved with a UTF-8 byte order mark.
-# 1 - p0 rounds to 1, and n_max lies past the sizes at which the futility
-# check is exact in doubles
+# 1 - p0 rounds to 1, so p0 is refused, whatever k_f and n_max say
 TINY_P0 = "p0=1e-20\nalpha=0.05\nbeta=0.2\npower_prior=point 0.3\nn_max=1000000000000000000000\n"
 PIN_CONFIGS = {
     "no_stop.cfg": NO_STOP,
@@ -366,6 +365,9 @@ PIN_CONFIGS = {
     "tiny_p0.cfg": TINY_P0,
     "tiny_p0_no_stop.cfg": TINY_P0 + "k_f=1e300\n",
 }
+TINY_P0_REFUSED = (
+    "config error: config field 'p0': must lie in (5.55111512312578e-17, 1), got 1e-20\n"
+)
 OC_HEADER = (
     "n1,n2,type_i_unadjusted,type_i_adjusted,power_unadjusted,power_adjusted,"
     "futility_erased_type_i,futility_erased_power,pce,en_h0,en_h1,branch_h0_efficacy,"
@@ -423,13 +425,10 @@ PINNED_RUNS = {
         "",
     ),
     "calibrate-tiny-p0": (
-        ["calibrate", "--config", "tiny_p0.cfg"], 0,
-        "n1  n2  type_i  power  en_h0  pce\n 5   6  0.0000  0.8319   5.00  1.0000\n", "",
+        ["calibrate", "--config", "tiny_p0.cfg"], 2, "", TINY_P0_REFUSED,
     ),
     "calibrate-tiny-p0-unsettled": (
-        ["calibrate", "--config", "tiny_p0_no_stop.cfg"], 2, "",
-        "config error: config field 'n_max': must be at most 1e+20: no size up to it can "
-        "stop at k_f = 1e+300, and past it doubles cannot tell\n",
+        ["calibrate", "--config", "tiny_p0_no_stop.cfg"], 2, "", TINY_P0_REFUSED,
     ),
     "calibrate-infeasible": (
         ["calibrate", "--config", "narrow.cfg"], 3, "",
@@ -612,7 +611,7 @@ def fuzz_run(draw):
         ["oc", "--n1", "10", "--n2", "19"],
     )
 )
-# 1 - p0 rounds to 1, and the futility check runs far past the drawn n_max
+# 1 - p0 rounds to 1, so p0 is refused
 @example(
     run=(
         "p0 = 1e-20\nalpha = 0.05\nbeta = 0.2\npower_prior = point 0.3\n"

@@ -133,7 +133,12 @@ def test_invalid_values_carry_field_names():
         ("n_max = 3", "n_min"),
         ("k_f = 1", "k_f"),
         ("p0 = 1", "p0"),
+        ("p0 = 1e-20", "p0"),
         ("a1 = 0", "a1/b1"),
+        ("k = 1/2/3", "k"),
+        ("p0 = abc", "p0"),
+        ("power_prior = gamma 1 1", "power_prior"),
+        ("output_format = json", "output_format"),
     ]:
         with pytest.raises(ConfigError) as err:
             parse_config(with_line(line))

@@ -28,8 +28,6 @@ NO_CALLER = {
 # state, each with its reason
 OWN_CHECK = {
     ("bayesfactor.py", "k_f"): "k_f > 1 has no upper end, and README quotes its message",
-    ("calibration.py", "n_max"): "ties n_max to p0 and k_f: a search refuses an n_max "
-    "past the sizes at which doubles settle whether an interim size can stop",
 }
 
 

@@ -530,6 +530,16 @@ def test_ump_power_bounds_every_design(p0, p1, alpha):
         assert _ump_short(*tables, alpha, 1.0)
 
 
+def test_ump_test_that_always_rejects_is_never_short():
+    # Bin(3, 0.3) rows sum to 1 - 2**-53 in doubles, so at that alpha no
+    # count c has P0(S > c) above alpha: the UMP test always rejects, with
+    # power 1, and no target makes it short
+    alpha = 1 - 2**-53
+    tables = (*_binomial_table(3, 0.3), *_binomial_table(3, 0.5))
+    assert tables[1][0] <= alpha
+    assert not _ump_short(*tables, alpha, 1.0)
+
+
 # designs (r1, n1, r, n2) whose own exact type-I and power are taken as
 # alpha and 1 - beta, each rounded to the double on its feasible side: the
 # search must find a design at n2, though the Neyman-Pearson ceiling or the
